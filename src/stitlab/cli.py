@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import distributions as dist
-from .errors import ConfigError, StitlabError
+from .errors import ConfigError, DomainError, GeometryError, LCollision, StitlabError
 from .geometry import ConvexPolygon
 from .line_measure import DirectionMixture, IsotropicMeasure, LineMeasureSpec, measure_from_json
 from .processes import (
@@ -56,18 +56,26 @@ def parse_window(spec: str) -> ConvexPolygon:
 
 
 def parse_measure(spec: str) -> LineMeasureSpec:
-    if spec.startswith("iso:"):
-        return IsotropicMeasure(scale=float(spec[4:]))
-    if spec.startswith("dirs:"):
-        atoms = []
-        for part in spec[5:].split(","):
-            th, w = part.split(":")
-            atoms.append((float(th), float(w)))
-        return DirectionMixture(tuple(atoms))
     try:
-        return measure_from_json(json.loads(spec))
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        if spec.startswith("iso:"):
+            measure = IsotropicMeasure(scale=float(spec[4:]))
+        elif spec.startswith("dirs:"):
+            atoms = []
+            for part in spec[5:].split(","):
+                th, w = part.split(":")
+                atoms.append((float(th), float(w)))
+            measure = DirectionMixture(tuple(atoms))
+        else:
+            measure = measure_from_json(json.loads(spec))
+    except (ValueError, KeyError, TypeError, GeometryError) as exc:
         raise ConfigError(f"bad measure spec {spec!r}: {exc}") from exc
+    if isinstance(measure, IsotropicMeasure):
+        numbers = [measure.scale]
+    else:
+        numbers = [v for atom in measure.atoms for v in atom]
+    if not all(map(math.isfinite, numbers)):
+        raise ConfigError(f"bad measure spec {spec!r}: numbers must be finite")
+    return measure
 
 
 def parse_float_grid(spec: str) -> list[float]:
@@ -119,6 +127,19 @@ def load_config_file(path: str | None) -> dict:
     return obj
 
 
+def _nonnegative(name: str, value, kind: type) -> float | int | None:
+    """A `--name` value (flag or config) as `kind`; it must be finite and >= 0."""
+    if value is None:
+        return None
+    try:
+        number = kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"--{name} must be a number: {exc}") from exc
+    if not 0 <= number < math.inf:
+        raise ConfigError(f"--{name} must be finite and >= 0, got {value!r}")
+    return number
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated simulate-command inputs."""
@@ -151,9 +172,9 @@ class ExperimentConfig:
             window=window,
             measure=measure,
             seed=resolve_seed(args.seed, cfg),
-            t=None if t is None else float(t),
-            jumps=None if jumps is None else int(jumps),
-            decisions=None if decisions is None else int(decisions),
+            t=_nonnegative("t", t, float),
+            jumps=_nonnegative("jumps", jumps, int),
+            decisions=_nonnegative("decisions", decisions, int),
             out=str(out),
         )
 
@@ -238,12 +259,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+def _weight_sequence(args: argparse.Namespace) -> LSequence:
+    """The --L sequence at --rate; a malformed or invalid one is a usage error."""
+    try:
+        return LSequence(tuple(float(v) for v in args.L.split(",")), rate=args.rate)
+    except (ValueError, DomainError, LCollision) as exc:
+        raise ConfigError(f"bad --L {args.L!r}: {exc}") from exc
+
+
 def _table_rows(args: argparse.Namespace) -> tuple[list[str], list[list[float]]]:
     name = args.distribution
     if name in ("stit-cdf", "stit-pdf"):
         if not args.L:
             raise ConfigError(f"{name} needs --L")
-        lseq = LSequence(tuple(float(v) for v in args.L.split(",")), rate=args.rate)
+        lseq = _weight_sequence(args)
         fn = dist.stit_jump_cdf if name == "stit-cdf" else dist.stit_jump_pdf
         col = "cdf" if name == "stit-cdf" else "pdf"
         grid = parse_float_grid(args.t or "0:1:0.1")
@@ -262,7 +291,7 @@ def _table_rows(args: argparse.Namespace) -> tuple[list[str], list[list[float]]]
     if name == "jump-pmf":
         if not args.L or args.ell is None:
             raise ConfigError("jump-pmf needs --L and --ell")
-        lseq = LSequence(tuple(float(v) for v in args.L.split(",")), rate=args.rate)
+        lseq = _weight_sequence(args)
         grid = parse_int_grid(args.n_grid or f"{args.ell}:{args.ell + 10}")
         return ["n", "pmf"], [[n, dist.discrete_jump_pmf(lseq, args.ell, n)] for n in grid]
     if name == "cowan-pmf":
@@ -279,7 +308,7 @@ def _table_rows(args: argparse.Namespace) -> tuple[list[str], list[list[float]]]
     if name == "mecke-tail":
         if not args.L or args.ell is None:
             raise ConfigError("mecke-tail needs --L and --ell")
-        lseq = LSequence(tuple(float(v) for v in args.L.split(",")), rate=args.rate)
+        lseq = _weight_sequence(args)
         grid = parse_float_grid(args.t or "0:1:0.1")
         return ["t", "tail"], [[t, dist.mecke_jump_tail(lseq, args.ell, t)] for t in grid]
     raise ConfigError(f"unknown distribution {name!r}")

@@ -246,27 +246,34 @@ def _jump_pmf_setup(
 
 def _jump_pmf_chunks(
     lseq: LSequence, ell: int, ell_max: int, condition_limit: float
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (n values, pmf values) in chunks for n = ell, ell+1, ...
+) -> Iterator[np.ndarray]:
+    """Yield pmf values in chunks of _CHUNK for n = ell, ell+1, ...
 
     Uses the recurrence term(n) = term(n-1) * (n-1-value)/n per weight value;
     far-tail rounding can take individual pmf values a few ulps below zero,
-    which is clipped.
+    which is clipped.  The set-up, and so any refusal, happens at the call,
+    before the first chunk is asked for.
     """
     coef, term, vals, lead = _jump_pmf_setup(lseq, ell, ell_max, condition_limit)
-    n0 = ell
-    while True:
-        ns = np.arange(n0, n0 + _CHUNK, dtype=float)
-        ratios = (ns[1:, None] - 1.0 - vals[None, :]) / ns[1:, None]
-        terms = np.empty((ns.size, vals.size))
-        terms[0] = term
-        np.cumprod(ratios, axis=0, out=ratios)
-        terms[1:] = term * ratios
-        pmf = lead * (terms @ coef)
-        np.maximum(pmf, 0.0, out=pmf)
-        yield ns, pmf
-        term = terms[-1] * ((ns[-1] - vals) / (ns[-1] + 1.0))
-        n0 += _CHUNK
+
+    def chunks(term: np.ndarray, n0: int) -> Iterator[np.ndarray]:
+        while True:
+            ns = np.arange(n0, n0 + _CHUNK, dtype=float)
+            ratios = (ns[1:, None] - 1.0 - vals[None, :]) / ns[1:, None]
+            terms = np.empty((ns.size, vals.size))
+            terms[0] = term
+            np.cumprod(ratios, axis=0, out=ratios)
+            terms[1:] = term * ratios
+            pmf = lead * (terms @ coef)
+            np.maximum(pmf, 0.0, out=pmf)
+            term = terms[-1] * ((ns[-1] - vals) / (ns[-1] + 1.0))
+            n0 += _CHUNK
+            # the prefix cache keeps this generator between chunks: hold on
+            # to nothing the next chunk does not need
+            del ns, ratios, terms
+            yield pmf
+
+    return chunks(term, ell)
 
 
 def discrete_jump_pmf(
@@ -304,7 +311,7 @@ def discrete_jump_pmf_sequence(
         raise DomainError(f"n_max={n_max} must be >= ell={ell}")
     out = np.empty(n_max - ell + 1)
     filled = 0
-    for ns, pmf in _jump_pmf_chunks(lseq, ell, ell_max, condition_limit):
+    for pmf in _jump_pmf_chunks(lseq, ell, ell_max, condition_limit):
         take = min(pmf.size, out.size - filled)
         out[filled : filled + take] = pmf[:take]
         filled += take
@@ -326,7 +333,7 @@ def discrete_jump_pmf_mass(
     total = 0.0
     seen = 0
     budget = n_max - ell + 1
-    for _, pmf in _jump_pmf_chunks(lseq, ell, ell_max, condition_limit):
+    for pmf in _jump_pmf_chunks(lseq, ell, ell_max, condition_limit):
         take = min(pmf.size, budget - seen)
         total += float(pmf[:take].sum())
         seen += take
@@ -351,31 +358,18 @@ def _jump_pmf_prefix(
     key = (lseq.values, ell)
     with _PMF_PREFIX_CACHE_LOCK:
         entry = _PMF_PREFIX_CACHE.get(key)
-        if entry is None:
-            coef, term, vals, lead = _jump_pmf_setup(lseq, ell, ell_max, condition_limit)
-            entry = {
-                "coef": coef, "term": term, "vals": vals, "lead": lead,
-                "next_n": ell, "pmf": [], "mass": [], "total_mass": 0.0,
-            }
+        if entry is None:  # a refusal raises here, before the entry exists
+            chunks = _jump_pmf_chunks(lseq, ell, ell_max, condition_limit)
+            entry = {"chunks": chunks, "next_n": ell, "pmf": [], "mass": [], "total_mass": 0.0}
             _PMF_PREFIX_CACHE[key] = entry
         _PMF_PREFIX_CACHE.move_to_end(key)
         while entry["next_n"] <= n_hi:
-            n0 = entry["next_n"]
-            vals = entry["vals"]
-            ns = np.arange(n0, n0 + _CHUNK, dtype=float)
-            ratios = (ns[1:, None] - 1.0 - vals[None, :]) / ns[1:, None]
-            terms = np.empty((ns.size, vals.size))
-            terms[0] = entry["term"]
-            np.cumprod(ratios, axis=0, out=ratios)
-            terms[1:] = entry["term"] * ratios
-            pmf = entry["lead"] * (terms @ entry["coef"])
-            np.maximum(pmf, 0.0, out=pmf)
-            entry["pmf"].append(pmf)
+            pmf = next(entry["chunks"])
             mass = entry["total_mass"] + np.cumsum(pmf)
+            entry["pmf"].append(pmf)
             entry["mass"].append(mass)
             entry["total_mass"] = float(mass[-1])
-            entry["term"] = terms[-1] * ((ns[-1] - vals) / (ns[-1] + 1.0))
-            entry["next_n"] = n0 + _CHUNK
+            entry["next_n"] += pmf.size
         while (
             len(_PMF_PREFIX_CACHE) > 1
             and sum(e["next_n"] - _ell for (_, _ell), e in _PMF_PREFIX_CACHE.items())

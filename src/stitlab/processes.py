@@ -1,20 +1,23 @@
 """The tessellation processes and their cell-configuration statistics.
 
-Four models share one trace schema:
+All four models are one split process on a list of slots (cells, or empty
+quasi-cells as None in the Mecke models): an event picks a slot and a line,
+the slot keeps the far part of the cut and the origin part is appended.  A
+*selector* picks the slot and the line, a *clock* times the next event:
 
-* STIT: with cells C_1..C_k extant, the state waits Exp(sum_j W(C_j)) where
-  W(C) is the hitting weight, then a cell is picked proportionally to its
-  weight and split by a line from its normalized hitting distribution.
-  Every event is a jump.
-* Mecke discrete: at decision n one of the n quasi-cells (possibly empty) is
-  picked uniformly and cut by a line drawn from the window's hitting
-  distribution; the far part replaces the slot, the origin part is appended.
-  The decision is a jump only when the picked quasi-cell is nonempty and the
-  line actually hits it.
-* Cowan equally-likely clock: waiting times Exp(k * rate) between the
-  (k-1)-th and k-th event; the event count by time t is geometric.
-* Mecke continuous: the discrete process driven by the equally-likely clock
-  at rate W(window), one decision per clock event.
+* STIT: a cell picked in proportion to its hitting weight W(C), cut by a
+  line from its normalized hitting distribution; clock rate sum_j W(C_j).
+* Cowan equally-likely: a cell picked uniformly, cut by a line from its own
+  hitting distribution; the equally-likely clock, rate len(slots) * W(window),
+  whose event count by time t is geometric.
+* Mecke discrete: one of the n quasi-cells picked uniformly, cut by a line
+  from the window's hitting distribution; no clock, event n is decision n.
+  A decision is a jump only when the quasi-cell is nonempty and the line hits it.
+* Mecke continuous: the Mecke selector driven by the equally-likely clock.
+
+The cell selectors redraw until the line splits the cell, so every STIT and
+Cowan event is a jump.  The negative controls in `stats` are two more clocks
+for the Mecke selector.  Each event draws in the order clock, selection, line.
 
 The normalized hitting-weight sequence (values[k-1] = sum of cell weights
 just before the k-th jump, divided by the window weight) is the sufficient
@@ -28,7 +31,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import accumulate
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -130,13 +134,133 @@ def replica_rng(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
-def _check_stop(max_a, max_b) -> None:
-    if max_a is None and max_b is None:
+# ---------------------------------------------------------------------------
+# the split engine: a selector picks the slot and the line, a clock times events
+
+
+def _apply_split(slots: list, idx: int, far, origin) -> None:
+    """The slot update of every model: the split slot keeps the far part and
+    the origin part is appended (an empty slot stays None and appends None)."""
+    slots[idx] = far
+    slots.append(origin)
+
+
+def _cut(cell: ConvexPolygon | None, line: Line) -> tuple:
+    """(far part, origin part) of `cell` cut by `line`; absent parts are None."""
+    if cell is None:
+        return None, None
+    parts = split(cell, line)
+    return parts.negative_part, parts.positive_part
+
+
+def _grow(
+    slots: list,
+    pick: Callable,
+    clock: Callable | None,
+    rng: np.random.Generator,
+    *,
+    max_time: float | None = None,
+    max_jumps: int | None = None,
+    max_decisions: int | None = None,
+    jumps: int = 0,
+) -> list[TraceEvent]:
+    """Run the split process on `slots`, in place, until a stop rule fires.
+
+    `pick(slots, rng)` returns (slot index, line, far part, origin part);
+    `clock(slots)` is the rate of the next event, or `clock` is None and
+    event n is the n-th decision (n = len(slots) before it).
+    `jumps` is the jump count the slots already carry.
+    """
+    if max_time is None and max_jumps is None and max_decisions is None:
         raise DomainError("a stopping rule is required")
+    if max_time is not None and not 0.0 <= max_time < math.inf:
+        raise DomainError(f"time must be finite and nonnegative, got {max_time!r}")
+    events: list[TraceEvent] = []
+    t = 0.0
+    while (max_jumps is None or jumps < max_jumps) and (
+        max_decisions is None or len(slots) <= max_decisions
+    ):
+        if clock is None:
+            t = len(slots)
+        else:
+            t += rng.exponential(1.0 / clock(slots))
+            if max_time is not None and t > max_time:
+                break
+        idx, line, far, origin = pick(slots, rng)
+        _apply_split(slots, idx, far, origin)
+        jump = far is not None and origin is not None
+        jumps += jump
+        events.append(TraceEvent(time=t, cell_index=idx, line=line, jump=jump))
+    return events
+
+
+def _cut_until_split(measure: LineMeasureSpec, slots: list, rng, draw_index) -> tuple:
+    """Draw a cell index and a line from that cell's hitting distribution
+    until the line splits the cell; the clock is not re-advanced."""
+    while True:
+        idx = draw_index(rng)
+        line = sample_hitting_line(measure, slots[idx], rng)
+        try:
+            far, origin = _cut(slots[idx], line)
+        except DegenerateSplit:
+            continue
+        if far is not None and origin is not None:
+            return idx, line, far, origin
+
+
+class _ByWeight:
+    """STIT selector: a cell picked in proportion to its hitting weight.  The
+    running total of the weights is the rate of the STIT clock (`rate`)."""
+
+    def __init__(self, measure: LineMeasureSpec, window: ConvexPolygon) -> None:
+        self.measure = measure
+        self.weights = [hitting_measure(measure, window)]
+        self.total = self.weights[0]
+
+    def rate(self, slots: list) -> float:
+        return self.total
+
+    def _index(self, rng: np.random.Generator) -> int:
+        u = self.total * rng.random()
+        for j, acc in enumerate(accumulate(self.weights)):
+            if u < acc:
+                return j
+        return len(self.weights) - 1
+
+    def __call__(self, slots: list, rng: np.random.Generator) -> tuple:
+        idx, line, far, origin = _cut_until_split(self.measure, slots, rng, self._index)
+        w_far, w_origin = hitting_measure(self.measure, far), hitting_measure(self.measure, origin)
+        self.total += w_far + w_origin - self.weights[idx]
+        _apply_split(self.weights, idx, w_far, w_origin)  # weights mirror the slots
+        return idx, line, far, origin
+
+
+def _uniform_cell(measure: LineMeasureSpec) -> Callable:
+    """Cowan selector: a cell picked uniformly."""
+    return lambda slots, rng: _cut_until_split(
+        measure, slots, rng, lambda rng: int(rng.integers(len(slots)))
+    )
+
+
+def _uniform_slot(measure: LineMeasureSpec, window: ConvexPolygon) -> Callable:
+    """Mecke selector: one of the n quasi-cells picked uniformly, one window line."""
+
+    def pick(slots: list, rng: np.random.Generator) -> tuple:
+        idx = int(rng.integers(len(slots)))
+        line = sample_hitting_line(measure, window, rng)
+        return (idx, line, *_cut(slots[idx], line))
+
+    return pick
+
+
+def _equally_likely(measure: LineMeasureSpec, window: ConvexPolygon) -> Callable:
+    """The equally-likely clock: rate len(slots) * W(window)."""
+    rate = hitting_measure(measure, window)
+    return lambda slots: len(slots) * rate
 
 
 # ---------------------------------------------------------------------------
-# full simulators
+# the simulators
 
 
 def stit_simulate(
@@ -149,43 +273,10 @@ def stit_simulate(
     seed: int | None = None,
 ) -> ProcessTrace:
     """Global-clock STIT run; stops at `max_time` or after `max_jumps` jumps."""
-    _check_stop(max_time, max_jumps)
-    cells: list[ConvexPolygon] = [window]
-    rates: list[float] = [hitting_measure(measure, window)]
-    total_rate = rates[0]
-    t = 0.0
-    events: list[TraceEvent] = []
-    while True:
-        if max_jumps is not None and len(events) >= max_jumps:
-            break
-        t += rng.exponential(1.0 / total_rate)
-        if max_time is not None and t > max_time:
-            break
-        while True:  # retry degenerate splits without re-advancing the clock
-            u = total_rate * rng.random()
-            acc = 0.0
-            idx = len(cells) - 1
-            for j, r in enumerate(rates):
-                acc += r
-                if u < acc:
-                    idx = j
-                    break
-            cell = cells[idx]
-            line = sample_hitting_line(measure, cell, rng)
-            try:
-                parts = split(cell, line)
-            except DegenerateSplit:
-                continue
-            if parts.positive_part is not None and parts.negative_part is not None:
-                break
-        cells[idx] = parts.negative_part
-        cells.append(parts.positive_part)
-        r_neg = hitting_measure(measure, parts.negative_part)
-        r_pos = hitting_measure(measure, parts.positive_part)
-        total_rate += r_neg + r_pos - rates[idx]
-        rates[idx] = r_neg
-        rates.append(r_pos)
-        events.append(TraceEvent(time=t, cell_index=idx, line=line, jump=True))
+    by_weight = _ByWeight(measure, window)
+    events = _grow(
+        [window], by_weight, by_weight.rate, rng, max_time=max_time, max_jumps=max_jumps
+    )
     return ProcessTrace(window, measure, tuple(events), ModelTag.STIT, seed)
 
 
@@ -199,29 +290,10 @@ def cowan_el_simulate(
     seed: int | None = None,
 ) -> ProcessTrace:
     """Equally-likely continuous model: Exp(k * rate) waits, uniform cell choice."""
-    _check_stop(max_time, max_jumps)
-    rate = hitting_measure(measure, window)
-    cells: list[ConvexPolygon] = [window]
-    t = 0.0
-    events: list[TraceEvent] = []
-    while True:
-        if max_jumps is not None and len(events) >= max_jumps:
-            break
-        t += rng.exponential(1.0 / (len(cells) * rate))
-        if max_time is not None and t > max_time:
-            break
-        while True:
-            idx = int(rng.integers(len(cells)))
-            line = sample_hitting_line(measure, cells[idx], rng)
-            try:
-                parts = split(cells[idx], line)
-            except DegenerateSplit:
-                continue
-            if parts.positive_part is not None and parts.negative_part is not None:
-                break
-        cells[idx] = parts.negative_part
-        cells.append(parts.positive_part)
-        events.append(TraceEvent(time=t, cell_index=idx, line=line, jump=True))
+    events = _grow(
+        [window], _uniform_cell(measure), _equally_likely(measure, window), rng,
+        max_time=max_time, max_jumps=max_jumps,
+    )
     return ProcessTrace(window, measure, tuple(events), ModelTag.COWAN_EL, seed)
 
 
@@ -236,26 +308,10 @@ def mecke_discrete_step(
     rng: np.random.Generator,
 ) -> tuple[QuasiCellState, TraceEvent]:
     """One decision: uniform quasi-cell choice, one window-hitting line."""
-    n = state.decision_count + 1  # number of quasi-cells available
-    idx = int(rng.integers(n))
-    line = sample_hitting_line(measure, window, rng)
     slots = list(state.quasi_cells)
-    target = slots[idx]
-    jump = False
-    if target is None:
-        slots.append(None)
-    else:
-        parts = split(target, line)
-        slots[idx] = parts.negative_part
-        slots.append(parts.positive_part)
-        jump = parts.positive_part is not None and parts.negative_part is not None
-    new_state = QuasiCellState(
-        quasi_cells=tuple(slots),
-        decision_count=state.decision_count + 1,
-        jump_count=state.jump_count + (1 if jump else 0),
-    )
-    event = TraceEvent(time=n, cell_index=idx, line=line, jump=jump)
-    return new_state, event
+    (event,) = _grow(slots, _uniform_slot(measure, window), None, rng, max_decisions=len(slots))
+    state = QuasiCellState(tuple(slots), state.decision_count + 1, state.jump_count + event.jump)
+    return state, event
 
 
 def mecke_discrete_simulate(
@@ -273,16 +329,11 @@ def mecke_discrete_simulate(
     With `initial_state` the trace records only the continuation; such a
     trace cannot be replayed standalone (replay assumes a bare window).
     """
-    _check_stop(max_decisions, max_jumps)
     state = initial_state if initial_state is not None else initial_quasi_state(window)
-    events: list[TraceEvent] = []
-    while True:
-        if max_decisions is not None and state.decision_count >= max_decisions:
-            break
-        if max_jumps is not None and state.jump_count >= max_jumps:
-            break
-        state, event = mecke_discrete_step(state, measure, window, rng)
-        events.append(event)
+    events = _grow(
+        list(state.quasi_cells), _uniform_slot(measure, window), None, rng,
+        max_decisions=max_decisions, max_jumps=max_jumps, jumps=state.jump_count,
+    )
     return ProcessTrace(window, measure, tuple(events), ModelTag.MECKE_DISCRETE, seed)
 
 
@@ -315,23 +366,12 @@ def mecke_continuous_simulate(
     Exp(n * rate) wait, so the decision count by time t is geometric and the
     trajectory for a smaller horizon is a prefix of the same run.
     """
-    if t < 0.0:
-        raise DomainError(f"time must be nonnegative, got {t!r}")
-    rate = hitting_measure(measure, window)
-    state = initial_quasi_state(window)
-    events: list[TraceEvent] = []
-    clock = 0.0
-    while True:
-        n = state.decision_count + 1
-        clock += rng.exponential(1.0 / (n * rate))
-        if clock > t:
-            break
-        state, event = mecke_discrete_step(state, measure, window, rng)
-        events.append(
-            TraceEvent(time=clock, cell_index=event.cell_index, line=event.line, jump=event.jump)
-        )
+    slots = [window]
+    events = _grow(
+        slots, _uniform_slot(measure, window), _equally_likely(measure, window), rng, max_time=t
+    )
     trace = ProcessTrace(window, measure, tuple(events), ModelTag.MECKE_CONTINUOUS, seed)
-    return state, trace
+    return QuasiCellState(tuple(slots), len(events), trace.jump_count), trace
 
 
 # ---------------------------------------------------------------------------
@@ -343,26 +383,20 @@ def replay(
 ) -> Iterator[tuple[TraceEvent, ConvexPolygon | None, list[ConvexPolygon | None]]]:
     """Yield (event, split target before the event, slots after the event).
 
-    The slot update rule is shared by all models: the split slot keeps the
-    far part and the origin part is appended (absent parts stay None).  The
-    yielded slot list is live; copy it if it must survive the iteration.
+    Slots are updated as in the simulators (`_apply_split`).  The yielded
+    slot list is live; copy it if it must survive the iteration.
     """
     slots: list[ConvexPolygon | None] = [trace.window]
     for event in trace.events:
         target = slots[event.cell_index]
-        if target is None:
-            slots.append(None)
-        else:
-            parts = split(target, event.line)
-            slots[event.cell_index] = parts.negative_part
-            slots.append(parts.positive_part)
+        _apply_split(slots, event.cell_index, *_cut(target, event.line))
         yield event, target, slots
 
 
 def final_state(trace: ProcessTrace) -> QuasiCellState:
     slots: list[ConvexPolygon | None] = [trace.window]
-    for _, _, slots_now in replay(trace):
-        slots = slots_now
+    for _, _, slots in replay(trace):
+        pass
     return QuasiCellState(
         quasi_cells=tuple(slots),
         decision_count=len(trace.events),

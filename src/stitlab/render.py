@@ -9,7 +9,7 @@ renders can be diffed in CI.
 from __future__ import annotations
 
 from .geometry import chord
-from .processes import ModelTag, ProcessTrace, replay
+from .processes import ProcessTrace, replay
 
 _MARGIN_FRACTION = 0.05
 
@@ -62,7 +62,3 @@ def render_svg(trace: ProcessTrace, at: float | None = None) -> str:
     lines.append("</g>")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
-
-
-def model_time_label(tag: ModelTag) -> str:
-    return "decision" if tag is ModelTag.MECKE_DISCRETE else "time"

@@ -15,7 +15,7 @@ pass vacuously.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -24,7 +24,7 @@ from scipy.stats import chi2 as _chi2
 
 from .distributions import (
     TruncationPolicy,
-    cowan_count_pmf,
+    cowan_sum_cdf,
     discrete_jump_pmf_mass,
     discrete_waiting_pmf_mass,
     mecke_jump_tail,
@@ -37,13 +37,14 @@ from .distributions import (
 )
 from .errors import DegenerateBins, DomainError, LCollision, StitlabError, TooFewSamples
 from .geometry import ConvexPolygon
-from .line_measure import LineMeasureSpec, hitting_measure, measure_to_json
+from .line_measure import LineMeasureSpec, hitting_measure
 from .processes import (
     LSequence,
+    _equally_likely,
+    _grow,
+    _uniform_slot,
     final_state,
-    initial_quasi_state,
     l_sequence,
-    mecke_continuous_simulate,
     mecke_discrete_simulate,
     mecke_discrete_step,
     stit_simulate,
@@ -67,16 +68,7 @@ class VerificationReport:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "check_name": self.check_name,
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "sample_size": self.sample_size,
-            "seed": self.seed,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def format_report_table(reports: Sequence[VerificationReport]) -> str:
@@ -337,24 +329,6 @@ class EquivalenceConfig:
         if any(t < 0.0 for t in self.time_grid):
             raise DomainError("time grid must be nonnegative")
 
-    def to_dict(self) -> dict:
-        return {
-            "window": {"vertices": [list(v) for v in self.window.vertices]},
-            "measure": measure_to_json(self.measure),
-            "time_grid": list(self.time_grid),
-            "replicas": self.replicas,
-            "conditional_replicas": self.conditional_replicas,
-            "conditional_depth": self.conditional_depth,
-            "n_conditional_sequences": self.n_conditional_sequences,
-            "cowan_replicas": self.cowan_replicas,
-            "selection_events": self.selection_events,
-            "identity_sequences": self.identity_sequences,
-            "seed": self.seed,
-            "p_threshold": self.p_threshold,
-            "identity_tol": self.identity_tol,
-            "mutation": self.mutation,
-        }
-
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
@@ -429,26 +403,20 @@ def _check_conditional(config: EquivalenceConfig) -> VerificationReport:
     )
 
 
-def _mutated_mecke_jump_times(
+def _mecke_jump_times(
     config: EquivalenceConfig, t_max: float, rng: np.random.Generator
 ) -> list[float]:
-    """Composed-process jump times under a deliberately wrong decision clock."""
+    """Jump times of the composed Mecke process up to `t_max`: the Mecke
+    selector driven by the equally-likely clock, or by a deliberately wrong
+    clock under a mutation."""
     rate = hitting_measure(config.measure, config.window)
-    state = initial_quasi_state(config.window)
-    clock = 0.0
-    times: list[float] = []
-    while True:
-        n = state.decision_count + 1
-        if config.mutation == "poisson-clock":
-            lam = rate  # arrivals ignore how many quasi-cells exist
-        else:  # wrong-rate
-            lam = n * rate * WRONG_RATE_FACTOR
-        clock += rng.exponential(1.0 / lam)
-        if clock > t_max:
-            return times
-        state, event = mecke_discrete_step(state, config.measure, config.window, rng)
-        if event.jump:
-            times.append(clock)
+    clock = {
+        None: _equally_likely(config.measure, config.window),
+        "poisson-clock": lambda slots: rate,  # arrivals ignore how many quasi-cells exist
+        "wrong-rate": lambda slots: len(slots) * rate * WRONG_RATE_FACTOR,
+    }[config.mutation]
+    pick = _uniform_slot(config.measure, config.window)
+    return [e.time for e in _grow([config.window], pick, clock, rng, max_time=t_max) if e.jump]
 
 
 def _counts_at_grid(times: Sequence[float], grid: Sequence[float]) -> list[int]:
@@ -465,12 +433,7 @@ def _check_unconditional(config: EquivalenceConfig) -> VerificationReport:
         rng = _rng(config.seed, 3, r)
         trace = stit_simulate(config.window, config.measure, rng, max_time=t_max)
         stit_cc[r] = _counts_at_grid([e.time for e in trace.events], grid)
-        if config.mutation is None:
-            _, mtrace = mecke_continuous_simulate(config.window, config.measure, t_max, rng)
-            jump_times = [e.time for e in mtrace.events if e.jump]
-        else:
-            jump_times = _mutated_mecke_jump_times(config, t_max, rng)
-        mecke_cc[r] = _counts_at_grid(jump_times, grid)
+        mecke_cc[r] = _counts_at_grid(_mecke_jump_times(config, t_max, rng), grid)
     worst_p = 1.0
     worst_z = 0.0
     for j, t in enumerate(grid):
@@ -680,12 +643,13 @@ def run_identity_suite(seed: int = 0, *, instances: int = 200) -> list[Verificat
     mass = discrete_jump_pmf_mass(lseq, 3, 10**7, stop_mass=1.0 - 1e-8)
     reports.append(residual_report("jump-normalization", 1.0 - mass, 1e-8, 1))
 
-    worst = 0.0
+    worst = 0.0  # P(N_t >= n) from the count pmf against the clock-sum CDF
     for rate in (0.5, 1.0, 4.0):
         for t in (0.0, 0.3, 1.0):
-            for k in range(0, 20):
-                worst = max(worst, abs(cowan_count_pmf(rate, t, k) - nu_pmf(rate, t, k)))
-    reports.append(residual_report("count-pmf-match", worst, 0.0, 180))
+            for n in range(1, 20):
+                at_least_n = 1.0 - math.fsum(nu_pmf(rate, t, k) for k in range(n))
+                worst = max(worst, abs(at_least_n - cowan_sum_cdf(rate, n, t)))
+    reports.append(residual_report("count-pmf-match", worst, 1e-12, 171))
 
     return reports
 

@@ -230,6 +230,33 @@ class TestUsageErrors:
     def test_unknown_command(self):
         assert run(["bogus"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--model", "stit", "--jumps", "3", "--measure", "iso:abc"],
+            ["simulate", "--model", "stit", "--jumps", "3", "--measure", "iso:inf"],
+            ["simulate", "--model", "stit", "--jumps", "3", "--measure", "dirs:0"],
+            ["simulate", "--model", "stit", "--jumps", "3", "--measure", "dirs:0:1"],
+            ["simulate", "--model", "stit", "--jumps", "-5"],
+            ["simulate", "--model", "mecke-discrete", "--decisions", "-1"],
+            ["simulate", "--model", "stit", "--t", "nan"],
+            ["simulate", "--model", "stit", "--t", "inf", "--jumps", "3"],
+            ["simulate", "--model", "mecke-continuous", "--t", "-1"],
+            ["table", "stit-cdf", "--L", "1,abc"],
+            ["table", "stit-cdf", "--L", "1,0.5"],
+            ["table", "jump-pmf", "--L", "1,1.5", "--ell", "2", "--rate", "0"],
+            ["table", "mecke-tail", "--L", "1,1.5,1.5", "--ell", "2"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_input_exits_2_with_one_line(self, argv, tmp_path, capsys):
+        if argv[0] == "simulate":
+            argv = argv + ["--out", str(tmp_path / "x.jsonl")]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "x.jsonl").exists()
+
     def test_unknown_model(self, tmp_path):
         assert run(["simulate", "--model", "nope", "--jumps", "1",
                     "--out", str(tmp_path / "x")]) == 2

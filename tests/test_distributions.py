@@ -236,6 +236,14 @@ class TestMeckeJumpTail:
         with pytest.raises(TruncationFailure):
             mecke_jump_tail(lseq, 2, 3.0, policy)
 
+    def test_refusal_leaves_no_cache_entry(self):
+        from stitlab.distributions import _PMF_PREFIX_CACHE
+
+        long_seq = LSequence(tuple(1.0 + 0.2 * k for k in range(13)), rate=1.0)
+        with pytest.raises(IllConditioned):
+            mecke_jump_tail(long_seq, 13, 1.0)
+        assert (long_seq.values, 13) not in _PMF_PREFIX_CACHE
+
     def test_policy_validation(self):
         with pytest.raises(DomainError):
             TruncationPolicy(tail_bound=1e-3)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from stitlab.distributions import discrete_jump_pmf, discrete_waiting_pmf, stit_jump_cdf
 from stitlab.errors import DomainError, LCollision
 from stitlab.geometry import ConvexPolygon, Line
-from stitlab.line_measure import IsotropicMeasure, hitting_measure
+from stitlab.line_measure import DirectionMixture, IsotropicMeasure, hitting_measure
 from stitlab.processes import (
     LSequence,
     ModelTag,
@@ -27,6 +28,7 @@ from stitlab.processes import (
     stit_simulate,
 )
 from stitlab.stats import chi_square_gof, counts_from_values, ks_test
+from stitlab.trace_io import trace_to_lines
 
 from conftest import vertical_line_at
 
@@ -337,3 +339,102 @@ class TestReplicaRng:
         c = replica_rng(42, 1).random(4)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+# SHA-256 of the traces at seeds 0, 1 and 2 written one after another.  The
+# digests pin the random stream: a change that moves them (a different draw
+# order, a different selector) changes every pinned-seed result downstream,
+# so it must update this table on purpose and be checked over many seeds.
+GOLDEN_SEEDS = (0, 1, 2)
+GOLDEN_WINDOWS = {
+    "unit-square": ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))),
+    "triangle": ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))),
+}
+GOLDEN_MEASURES = {
+    "iso": ISO,
+    "dirs": DirectionMixture(
+        ((0.0, 1.0), (1.0471975511965976, 2.0), (2.0943951023931953, 1.0))
+    ),
+}
+GOLDEN_TRACES = {
+    ("cowan-el", "max_jumps", 25, "triangle", "dirs"):
+        "aed1586d4fd5ad6ec32e8225b143bb2d0c9dd9b15f7b58297e8ffe4a7273bb5d",
+    ("cowan-el", "max_jumps", 25, "triangle", "iso"):
+        "f94216caef18153894fa88a52855230fea19837ebef9999e99130bdc8d10ae2e",
+    ("cowan-el", "max_jumps", 25, "unit-square", "dirs"):
+        "46e03dbe5eedb34a5c459b7b001c3f1538fa959f17784cbf20ebf0731d7f9852",
+    ("cowan-el", "max_jumps", 25, "unit-square", "iso"):
+        "ee40cc0a52d72de2b358845966da90b3a2b8c903a35a12885c884d2cf942bc6f",
+    ("cowan-el", "max_time", 1.0, "triangle", "dirs"):
+        "83649d0c768c9d8dbbb54d55557cef36a3f90290bfc6dffafac435198bc4a0c8",
+    ("cowan-el", "max_time", 1.0, "triangle", "iso"):
+        "7bb4a1bb90a24644a4b6e3dc08665ea580526a36965da3647ce35eaf238ac830",
+    ("cowan-el", "max_time", 1.0, "unit-square", "dirs"):
+        "d284f83920284a925294f718dbc613750fd788fefcbcc22a4b6afa94e10e642f",
+    ("cowan-el", "max_time", 1.0, "unit-square", "iso"):
+        "cbb00a12feb5430ce19d863bae01c0e8ef4cdb5f270ee9a142ca7a50b9209583",
+    ("mecke-continuous", "t", 0.8, "triangle", "dirs"):
+        "a2bf2fb23d73b3ff2215dc75f7eaef2627c89dfd2975dffc9d76e9f204d07ae9",
+    ("mecke-continuous", "t", 0.8, "triangle", "iso"):
+        "415e043dc30100570ac3fbb9e2d3bd59b4a6f71661086f45d82471d71a7e5a3e",
+    ("mecke-continuous", "t", 0.8, "unit-square", "dirs"):
+        "5e83f65486f45c412ab550ba9b74d086244b8dbbcba5b1a5f72dae7ecfa233df",
+    ("mecke-continuous", "t", 0.8, "unit-square", "iso"):
+        "e9e654b61782c1d99eee05b350d4c7fcedabe418d240e66ea564627773117811",
+    ("mecke-discrete", "max_decisions", 60, "triangle", "dirs"):
+        "66bcd9b43213be78a96fb2f22651e5690cf66f639e88901f780ca5a13e17d550",
+    ("mecke-discrete", "max_decisions", 60, "triangle", "iso"):
+        "4c71ebed2a213cd633859d2ac7b521297f8cc7889093242180f6c2f78fdbc82e",
+    ("mecke-discrete", "max_decisions", 60, "unit-square", "dirs"):
+        "8708defc45e1680afd64594f40e754af3c1b3618fca366b8364e54e364f415dd",
+    ("mecke-discrete", "max_decisions", 60, "unit-square", "iso"):
+        "20436177e263345f37e57708eca4b50e48014ace148ed5fc722ea03238368164",
+    ("mecke-discrete", "max_jumps", 8, "triangle", "dirs"):
+        "757134cc265e53932d958575484a581aacabd2233b42f0d6934fa4f1f7930c9e",
+    ("mecke-discrete", "max_jumps", 8, "triangle", "iso"):
+        "b83c468061470eff294b7a03d3c2030d50ca4bd7d1e59e29466d1bc66cc4715f",
+    ("mecke-discrete", "max_jumps", 8, "unit-square", "dirs"):
+        "b61c6a276b954bc40da5114d60fc8884137818160f6bf8c0d19138d28f115276",
+    ("mecke-discrete", "max_jumps", 8, "unit-square", "iso"):
+        "1cabd87138f2f970ca40db745433c27332a160a8216bef6c0aa2263f82c6fac6",
+    ("stit", "max_jumps", 25, "triangle", "dirs"):
+        "584d5919d18b91e9e2b31e36284237981f6b1d728ded969708d617496e01bbfb",
+    ("stit", "max_jumps", 25, "triangle", "iso"):
+        "e58d0c9b8c15e983ef34132a64e2756ae8d95c62e59038cf8e75a117c7713361",
+    ("stit", "max_jumps", 25, "unit-square", "dirs"):
+        "7b4930e8bd001b1aa6ecc37dabb709ce1312a47a5b012ff67930556ca1d0d718",
+    ("stit", "max_jumps", 25, "unit-square", "iso"):
+        "3b2cb81a822a53cf8adac83a6199b05418ab7f6ef0cbe36ab0971b99bca04365",
+    ("stit", "max_time", 1.0, "triangle", "dirs"):
+        "b0383111d997f88c39ce434de56b29fcfe04d7014f22792c263ec9aa9fb95304",
+    ("stit", "max_time", 1.0, "triangle", "iso"):
+        "d73fd17f6de8d24332ee0e907932cc42a5978783c308bc441697cc614abd1a2c",
+    ("stit", "max_time", 1.0, "unit-square", "dirs"):
+        "d48459e5b9653329568d58fc903b955e24004f907cde9330eaa1198df375d50b",
+    ("stit", "max_time", 1.0, "unit-square", "iso"):
+        "f6d6f71fdf5acb4d608ee33148c20b0e123e295e7304c7bbdbcbd6207ffabb75",
+}
+
+
+def _golden_trace(model, stop, value, window, measure, seed):
+    rng = np.random.default_rng(seed)
+    if model == "mecke-continuous":
+        return mecke_continuous_simulate(window, measure, value, rng, seed=seed)[1]
+    simulate = {
+        "stit": stit_simulate,
+        "cowan-el": cowan_el_simulate,
+        "mecke-discrete": mecke_discrete_simulate,
+    }[model]
+    return simulate(window, measure, rng, seed=seed, **{stop: value})
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_TRACES), ids=lambda c: "-".join(map(str, c)))
+def test_golden_trace_digests(case):
+    model, stop, value, window, measure = case
+    h = hashlib.sha256()
+    for seed in GOLDEN_SEEDS:
+        trace = _golden_trace(
+            model, stop, value, GOLDEN_WINDOWS[window], GOLDEN_MEASURES[measure], seed
+        )
+        h.update("\n".join(trace_to_lines(trace)).encode())
+    assert h.hexdigest() == GOLDEN_TRACES[case]
