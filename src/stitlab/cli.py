@@ -37,6 +37,8 @@ WINDOW_SHORTCUTS = {
     "triangle": ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)),
 }
 
+MAX_GRID_POINTS = 100_000
+
 _CONFIG_KEYS = {
     "model", "window", "measure", "seed", "replicas", "time_grid",
     "t", "jumps", "decisions", "out", "suite", "mutate",
@@ -79,28 +81,43 @@ def parse_measure(spec: str) -> LineMeasureSpec:
 
 
 def parse_float_grid(spec: str) -> list[float]:
-    """Grids: 'a:b:step' (inclusive), 'v1,v2,...', or a single value."""
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"float grid must be start:stop:step, got {spec!r}")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0:
-            raise ConfigError("grid step must be positive")
-        count = int(round((stop - start) / step)) + 1
-        return [start + i * step for i in range(max(count, 1))]
-    return [float(p) for p in spec.split(",")]
+    """Grids: 'a:b:step' (inclusive), 'v1,v2,...', or a single value; finite
+    values only, at most MAX_GRID_POINTS of them."""
+    parts = spec.split(":") if ":" in spec else spec.split(",")
+    if ":" in spec and len(parts) != 3:
+        raise ConfigError(f"float grid must be start:stop:step, got {spec!r}")
+    try:
+        values = [float(p) for p in parts]
+    except ValueError as exc:
+        raise ConfigError(f"bad float grid {spec!r}: {exc}") from exc
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"float grid values must be finite, got {spec!r}")
+    if ":" not in spec:
+        return values
+    start, stop, step = values
+    if step <= 0:
+        raise ConfigError("grid step must be positive")
+    count = round((stop - start) / step) + 1
+    if count > MAX_GRID_POINTS:
+        raise ConfigError(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
+    return [start + i * step for i in range(max(count, 1))]
 
 
 def parse_int_grid(spec: str) -> list[int]:
-    """Grids: 'a:b' (inclusive), 'v1,v2,...', or a single value."""
-    if ":" in spec:
+    """Grids: 'a:b' (inclusive), 'v1,v2,...', or a single value; at most
+    MAX_GRID_POINTS values."""
+    try:
+        if ":" not in spec:
+            return [int(p) for p in spec.split(",")]
         lo_s, hi_s = spec.split(":")
         lo, hi = int(lo_s), int(hi_s)
-        if hi < lo:
-            raise ConfigError(f"empty integer grid {spec!r}")
-        return list(range(lo, hi + 1))
-    return [int(p) for p in spec.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"bad integer grid {spec!r}: {exc}") from exc
+    if hi < lo:
+        raise ConfigError(f"empty integer grid {spec!r}")
+    if hi - lo >= MAX_GRID_POINTS:
+        raise ConfigError(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
+    return list(range(lo, hi + 1))
 
 
 def resolve_seed(flag_value: int | None, config: dict) -> int:
@@ -127,17 +144,29 @@ def load_config_file(path: str | None) -> dict:
     return obj
 
 
-def _nonnegative(name: str, value, kind: type) -> float | int | None:
-    """A `--name` value (flag or config) as `kind`; it must be finite and >= 0."""
+def _number(name: str, value, kind: type, minimum: int = 0) -> float | int | None:
+    """A `--name` value (flag or config) as `kind`; it must be finite and >= minimum."""
     if value is None:
         return None
     try:
         number = kind(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"--{name} must be a number: {exc}") from exc
-    if not 0 <= number < math.inf:
-        raise ConfigError(f"--{name} must be finite and >= 0, got {value!r}")
+    if not minimum <= number < math.inf:
+        raise ConfigError(f"--{name} must be finite and >= {minimum}, got {value!r}")
     return number
+
+
+def _time_grid(flag: str | None, cfg: dict) -> tuple[float, ...]:
+    """The equivalence time grid (--t-grid or config `time_grid`): finite times > 0."""
+    grid = parse_float_grid(flag) if flag is not None else cfg.get("time_grid", [0.2, 0.5, 1.0])
+    try:
+        times = tuple(float(t) for t in grid)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"--t-grid must be a list of times: {exc}") from exc
+    if not times or not all(0.0 < t < math.inf for t in times):
+        raise ConfigError(f"--t-grid times must be finite and > 0, got {grid!r}")
+    return times
 
 
 @dataclass(frozen=True)
@@ -172,9 +201,9 @@ class ExperimentConfig:
             window=window,
             measure=measure,
             seed=resolve_seed(args.seed, cfg),
-            t=_nonnegative("t", t, float),
-            jumps=_nonnegative("jumps", jumps, int),
-            decisions=_nonnegative("decisions", decisions, int),
+            t=_number("t", t, float),
+            jumps=_number("jumps", jumps, int),
+            decisions=_number("decisions", decisions, int),
             out=str(out),
         )
 
@@ -231,12 +260,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     elif args.suite == "equivalence":
         window = parse_window(args.window or cfg.get("window", "unit-square"))
         measure = parse_measure(args.measure or cfg.get("measure", "iso:1"))
-        grid = (
-            tuple(parse_float_grid(args.t_grid))
-            if args.t_grid
-            else tuple(cfg.get("time_grid", (0.2, 0.5, 1.0)))
+        grid = _time_grid(args.t_grid, cfg)
+        replicas = _number(
+            "replicas", args.replicas if args.replicas is not None else cfg.get("replicas", 20_000),
+            int, minimum=1,
         )
-        replicas = args.replicas or int(cfg.get("replicas", 20_000))
         mutation = args.mutate or cfg.get("mutate")
         config = EquivalenceConfig(
             window=window,
@@ -280,13 +308,14 @@ def _table_rows(args: argparse.Namespace) -> tuple[list[str], list[list[float]]]
     if name == "waiting-pmf":
         if args.n is None or args.Lk is None:
             raise ConfigError("waiting-pmf needs --n and --Lk")
+        l_k = _number("Lk", args.Lk, float)
         if args.k is not None:
-            k = int(args.k)
+            k = _number("k", args.k, int)
         else:
-            k = 1 if args.n == 1 else max(2, math.ceil(args.Lk))
+            k = 1 if args.n == 1 else max(2, math.ceil(l_k))
         grid = parse_int_grid(args.l or "1:10")
         return ["wait", "pmf"], [
-            [w, dist.discrete_waiting_pmf(args.n, k, args.Lk, w)] for w in grid
+            [w, dist.discrete_waiting_pmf(args.n, k, l_k, w)] for w in grid
         ]
     if name == "jump-pmf":
         if not args.L or args.ell is None:
@@ -297,7 +326,7 @@ def _table_rows(args: argparse.Namespace) -> tuple[list[str], list[list[float]]]
     if name == "cowan-pmf":
         if args.t is None:
             raise ConfigError("cowan-pmf needs --t")
-        t = float(args.t)
+        t = _number("t", args.t, float)
         grid = parse_int_grid(args.k or "0:10")
         return ["k", "pmf"], [[k, dist.cowan_count_pmf(args.rate, t, k)] for k in grid]
     if name == "cowan-cdf":
@@ -315,7 +344,10 @@ def _table_rows(args: argparse.Namespace) -> tuple[list[str], list[list[float]]]
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    header, rows = _table_rows(args)
+    try:
+        header, rows = _table_rows(args)
+    except DomainError as exc:  # arguments outside an evaluator's domain come from the flags
+        raise ConfigError(str(exc)) from exc
     lines = [",".join(header)]
     for row in rows:
         cells = [repr(int(v)) if float(v).is_integer() and i == 0 else repr(float(v))

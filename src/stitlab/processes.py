@@ -31,7 +31,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Callable, Iterator
 
 import numpy as np
@@ -208,29 +207,74 @@ def _cut_until_split(measure: LineMeasureSpec, slots: list, rng, draw_index) -> 
             return idx, line, far, origin
 
 
+class _SumTree:
+    """Fenwick tree over a growing list of weights (Fenwick 1994, "A new data
+    structure for cumulative frequency tables"): add to a weight, append a
+    weight, and find where the running sum passes u, each in O(log k).
+
+    `nodes` is 1-based: nodes[i] sums the weights at 0-based positions
+    i - lowbit(i) .. i - 1.
+    """
+
+    def __init__(self) -> None:
+        self.nodes = [0.0]
+
+    def add(self, index: int, delta: float) -> None:
+        nodes = self.nodes
+        i = index + 1
+        while i < len(nodes):
+            nodes[i] += delta
+            i += i & -i
+
+    def append(self, weight: float) -> None:
+        nodes = self.nodes
+        i = len(nodes)
+        j, stop = i - 1, i - (i & -i)
+        while j > stop:  # the new node also covers the nodes to its left
+            weight += nodes[j]
+            j -= j & -j
+        nodes.append(weight)
+
+    def find(self, u: float) -> int:
+        """The first index whose prefix sum exceeds u; the last index when
+        none does (u at or past the total)."""
+        nodes = self.nodes
+        n = len(nodes) - 1
+        pos = 0
+        step = 1 << (n.bit_length() - 1)
+        while step:
+            nxt = pos + step
+            if nxt <= n and nodes[nxt] <= u:
+                pos = nxt
+                u -= nodes[nxt]
+            step >>= 1
+        return pos if pos < n else n - 1
+
+
 class _ByWeight:
-    """STIT selector: a cell picked in proportion to its hitting weight.  The
-    running total of the weights is the rate of the STIT clock (`rate`)."""
+    """STIT selector: a cell picked in proportion to its hitting weight, found
+    in a `_SumTree` over the weights.  The running total of the weights is the
+    rate of the STIT clock (`rate`)."""
 
     def __init__(self, measure: LineMeasureSpec, window: ConvexPolygon) -> None:
         self.measure = measure
         self.weights = [hitting_measure(measure, window)]
         self.total = self.weights[0]
+        self.tree = _SumTree()
+        self.tree.append(self.total)
 
     def rate(self, slots: list) -> float:
         return self.total
 
     def _index(self, rng: np.random.Generator) -> int:
-        u = self.total * rng.random()
-        for j, acc in enumerate(accumulate(self.weights)):
-            if u < acc:
-                return j
-        return len(self.weights) - 1
+        return self.tree.find(self.total * rng.random())
 
     def __call__(self, slots: list, rng: np.random.Generator) -> tuple:
         idx, line, far, origin = _cut_until_split(self.measure, slots, rng, self._index)
         w_far, w_origin = hitting_measure(self.measure, far), hitting_measure(self.measure, origin)
         self.total += w_far + w_origin - self.weights[idx]
+        self.tree.add(idx, w_far - self.weights[idx])
+        self.tree.append(w_origin)
         _apply_split(self.weights, idx, w_far, w_origin)  # weights mirror the slots
         return idx, line, far, origin
 

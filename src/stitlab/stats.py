@@ -20,7 +20,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy import special
-from scipy.stats import chi2 as _chi2
 
 from .distributions import (
     TruncationPolicy,
@@ -155,7 +154,7 @@ def chi_square_gof(
         raise DegenerateBins(f"only {len(merged)} bin(s) after merging")
     stat = math.fsum((o - e) ** 2 / e for o, e in merged)
     dof = len(merged) - 1
-    return stat, float(_chi2.sf(stat, dof)), dof
+    return stat, float(special.chdtrc(dof, stat)), dof
 
 
 def two_sample_chi_square(
@@ -188,7 +187,7 @@ def two_sample_chi_square(
         e_b = n_b * col / total
         stat += (o_a - e_a) ** 2 / e_a + (o_b - e_b) ** 2 / e_b
     dof = len(merged) - 1
-    return stat, float(_chi2.sf(stat, dof))
+    return stat, float(special.chdtrc(dof, stat))
 
 
 # ---------------------------------------------------------------------------

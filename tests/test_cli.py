@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stitlab
 from stitlab.cli import main, parse_float_grid, parse_int_grid, parse_measure, parse_window
 from stitlab.errors import ConfigError
 from stitlab.line_measure import DirectionMixture, IsotropicMeasure
@@ -12,6 +17,16 @@ from stitlab.trace_io import read_trace, write_trace
 
 def run(args):
     return main(list(args))
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    src = str(Path(stitlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import sys, stitlab.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 class TestParsers:
@@ -246,6 +261,17 @@ class TestUsageErrors:
             ["table", "stit-cdf", "--L", "1,0.5"],
             ["table", "jump-pmf", "--L", "1,1.5", "--ell", "2", "--rate", "0"],
             ["table", "mecke-tail", "--L", "1,1.5,1.5", "--ell", "2"],
+            ["table", "cowan-pmf", "--rate", "0", "--t", "1"],
+            ["table", "cowan-pmf", "--t", "1", "--k", "a:b"],
+            ["table", "waiting-pmf", "--n", "0", "--Lk", "1.5"],
+            ["table", "waiting-pmf", "--n", "3", "--Lk", "nan"],
+            ["table", "stit-cdf", "--L", "1,1.5", "--t", "nan"],
+            ["table", "stit-cdf", "--L", "1,1.5", "--t", "abc"],
+            ["table", "stit-cdf", "--L", "1,1.5", "--t", "0:1e9:1e-9"],
+            ["verify", "--suite", "equivalence", "--replicas", "-5", "--t-grid", "0.2"],
+            ["verify", "--suite", "equivalence", "--replicas", "0", "--t-grid", "0.2"],
+            ["verify", "--suite", "equivalence", "--replicas", "5", "--t-grid", "0"],
+            ["verify", "--suite", "equivalence", "--replicas", "5", "--t-grid", "0.2,inf"],
         ],
         ids=" ".join,
     )
@@ -256,6 +282,21 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "x.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "config", [{"replicas": 0}, {"time_grid": [0.2, -1.0]}, {"time_grid": 0.5}]
+    )
+    def test_bad_verify_config_exits_2(self, config, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert run(["verify", "--suite", "equivalence", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_past_cap_table_is_a_runtime_refusal(self, capsys):
+        # a precision-cap refusal is not a usage error and keeps exit 3
+        values = ",".join(str(1.0 + 0.5 * i) for i in range(17))
+        assert run(["table", "stit-cdf", "--L", values, "--t", "1"]) == 3
+        assert capsys.readouterr().err.startswith("runtime error: ")
 
     def test_unknown_model(self, tmp_path):
         assert run(["simulate", "--model", "nope", "--jumps", "1",

@@ -1,5 +1,7 @@
 import hashlib
 import math
+from itertools import accumulate
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +16,9 @@ from stitlab.processes import (
     ProcessTrace,
     QuasiCellState,
     TraceEvent,
+    _ByWeight,
+    _grow,
+    _SumTree,
     conditional_mecke_jump_decision,
     conditional_stit_jump_time,
     cowan_el_simulate,
@@ -341,6 +346,58 @@ class TestReplicaRng:
         assert not np.array_equal(a, c)
 
 
+def _linear_scan(weights, u):
+    """Selection oracle: the first index whose running weight sum exceeds u,
+    else the last index."""
+    for j, acc in enumerate(accumulate(weights)):
+        if u < acc:
+            return j
+    return len(weights) - 1
+
+
+def _stit_selector(window, jumps, seed):
+    selector = _ByWeight(ISO, window)
+    _grow([window], selector, selector.rate, np.random.default_rng(seed), max_jumps=jumps)
+    return selector
+
+
+class TestWeightSelector:
+    def test_sum_tree_find_matches_linear_scan(self):
+        rng = np.random.default_rng(31)
+        tree, weights = _SumTree(), []
+        for _ in range(600):
+            w = float(rng.exponential())
+            if weights and rng.random() < 0.5:
+                i = int(rng.integers(len(weights)))
+                tree.add(i, w - weights[i])
+                weights[i] = w
+            else:
+                tree.append(w)
+                weights.append(w)
+            total = math.fsum(weights)
+            for u in (0.0, *(total * rng.random(8)), 2.0 * total):
+                assert tree.find(u) == _linear_scan(weights, u)
+
+    def test_stit_index_matches_linear_scan(self, unit_square):
+        selector = _stit_selector(unit_square, 300, seed=5)
+        for frac in (0.0, *np.random.default_rng(6).random(2000), 1.0):
+            u = selector.total * frac
+            rng = SimpleNamespace(random=lambda: frac)
+            assert selector._index(rng) == _linear_scan(selector.weights, u)
+
+    def test_tree_tracks_running_sums_over_8000_splits(self, unit_square):
+        selector = _stit_selector(unit_square, 8000, seed=7)
+        nodes = selector.tree.nodes
+        assert len(nodes) == len(selector.weights) + 1 == 8002
+        for i, exact in enumerate(accumulate(selector.weights), start=1):
+            prefix, j = 0.0, i
+            while j:
+                prefix += nodes[j]
+                j -= j & -j
+            assert prefix == pytest.approx(exact, rel=1e-12)
+        assert selector.total == pytest.approx(math.fsum(selector.weights), rel=1e-12)
+
+
 # SHA-256 of the traces at seeds 0, 1 and 2 written one after another.  The
 # digests pin the random stream: a change that moves them (a different draw
 # order, a different selector) changes every pinned-seed result downstream,
@@ -357,6 +414,8 @@ GOLDEN_MEASURES = {
     ),
 }
 GOLDEN_TRACES = {
+    ("stit", "max_jumps", 2000, "unit-square", "iso"):
+        "78f455402168b253248f44b71076a7818f89a4f65d3c4d52f3002658ef32345b",
     ("cowan-el", "max_jumps", 25, "triangle", "dirs"):
         "aed1586d4fd5ad6ec32e8225b143bb2d0c9dd9b15f7b58297e8ffe4a7273bb5d",
     ("cowan-el", "max_jumps", 25, "triangle", "iso"):
