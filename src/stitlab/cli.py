@@ -297,6 +297,8 @@ def _weight_sequence(args: argparse.Namespace) -> LSequence:
 
 def _table_rows(args: argparse.Namespace) -> tuple[list[str], list[list[float]]]:
     name = args.distribution
+    if not 0.0 < args.rate < math.inf:
+        raise ConfigError(f"--rate must be finite and > 0, got {args.rate!r}")
     if name in ("stit-cdf", "stit-pdf"):
         if not args.L:
             raise ConfigError(f"{name} needs --L")
@@ -328,7 +330,7 @@ def _table_rows(args: argparse.Namespace) -> tuple[list[str], list[list[float]]]
             raise ConfigError("cowan-pmf needs --t")
         t = _number("t", args.t, float)
         grid = parse_int_grid(args.k or "0:10")
-        return ["k", "pmf"], [[k, dist.cowan_count_pmf(args.rate, t, k)] for k in grid]
+        return ["k", "pmf"], [[k, dist.nu_pmf(args.rate, t, k)] for k in grid]
     if name == "cowan-cdf":
         if args.n is None:
             raise ConfigError("cowan-cdf needs --n")

@@ -21,7 +21,7 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -32,6 +32,7 @@ DEFAULT_N_MAX = 15
 DEFAULT_ELL_MAX = 12
 DEFAULT_CONDITION_LIMIT = 1e8
 _CHUNK = 1 << 16
+_ROW_BLOCK = 64  # divides _CHUNK
 
 
 @dataclass(frozen=True)
@@ -69,6 +70,27 @@ def _stit_coefficients(lseq: LSequence, n: int, n_max: int, condition_limit: flo
     return coef
 
 
+def _jump_time_sum(
+    lseq: LSequence, n: int, t, n_max: int, condition_limit: float, density: bool
+):
+    """The n-th jump time's CDF, 1 + sign * sum_i c_i exp(-rate * v_i * t), or
+    with `density` its derivative, unclamped; a scalar `t` is summed with
+    math.fsum, an array `t` by a matrix product."""
+    coef = _stit_coefficients(lseq, n, n_max, condition_limit)
+    vals = np.asarray(lseq.values[:n], dtype=float)
+    t_arr = np.asarray(t, dtype=float)
+    if np.any(t_arr < 0.0):
+        raise DomainError("t must be nonnegative")
+    sign = -1.0 if n % 2 else 1.0
+    if density:  # d/dt multiplies each term by -rate * v_i
+        sign, coef = -sign, lseq.rate * vals * coef
+    if t_arr.ndim == 0:
+        terms = sign * coef * np.exp(-lseq.rate * vals * float(t_arr))
+        return math.fsum(terms) if density else math.fsum([1.0, *terms])
+    out = sign * (np.exp(-lseq.rate * np.multiply.outer(t_arr, vals)) @ coef)
+    return out if density else 1.0 + out
+
+
 def stit_jump_cdf(
     lseq: LSequence,
     n: int,
@@ -82,20 +104,7 @@ def stit_jump_cdf(
     Accepts a scalar or array `t`; values within 1e-9 of [0, 1] are clamped
     onto the boundary.
     """
-    coef = _stit_coefficients(lseq, n, n_max, condition_limit)
-    vals = np.asarray(lseq.values[:n], dtype=float)
-    sign = -1.0 if n % 2 else 1.0
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0):
-        raise DomainError("t must be nonnegative")
-    if t_arr.ndim == 0:
-        terms = [1.0] + list(sign * coef * np.exp(-lseq.rate * vals * float(t_arr)))
-        return _clamp_unit(math.fsum(terms))
-    weights = np.exp(-lseq.rate * np.multiply.outer(t_arr, vals))
-    out = 1.0 + sign * (weights @ coef)
-    out[(out > -1e-9) & (out < 0.0)] = 0.0
-    out[(out > 1.0) & (out < 1.0 + 1e-9)] = 1.0
-    return out
+    return _clamp(_jump_time_sum(lseq, n, t, n_max, condition_limit, density=False))
 
 
 def stit_jump_pdf(
@@ -107,28 +116,74 @@ def stit_jump_pdf(
     condition_limit: float = DEFAULT_CONDITION_LIMIT,
 ):
     """Density of the n-th jump time; nonnegative, integrates to one."""
-    coef = _stit_coefficients(lseq, n, n_max, condition_limit)
-    vals = np.asarray(lseq.values[:n], dtype=float)
-    sign = 1.0 if n % 2 else -1.0
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0):
-        raise DomainError("t must be nonnegative")
-    scaled = lseq.rate * vals * coef
-    if t_arr.ndim == 0:
-        total = math.fsum(sign * scaled * np.exp(-lseq.rate * vals * float(t_arr)))
-        return 0.0 if -1e-9 < total < 0.0 else total
-    weights = np.exp(-lseq.rate * np.multiply.outer(t_arr, vals))
-    out = sign * (weights @ scaled)
-    out[(out > -1e-9) & (out < 0.0)] = 0.0
-    return out
+    return _clamp(_jump_time_sum(lseq, n, t, n_max, condition_limit, density=True), math.inf)
 
 
-def _clamp_unit(x: float) -> float:
-    if -1e-9 < x < 0.0:
-        return 0.0
-    if 1.0 < x < 1.0 + 1e-9:
-        return 1.0
+def _clamp(x, top: float = 1.0):
+    """Round-off clamp of a float, or in place of an array: values in
+    (-1e-9, 0) become 0 and values in (top, top + 1e-9) become top."""
+    if np.ndim(x) == 0:
+        return 0.0 if -1e-9 < x < 0.0 else top if top < x < top + 1e-9 else x
+    x[(x > -1e-9) & (x < 0.0)] = 0.0
+    x[(x > top) & (x < top + 1e-9)] = top
     return x
+
+
+# ---------------------------------------------------------------------------
+# the product recurrence behind both discrete laws
+
+
+def _product_chunks(
+    term: np.ndarray, vals: np.ndarray, m0: int, count: int | None, reduce: Callable | None = None
+) -> Iterator[np.ndarray]:
+    """Yield the rows term(m) = term(m-1) * (m-1-v)/m for m = m0, m0+1, ...,
+    one column per value v in `vals`, from term(m0) = `term`, in chunks of at
+    most _CHUNK rows: `count` rows in all, or without end when count is None.
+
+    Chunks always end at m0 + j*_CHUNK - 1 and are built in whole blocks of
+    _ROW_BLOCK rows, then cut to the count: a matrix product rounds its last
+    rows differently when their number is not a whole number of the BLAS
+    kernel's blocks.  So no value depends on how many were asked for, and a
+    short request builds one short chunk.  Each chunk is passed through
+    `reduce` when one is given.
+    """
+    while count is None or count > 0:
+        size = _CHUNK if count is None else min(count, _CHUNK)
+        built = -(-size // _ROW_BLOCK) * _ROW_BLOCK
+        ms = np.arange(m0 + 1, m0 + built, dtype=float)
+        ratios = (ms[:, None] - 1.0 - vals) / ms[:, None]
+        rows = np.empty((built, vals.size))
+        rows[0] = term
+        np.cumprod(ratios, axis=0, out=ratios)
+        rows[1:] = term * ratios
+        m_last = float(m0 + size - 1)
+        term = rows[size - 1] * ((m_last - vals) / (m_last + 1.0))
+        out = (rows if reduce is None else reduce(rows))[:size]
+        m0 += size
+        count = None if count is None else count - size
+        # the prefix cache keeps a suspended generator between chunks: hold
+        # on to nothing the next chunk does not need
+        del ms, ratios, rows
+        yield out
+
+
+def _mass(chunks: Iterator[np.ndarray], stop_mass: float | None) -> float:
+    """Sum of the values in `chunks`.  With `stop_mass` the sum stops after
+    the first chunk that brings it to stop_mass; it is then a lower bound on
+    the full sum."""
+    total = 0.0
+    for chunk in chunks:
+        total += float(chunk.sum())
+        if stop_mass is not None and total >= stop_mass:
+            break
+    return total
+
+
+def _last_row(chunks: Iterator[np.ndarray]) -> np.ndarray:
+    """The last entry (a value, or a row of terms) of the last chunk."""
+    for chunk in chunks:
+        pass
+    return chunk[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -150,22 +205,25 @@ def _check_waiting_args(n: int, k: int, l_k: float) -> None:
         raise DomainError(f"l_k={l_k!r} outside [1, k={k}]")
 
 
+def _waiting_chunks(n: int, l_k: float, count: int) -> Iterator[np.ndarray]:
+    """pmf chunks over waits 1..count, n >= 2: the pmf at wait w is the
+    product recurrence at m = n + w - 1 with the one value l_k, from l_k/n."""
+    return _product_chunks(np.array([l_k / n]), np.array([l_k]), n, count, np.ravel)
+
+
 def discrete_waiting_pmf(n: int, k: int, l_k: float, wait: int) -> float:
     """P(state with k cells after n-1 decisions changes after exactly `wait` steps).
 
-    Evaluated as l_k/(n+wait-1) times the finite product of per-decision
-    survival factors (1 - l_k/(n+j)); the equivalent factorial/gamma form is
-    never used directly.
+    Evaluated as l_k/n times the finite product of the factors
+    (m - 1 - l_k)/m, m = n+1 .. n+wait-1; the equivalent factorial/gamma
+    form is never used directly.
     """
     _check_waiting_args(n, k, l_k)
     if wait < 1:
         raise DomainError(f"wait must be >= 1, got {wait}")
     if n == 1:
         return 1.0 if wait == 1 else 0.0
-    prob = l_k / (n + wait - 1)
-    for j in range(wait - 1):
-        prob *= 1.0 - l_k / (n + j)
-    return prob
+    return float(_last_row(_waiting_chunks(n, l_k, wait)))
 
 
 def discrete_waiting_pmf_sequence(n: int, k: int, l_k: float, max_wait: int) -> np.ndarray:
@@ -177,14 +235,7 @@ def discrete_waiting_pmf_sequence(n: int, k: int, l_k: float, max_wait: int) -> 
         out = np.zeros(max_wait)
         out[0] = 1.0
         return out
-    w = np.arange(1, max_wait, dtype=float)
-    ratios = (n + w - 1.0 - l_k) / (n + w)
-    out = np.empty(max_wait)
-    out[0] = l_k / n
-    if max_wait > 1:
-        np.cumprod(ratios, out=ratios)
-        out[1:] = out[0] * ratios
-    return out
+    return np.concatenate(list(_waiting_chunks(n, l_k, max_wait)))
 
 
 def discrete_waiting_pmf_mass(
@@ -198,21 +249,7 @@ def discrete_waiting_pmf_mass(
     _check_waiting_args(n, k, l_k)
     if n == 1:
         return 1.0 if max_wait >= 1 else 0.0
-    total = 0.0
-    head = l_k / n  # pmf at the first wait of the pending chunk
-    w0 = 1
-    while w0 <= max_wait:
-        w1 = min(w0 + _CHUNK, max_wait + 1)
-        w = np.arange(w0, w1 - 1, dtype=float)
-        ratios = (n + w - 1.0 - l_k) / (n + w)
-        np.cumprod(ratios, out=ratios)
-        total += head * (1.0 + float(ratios.sum()))
-        if stop_mass is not None and total >= stop_mass:
-            return total
-        head *= float(ratios[-1]) if ratios.size else 1.0
-        head *= (n + (w1 - 1) - 1.0 - l_k) / (n + (w1 - 1))
-        w0 = w1
-    return total
+    return _mass(_waiting_chunks(n, l_k, max_wait), stop_mass)
 
 
 # ---------------------------------------------------------------------------
@@ -245,35 +282,22 @@ def _jump_pmf_setup(
 
 
 def _jump_pmf_chunks(
-    lseq: LSequence, ell: int, ell_max: int, condition_limit: float
+    lseq: LSequence, ell: int, ell_max: int, condition_limit: float, count: int | None = None
 ) -> Iterator[np.ndarray]:
-    """Yield pmf values in chunks of _CHUNK for n = ell, ell+1, ...
+    """pmf chunks for n = ell, ell+1, ...: `count` values, or without end.
 
-    Uses the recurrence term(n) = term(n-1) * (n-1-value)/n per weight value;
-    far-tail rounding can take individual pmf values a few ulps below zero,
-    which is clipped.  The set-up, and so any refusal, happens at the call,
-    before the first chunk is asked for.
+    Each pmf value is lead * sum_i c_i term_i(n) over the product recurrence;
+    far-tail rounding can take individual values a few ulps below zero, which
+    is clipped.  The set-up, and so any refusal, happens at the call, before
+    the first chunk is asked for.
     """
     coef, term, vals, lead = _jump_pmf_setup(lseq, ell, ell_max, condition_limit)
 
-    def chunks(term: np.ndarray, n0: int) -> Iterator[np.ndarray]:
-        while True:
-            ns = np.arange(n0, n0 + _CHUNK, dtype=float)
-            ratios = (ns[1:, None] - 1.0 - vals[None, :]) / ns[1:, None]
-            terms = np.empty((ns.size, vals.size))
-            terms[0] = term
-            np.cumprod(ratios, axis=0, out=ratios)
-            terms[1:] = term * ratios
-            pmf = lead * (terms @ coef)
-            np.maximum(pmf, 0.0, out=pmf)
-            term = terms[-1] * ((ns[-1] - vals) / (ns[-1] + 1.0))
-            n0 += _CHUNK
-            # the prefix cache keeps this generator between chunks: hold on
-            # to nothing the next chunk does not need
-            del ns, ratios, terms
-            yield pmf
+    def pmf(rows: np.ndarray) -> np.ndarray:
+        out = lead * (rows @ coef)
+        return np.maximum(out, 0.0, out=out)
 
-    return chunks(term, ell)
+    return _product_chunks(term, vals, ell, count, pmf)
 
 
 def discrete_jump_pmf(
@@ -293,9 +317,8 @@ def discrete_jump_pmf(
     coef, term, vals, lead = _jump_pmf_setup(lseq, ell, ell_max, condition_limit)
     if n < ell:
         raise DomainError(f"n={n} must be >= ell={ell}")
-    for m in range(ell, n):
-        term = term * (m - vals) / (m + 1.0)
-    return _clamp_unit(float(lead * math.fsum(coef * term)))
+    row = _last_row(_product_chunks(term, vals, ell, n - ell + 1))
+    return _clamp(float(lead * math.fsum(coef * row)))
 
 
 def discrete_jump_pmf_sequence(
@@ -309,15 +332,9 @@ def discrete_jump_pmf_sequence(
     """Vector of discrete_jump_pmf for n = ell..n_max."""
     if n_max < ell:
         raise DomainError(f"n_max={n_max} must be >= ell={ell}")
-    out = np.empty(n_max - ell + 1)
-    filled = 0
-    for pmf in _jump_pmf_chunks(lseq, ell, ell_max, condition_limit):
-        take = min(pmf.size, out.size - filled)
-        out[filled : filled + take] = pmf[:take]
-        filled += take
-        if filled == out.size:
-            return out
-    raise AssertionError("unreachable")
+    return np.concatenate(
+        list(_jump_pmf_chunks(lseq, ell, ell_max, condition_limit, n_max - ell + 1))
+    )
 
 
 def discrete_jump_pmf_mass(
@@ -330,17 +347,7 @@ def discrete_jump_pmf_mass(
     condition_limit: float = DEFAULT_CONDITION_LIMIT,
 ) -> float:
     """Total jump-time probability mass over decisions ell..n_max (chunked)."""
-    total = 0.0
-    seen = 0
-    budget = n_max - ell + 1
-    for pmf in _jump_pmf_chunks(lseq, ell, ell_max, condition_limit):
-        take = min(pmf.size, budget - seen)
-        total += float(pmf[:take].sum())
-        seen += take
-        if seen == budget or (stop_mass is not None and total >= stop_mass):
-            return total
-    raise AssertionError("unreachable")
-
+    return _mass(_jump_pmf_chunks(lseq, ell, ell_max, condition_limit, n_max - ell + 1), stop_mass)
 
 # Memo of materialized pmf prefixes keyed by (weight values, ell).  The tail
 # evaluator is typically called for many horizons of one frozen sequence, and
@@ -457,11 +464,6 @@ def nu_pmf(rate: float, t: float, k) -> float | np.ndarray:
     a = -math.expm1(-rate * t)
     out = p * np.power(a, k_arr, dtype=float)
     return float(out) if out.ndim == 0 else out
-
-
-def cowan_count_pmf(rate: float, t: float, k) -> float | np.ndarray:
-    """P(number of equally-likely jumps by time t = k); same law as nu_pmf."""
-    return nu_pmf(rate, t, k)
 
 
 def cowan_sum_cdf(rate: float, n: int, t) -> float | np.ndarray:

@@ -20,10 +20,11 @@ Cowan event is a jump.  The negative controls in `stats` are two more clocks
 for the Mecke selector.  Each event draws in the order clock, selection, line.
 
 The normalized hitting-weight sequence (values[k-1] = sum of cell weights
-just before the k-th jump, divided by the window weight) is the sufficient
-statistic for every conditional jump-time law, so both continuous models
-also come in a conditional flavor that takes a frozen sequence and
-re-simulates only the time/counting layer.
+just before the k-th jump, divided by the window weight; `l_sequence`) is
+the sufficient statistic for every conditional jump-time law.  Given a
+frozen sequence, only the time/counting layer is left to re-simulate; that
+layer is vectorized over replicas in `stats` (`simulate_conditional_*`,
+`simulate_cowan_counts`) and checked there against the closed forms.
 """
 
 from __future__ import annotations
@@ -35,9 +36,14 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import DegenerateSplit, DomainError, GeometryError, LCollision
+from .errors import DegenerateSplit, DomainError, GeometryError, LCollision, SamplerStall
 from .geometry import ConvexPolygon, Line, split
-from .line_measure import LineMeasureSpec, hitting_measure, sample_hitting_line
+from .line_measure import (
+    MAX_REJECTION_ITERATIONS,
+    LineMeasureSpec,
+    hitting_measure,
+    sample_hitting_line,
+)
 
 L_MIN_RELATIVE_GAP = 1e-9
 
@@ -195,8 +201,10 @@ def _grow(
 
 def _cut_until_split(measure: LineMeasureSpec, slots: list, rng, draw_index) -> tuple:
     """Draw a cell index and a line from that cell's hitting distribution
-    until the line splits the cell; the clock is not re-advanced."""
-    while True:
+    until the line splits the cell; the clock is not re-advanced.  Gives up
+    with SamplerStall after MAX_REJECTION_ITERATIONS draws (a cell too small
+    to split would otherwise hang the run)."""
+    for _ in range(MAX_REJECTION_ITERATIONS):
         idx = draw_index(rng)
         line = sample_hitting_line(measure, slots[idx], rng)
         try:
@@ -205,6 +213,7 @@ def _cut_until_split(measure: LineMeasureSpec, slots: list, rng, draw_index) -> 
             continue
         if far is not None and origin is not None:
             return idx, line, far, origin
+    raise SamplerStall("no line split the selected cells within the iteration budget")
 
 
 class _SumTree:
@@ -381,21 +390,6 @@ def mecke_discrete_simulate(
     return ProcessTrace(window, measure, tuple(events), ModelTag.MECKE_DISCRETE, seed)
 
 
-def cowan_jump_count(rate: float, t: float, rng: np.random.Generator) -> int:
-    """Number of completed Exp(k * rate) waits, k = 1, 2, ..., within [0, t]."""
-    if not rate > 0.0:
-        raise DomainError(f"rate must be positive, got {rate!r}")
-    if t < 0.0:
-        raise DomainError(f"time must be nonnegative, got {t!r}")
-    s = 0.0
-    n = 0
-    while True:
-        s += rng.exponential(1.0 / ((n + 1) * rate))
-        if s > t:
-            return n
-        n += 1
-
-
 def mecke_continuous_simulate(
     window: ConvexPolygon,
     measure: LineMeasureSpec,
@@ -458,61 +452,3 @@ def l_sequence(trace: ProcessTrace) -> LSequence:
         total = sum(hitting_measure(trace.measure, c) for c in slots if c is not None)
         values.append(total / rate)
     return LSequence(values=tuple(values), rate=rate)
-
-
-# ---------------------------------------------------------------------------
-# conditional re-simulation: time/counting layer on a frozen sequence
-
-
-def conditional_stit_jump_time(lseq: LSequence, n: int, rng: np.random.Generator) -> float:
-    """Sample the n-th jump time: a sum of Exp(rate * values[k]) waits."""
-    if not 1 <= n <= len(lseq):
-        raise DomainError(f"n={n} outside 1..{len(lseq)}")
-    return sum(rng.exponential(1.0 / (lseq.rate * lseq.values[k])) for k in range(n))
-
-
-def conditional_stit_jump_count(lseq: LSequence, t: float, rng: np.random.Generator) -> int:
-    """Jumps by time t under the frozen sequence, capped at len(lseq)."""
-    s = 0.0
-    for k, v in enumerate(lseq.values):
-        s += rng.exponential(1.0 / (lseq.rate * v))
-        if s > t:
-            return k
-    return len(lseq)
-
-
-def conditional_mecke_jump_decision(
-    lseq: LSequence,
-    ell: int,
-    rng: np.random.Generator,
-    *,
-    max_decisions: int = 10**6,
-) -> int | None:
-    """Decision index of the ell-th jump in the conditional decision chain.
-
-    With j jumps so far, decision n succeeds with probability
-    values[j] / n.  Returns None when the jump has not occurred within
-    `max_decisions` (the caller bins this as a censored tail).
-    """
-    if not 1 <= ell <= len(lseq):
-        raise DomainError(f"ell={ell} outside 1..{len(lseq)}")
-    jumps = 0
-    for n in range(1, max_decisions + 1):
-        if rng.random() < lseq.values[jumps] / n:
-            jumps += 1
-            if jumps == ell:
-                return n
-    return None
-
-
-def conditional_mecke_jump_count(lseq: LSequence, t: float, rng: np.random.Generator) -> int:
-    """Jumps among the geometric number of decisions by time t, capped at len(lseq)."""
-    p_zero = math.exp(-lseq.rate * t)
-    decisions = int(rng.geometric(p_zero)) - 1 if p_zero < 1.0 else 0
-    jumps = 0
-    for n in range(1, decisions + 1):
-        if jumps >= len(lseq):
-            break
-        if rng.random() < lseq.values[jumps] / n:
-            jumps += 1
-    return min(jumps, len(lseq))

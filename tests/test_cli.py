@@ -29,6 +29,13 @@ def test_cli_import_does_not_load_scipy_stats():
     assert out.stdout.strip() == "False"
 
 
+def test_public_names_resolve_once():
+    names = stitlab.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert getattr(stitlab, name) is not None
+
+
 class TestParsers:
     def test_window_shortcuts(self):
         assert parse_window("unit-square").area == pytest.approx(1.0)
@@ -268,6 +275,9 @@ class TestUsageErrors:
             ["table", "stit-cdf", "--L", "1,1.5", "--t", "nan"],
             ["table", "stit-cdf", "--L", "1,1.5", "--t", "abc"],
             ["table", "stit-cdf", "--L", "1,1.5", "--t", "0:1e9:1e-9"],
+            ["table", "cowan-pmf", "--rate", "inf", "--t", "1", "--k", "0:2"],
+            ["table", "stit-cdf", "--L", "1,1.5", "--rate", "inf", "--t", "1"],
+            ["table", "cowan-cdf", "--rate", "inf", "--n", "2", "--t", "1"],
             ["verify", "--suite", "equivalence", "--replicas", "-5", "--t-grid", "0.2"],
             ["verify", "--suite", "equivalence", "--replicas", "0", "--t-grid", "0.2"],
             ["verify", "--suite", "equivalence", "--replicas", "5", "--t-grid", "0"],

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,7 +7,6 @@ from scipy.integrate import quad
 
 from stitlab.distributions import (
     TruncationPolicy,
-    cowan_count_pmf,
     cowan_sum_cdf,
     discrete_jump_pmf,
     discrete_jump_pmf_mass,
@@ -323,12 +323,6 @@ class TestCountingLaws:
         assert nu_pmf(2.0, 0.0, 0) == 1.0
         assert nu_pmf(2.0, 0.0, 3) == 0.0
 
-    def test_two_names_one_law(self):
-        ks = np.arange(0, 40)
-        for rate in (0.5, 1.0, 4.0):
-            for t in (0.0, 0.3, 2.0):
-                assert np.array_equal(nu_pmf(rate, t, ks), cowan_count_pmf(rate, t, ks))
-
     def test_tail_is_geometric_power(self):
         # P(count >= n) = (1 - e^{-rate t})^n, checked against partial sums
         rate, t = 1.3, 0.9
@@ -357,3 +351,131 @@ class TestCountingLaws:
             nu_pmf(1.0, -1.0, 0)
         with pytest.raises(DomainError):
             cowan_sum_cdf(1.0, 0, 1.0)
+
+
+# Golden values recorded before the discrete laws were rewritten onto one
+# product recurrence.  The jump pmf sequence and the hypoexponential CDF/PDF
+# keep their arithmetic and must match bit for bit.  The tail keeps its
+# arithmetic too, but its dot products round differently with the number of
+# BLAS threads (by up to 5e-15 relative), so it is pinned to 1e-13 relative,
+# and a warm call must repeat the cold one exactly.  The scalar pmfs and the
+# masses change their arithmetic order and must match to 1e-12 relative.
+GOLDEN_SEQUENCES = {
+    "three": (LSequence((1.0, 1.5, 2.2), rate=1.0), 3),
+    "six": (LSequence((1.0, 1.45, 2.05, 2.6, 3.3, 3.95), rate=1.3), 6),
+}
+GOLDEN_T = np.concatenate([np.linspace(0.0, 6.0, 61), [40.0, 800.0]])
+GOLDEN_DIGESTS = {
+    ("three", "pmf4000"): "12d84b004661ae97b28504563498c96a3599001429404ed4308b6313b9b706b7",
+    ("three", "cdfpdf"): "5815b2818c971cac14bbde3c5e2a64f51c13de9bd60887a28e90b323a4f23d21",
+    ("six", "pmf4000"): "b3e7235820e19f26475b0eb1295e8fffcab74e922433b58e1fda94022c0da769",
+    ("six", "cdfpdf"): "1c8a9fdf7b8e72055c0e578adc76cce3025fa97407996296deb1cd01f2683380",
+}
+GOLDEN_TAIL = {  # rate*t = 0.25 .. 12 (outer) by ell = 2 .. len (inner)
+    "three": [
+        0.03817620836769195, 0.0064322126852475675, 0.1251411263441171, 0.03882991077742734,
+        0.34262199678252964, 0.18133272598587752, 0.6935682870258897, 0.5466794078268665,
+        0.9500105876871299, 0.9145755478740513, 0.9928105630781747, 0.9871392771518843,
+        0.9990059005410011, 0.998193535737649, 0.9998644120096893, 0.9997522226849684,
+        0.9999815978062986, 0.9999663025428335
+    ],
+    "six": [
+        0.037051507166854014, 0.005863786225872862, 0.0008856913442891735,
+        0.00013526320438941327, 2.058931669888686e-05, 0.12190024971563831,
+        0.03579015661918115, 0.010062579936477864, 0.002850366728188945,
+        0.0008042169945739593, 0.3358779964337878, 0.17037050159289605, 0.08330718990285318,
+        0.04082211404421002, 0.019906296895542536, 0.6861934652518195, 0.5282304508616168,
+        0.3968931388349897, 0.29730919293708474, 0.2215471960635443, 0.9477108407926917,
+        0.9071310694072562, 0.8618330347513841, 0.816585998766826, 0.7715682376962346,
+        0.992383100344047, 0.9856604988987802, 0.977470563074946, 0.9686150803444527,
+        0.9591124440940083, 0.998939433949505, 0.9979590235835007, 0.996727130370826,
+        0.9953580764812164, 0.9938506056490691, 0.9998548320991297, 0.9997182152298754,
+        0.9995445257761355, 0.9993494986595347, 0.9991326853480627, 0.999980263633039,
+        0.9999615573628434, 0.9999376645613809, 0.9999107281832499, 0.9998806709168878
+    ],
+}
+GOLDEN_JUMP = {  # at n = ell, ell + 1, ell + 5, ell + 40, ell + 150 and 5000
+    "three": [0.55, 0.17874999999999996, 0.02071042433035714, 0.00023452116856665688,
+              9.384079477344274e-06, 1.5063270591985317e-09],
+    "six": [0.13991805208333338, 0.13292214947916667, 0.055842770987377326,
+            0.0017160814203787018, 8.436396427891769e-05, 1.6952248494790102e-08],
+}
+GOLDEN_JUMP_MASS = {  # at 10**5 decisions, then 10**7 with stop_mass 1 - 1e-8
+    "three": [0.9999999439236364, 0.9999999905466935],
+    "six": [0.9999992422934266, 0.9999999903828393],
+}
+GOLDEN_WAIT_ARGS = ((3, 2, 1.5), (4, 3, 2.2), (10, 7, 5.3))
+GOLDEN_WAIT_W = (1, 2, 5, 19, 100, 1000)
+GOLDEN_WAIT = [
+    0.5, 0.1875, 0.03515624999999999, 0.0018369331519352266, 3.281798428028911e-05,
+    1.0671371231076916e-07, 0.55, 0.198, 0.030095999999999994, 0.0008476249280147459,
+    5.312995003502102e-06, 3.5384070596984146e-09, 0.53, 0.22645454545454544,
+    0.030490798076923075, 0.0001809113742891074, 2.1260677787168127e-08,
+    1.5077126601511672e-14,
+]
+GOLDEN_WAIT_SEQ_AT = (0, 1, 9, 99, 999, 3999)  # of discrete_waiting_pmf_sequence(4, 3, 2.2, 4000)
+GOLDEN_WAIT_SEQ = [0.55, 0.198, 0.0051699845119999996, 5.31299500350209e-06,
+                   3.5384070596983352e-09, 4.2091398469331474e-11]
+GOLDEN_WAIT_MASS_MAX = (10, 1000, 10**5)
+GOLDEN_WAIT_MASS = [  # then (4, 3, 2.2) to 10**8 with stop_mass 1 - 1e-8
+    0.9439373016357422, 0.9999288219538887, 0.9999999286369088, 0.9746200760320001,
+    0.9999983903464612, 0.9999999999355832, 0.9924213549421228, 0.9999999999971447, 1.0,
+    0.9999999998367957,
+]
+
+
+def _digest(values) -> str:
+    return hashlib.sha256(",".join(repr(float(v)) for v in values).encode()).hexdigest()
+
+
+def _tail_sweep(lseq: LSequence) -> list[float]:
+    return [
+        mecke_jump_tail(lseq, ell, h / lseq.rate)
+        for h in (0.25, 0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0)
+        for ell in range(2, len(lseq) + 1)
+    ]
+
+
+class TestGoldenValues:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SEQUENCES))
+    def test_kept_arithmetic(self, name):
+        from stitlab.distributions import _PMF_PREFIX_CACHE
+
+        lseq, ell = GOLDEN_SEQUENCES[name]
+        assert _digest(discrete_jump_pmf_sequence(lseq, ell, 4000)) == GOLDEN_DIGESTS[
+            (name, "pmf4000")
+        ]
+        _PMF_PREFIX_CACHE.clear()
+        cold = _tail_sweep(lseq)
+        assert _tail_sweep(lseq) == cold
+        assert cold == pytest.approx(GOLDEN_TAIL[name], rel=1e-13, abs=0.0)
+        values = []
+        for n in range(1, len(lseq) + 1):
+            for fn in (stit_jump_cdf, stit_jump_pdf):
+                values += list(fn(lseq, n, GOLDEN_T)) + [fn(lseq, n, float(t)) for t in GOLDEN_T]
+        assert _digest(values) == GOLDEN_DIGESTS[(name, "cdfpdf")]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SEQUENCES))
+    def test_jump_law_within_1e12(self, name):
+        lseq, ell = GOLDEN_SEQUENCES[name]
+        ns = (ell, ell + 1, ell + 5, ell + 40, ell + 150, 5000)
+        got = [discrete_jump_pmf(lseq, ell, n) for n in ns]
+        assert got == pytest.approx(GOLDEN_JUMP[name], rel=1e-12, abs=0.0)
+        mass = [
+            discrete_jump_pmf_mass(lseq, ell, 10**5),
+            discrete_jump_pmf_mass(lseq, ell, 10**7, stop_mass=1.0 - 1e-8),
+        ]
+        assert mass == pytest.approx(GOLDEN_JUMP_MASS[name], rel=1e-12, abs=0.0)
+
+    def test_waiting_law_within_1e12(self):
+        got = [discrete_waiting_pmf(*args, w) for args in GOLDEN_WAIT_ARGS for w in GOLDEN_WAIT_W]
+        assert got == pytest.approx(GOLDEN_WAIT, rel=1e-12, abs=0.0)
+        seq = discrete_waiting_pmf_sequence(4, 3, 2.2, 4000)
+        assert [seq[i] for i in GOLDEN_WAIT_SEQ_AT] == pytest.approx(
+            GOLDEN_WAIT_SEQ, rel=1e-12, abs=0.0
+        )
+        mass = [
+            discrete_waiting_pmf_mass(*args, m) for args in GOLDEN_WAIT_ARGS
+            for m in GOLDEN_WAIT_MASS_MAX
+        ] + [discrete_waiting_pmf_mass(4, 3, 2.2, 10**8, stop_mass=1.0 - 1e-8)]
+        assert mass == pytest.approx(GOLDEN_WAIT_MASS, rel=1e-12, abs=0.0)

@@ -6,8 +6,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from stitlab.distributions import discrete_jump_pmf, discrete_waiting_pmf, stit_jump_cdf
-from stitlab.errors import DomainError, LCollision
+from stitlab import processes
+from stitlab.distributions import discrete_waiting_pmf
+from stitlab.errors import DegenerateSplit, DomainError, LCollision, SamplerStall
 from stitlab.geometry import ConvexPolygon, Line
 from stitlab.line_measure import DirectionMixture, IsotropicMeasure, hitting_measure
 from stitlab.processes import (
@@ -19,10 +20,7 @@ from stitlab.processes import (
     _ByWeight,
     _grow,
     _SumTree,
-    conditional_mecke_jump_decision,
-    conditional_stit_jump_time,
     cowan_el_simulate,
-    cowan_jump_count,
     final_state,
     initial_quasi_state,
     l_sequence,
@@ -75,16 +73,6 @@ class TestStitSimulate:
         _, p = ks_test(samples, lambda t: -np.expm1(-4.0 * np.asarray(t)))
         assert p > 0.01
 
-    def test_conditional_jump_times_match_cdf(self, unit_square):
-        # freeze the weight sequence of one trace, re-simulate only the clock layer
-        rng = np.random.default_rng(4)
-        trace = stit_simulate(unit_square, ISO, rng, max_jumps=3)
-        lseq = l_sequence(trace)
-        n = len(lseq)
-        samples = [conditional_stit_jump_time(lseq, n, rng) for _ in range(20_000)]
-        _, p = ks_test(samples, lambda t: stit_jump_cdf(lseq, n, t))
-        assert p > 0.01
-
 
 class TestCowanEl:
     def test_max_jumps_contract(self, unit_square):
@@ -92,6 +80,17 @@ class TestCowanEl:
         assert trace.model_tag is ModelTag.COWAN_EL
         assert trace.jump_count == 6
         final_state(trace).validate(unit_square)
+
+
+@pytest.mark.parametrize("simulate", [stit_simulate, cowan_el_simulate])
+def test_unsplittable_cell_stalls_instead_of_hanging(simulate, unit_square, monkeypatch):
+    def degenerate(cell, line):
+        raise DegenerateSplit("no split")
+
+    monkeypatch.setattr(processes, "split", degenerate)
+    monkeypatch.setattr(processes, "MAX_REJECTION_ITERATIONS", 50)
+    with pytest.raises(SamplerStall):
+        simulate(unit_square, ISO, np.random.default_rng(0), max_jumps=3)
 
 
 class TestMeckeDiscreteStep:
@@ -215,50 +214,6 @@ class TestMeckeDiscreteSimulate:
         pmf = lambda w: discrete_waiting_pmf(n0, k, l_k, w) if w >= 1 else 0.0
         _, p, _ = chi_square_gof(counts_from_values(waits), pmf, support_lo=1)
         assert p > 0.001
-
-    def test_conditional_x2_matches_closed_form(self, unit_square):
-        rng = np.random.default_rng(14)
-        trace = mecke_discrete_simulate(unit_square, ISO, rng, max_jumps=2)
-        lseq = l_sequence(trace)
-        samples = []
-        for _ in range(20_000):
-            x = conditional_mecke_jump_decision(lseq, 2, rng, max_decisions=100_000)
-            assert x is not None
-            samples.append(x)
-        pmf = lambda n: discrete_jump_pmf(lseq, 2, n) if n >= 2 else 0.0
-        _, p, _ = chi_square_gof(counts_from_values(samples), pmf, support_lo=2)
-        assert p > 0.001
-
-
-class TestCowanJumpCount:
-    def test_zero_time(self):
-        assert cowan_jump_count(4.0, 0.0, np.random.default_rng(15)) == 0
-
-    def test_zero_count_probability(self):
-        rng = np.random.default_rng(16)
-        rate, t = 1.0, 0.7
-        n = 50_000
-        zeros = sum(cowan_jump_count(rate, t, rng) == 0 for _ in range(n))
-        p0 = math.exp(-rate * t)
-        sigma = math.sqrt(n * p0 * (1.0 - p0))
-        assert abs(zeros - n * p0) <= 3.0 * sigma
-
-    def test_mean_matches_geometric_oracle(self):
-        # frozen oracle: sum k * pmf(k) for the geometric law at rate 1, t 0.7
-        expected_mean = 1.0137527074704762
-        assert expected_mean == pytest.approx(math.exp(0.7) - 1.0, rel=1e-12)
-        rng = np.random.default_rng(17)
-        n = 100_000
-        counts = np.array([cowan_jump_count(1.0, 0.7, rng) for _ in range(n)])
-        sigma = counts.std(ddof=1) / math.sqrt(n)
-        assert abs(counts.mean() - expected_mean) <= 3.0 * sigma
-
-    def test_domain_errors(self):
-        rng = np.random.default_rng(18)
-        with pytest.raises(DomainError):
-            cowan_jump_count(0.0, 1.0, rng)
-        with pytest.raises(DomainError):
-            cowan_jump_count(1.0, -0.5, rng)
 
 
 class TestMeckeContinuous:

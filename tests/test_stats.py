@@ -7,7 +7,7 @@ import pytest
 from stitlab.errors import DegenerateBins, DomainError, TooFewSamples
 from stitlab.geometry import ConvexPolygon
 from stitlab.line_measure import IsotropicMeasure
-from stitlab.processes import cowan_jump_count
+from stitlab.processes import LSequence
 from stitlab.stats import (
     EquivalenceConfig,
     VerificationReport,
@@ -26,6 +26,7 @@ from stitlab.stats import (
 )
 
 ISO = IsotropicMeasure(1.0)
+L_TWO = LSequence((1.0, 1.5), rate=1.0)
 
 
 def geometric_pmf(p):
@@ -121,31 +122,6 @@ class TestTwoSampleChiSquare:
 
 
 class TestVectorizedSimulators:
-    def test_cowan_counts_match_scalar_op(self):
-        rate, t = 1.5, 0.8
-        rng = np.random.default_rng(57)
-        vectorized = simulate_cowan_counts(rate, t, 40_000, rng)
-        scalar = [cowan_jump_count(rate, t, rng) for _ in range(40_000)]
-        _, p = two_sample_chi_square(
-            counts_from_values(vectorized), counts_from_values(scalar)
-        )
-        assert p > 0.001
-
-    def test_conditional_decisions_match_scalar(self):
-        from stitlab.processes import conditional_mecke_jump_decision
-
-        lseq = random_l_sequence(np.random.default_rng(58), 3, 1.0)
-        rng = np.random.default_rng(59)
-        vec = simulate_conditional_jump_decisions(lseq, 3, 30_000, rng, max_decisions=5_000)
-        scl = [
-            conditional_mecke_jump_decision(lseq, 3, rng, max_decisions=5_000) or -1
-            for _ in range(30_000)
-        ]
-        _, p = two_sample_chi_square(
-            counts_from_values(vec[vec > 0]), counts_from_values([x for x in scl if x > 0])
-        )
-        assert p > 0.001
-
     def test_first_jump_is_first_decision(self):
         lseq = random_l_sequence(np.random.default_rng(60), 2, 1.0)
         rng = np.random.default_rng(61)
@@ -166,22 +142,22 @@ class TestVectorizedSimulators:
         rng = np.random.default_rng(65)
         assert np.all(simulate_conditional_mecke_counts(lseq, 0.0, 100, rng) == 0)
         assert np.all(simulate_conditional_stit_counts(lseq, 0.0, 100, rng) == 0)
+        assert np.all(simulate_cowan_counts(4.0, 0.0, 100, rng) == 0)
 
-    def test_vectorized_counts_match_scalar_ops(self):
-        from stitlab.processes import conditional_mecke_jump_count, conditional_stit_jump_count
-
-        lseq = random_l_sequence(np.random.default_rng(67), 4, 2.0)
-        rng = np.random.default_rng(68)
-        t = 0.9
-        n = 20_000
-        vec_m = simulate_conditional_mecke_counts(lseq, t, n, rng)
-        scl_m = [conditional_mecke_jump_count(lseq, t, rng) for _ in range(n)]
-        _, p = two_sample_chi_square(counts_from_values(vec_m), counts_from_values(scl_m))
-        assert p > 0.001
-        vec_s = simulate_conditional_stit_counts(lseq, t, n, rng)
-        scl_s = [conditional_stit_jump_count(lseq, t, rng) for _ in range(n)]
-        _, p = two_sample_chi_square(counts_from_values(vec_s), counts_from_values(scl_s))
-        assert p > 0.001
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda rng: simulate_cowan_counts(0.0, 1.0, 10, rng),
+            lambda rng: simulate_cowan_counts(1.0, -0.5, 10, rng),
+            lambda rng: simulate_cowan_counts(1.0, 1.0, 0, rng),
+            lambda rng: simulate_conditional_jump_decisions(L_TWO, 0, 10, rng),
+            lambda rng: simulate_conditional_jump_decisions(L_TWO, 3, 10, rng),
+        ],
+        ids=["rate-0", "negative-t", "no-replicas", "ell-0", "ell-past-end"],
+    )
+    def test_domain_errors(self, call):
+        with pytest.raises(DomainError):
+            call(np.random.default_rng(18))
 
 
 class TestRandomLSequence:
