@@ -229,9 +229,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     elif model == "mecke-continuous":
         if config.t is None:
             raise ConfigError("mecke-continuous needs --t")
-        _, trace = mecke_continuous_simulate(
-            config.window, config.measure, config.t, rng, seed=config.seed
-        )
+        try:
+            _, trace = mecke_continuous_simulate(
+                config.window, config.measure, config.t, rng, seed=config.seed
+            )
+        except DomainError as exc:  # the expected-work guard
+            raise ConfigError(str(exc)) from exc
     elif model == "cowan-el":
         trace = cowan_el_simulate(
             config.window, config.measure, rng,

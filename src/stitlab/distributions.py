@@ -433,7 +433,8 @@ def mecke_jump_tail(
         n1 = min(n0 + _CHUNK, n_geo + 1, ell + pmf.size)
         sl = slice(n0 - ell, n1 - ell)
         ns = np.arange(n0, n1, dtype=float)
-        total += float(np.exp(log_a * ns) @ pmf[sl])
+        # einsum, not a BLAS dot, so the sum does not depend on the thread count
+        total += float(np.einsum("i,i->", np.exp(log_a * ns), pmf[sl]))
         used += n1 - n0
         if n1 > n_geo:
             break

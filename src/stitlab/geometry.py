@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations, starmap
 
 from .errors import DegenerateSplit, GeometryError
 
@@ -57,6 +58,23 @@ class Line:
         return nx * point[0] + ny * point[1] - self.offset
 
 
+def _measure_ring(verts: tuple[Point, ...]) -> tuple[float, float, float]:
+    """Doubled signed area, perimeter and smallest turn cross product of a
+    closed ring, in one pass over the (i, i + 1) vertex pairs."""
+    area2 = 0.0
+    perim = 0.0
+    min_cross = math.inf
+    (ax, ay), (bx, by) = verts[-1], verts[0]
+    for cx, cy in verts[1:] + verts[:1]:
+        cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+        if cross < min_cross:
+            min_cross = cross
+        area2 += bx * cy - by * cx
+        perim += math.hypot(cx - bx, cy - by)
+        ax, ay, bx, by = bx, by, cx, cy
+    return area2, perim, min_cross
+
+
 @dataclass(frozen=True)
 class ConvexPolygon:
     """Closed convex polygon with CCW vertices and cached size measures."""
@@ -70,38 +88,33 @@ class ConvexPolygon:
         verts = tuple((float(x), float(y)) for x, y in self.vertices)
         if len(verts) < 3:
             raise GeometryError(f"polygon needs >= 3 vertices, got {len(verts)}")
-        object.__setattr__(self, "vertices", verts)
+        self._finish(verts, *_measure_ring(verts))
 
-        diam = 0.0
-        m = len(verts)
-        for i in range(m):
-            xi, yi = verts[i]
-            for j in range(i + 1, m):
-                d = math.hypot(verts[j][0] - xi, verts[j][1] - yi)
-                if d > diam:
-                    diam = d
+    @classmethod
+    def _from_ring(
+        cls, verts: tuple[Point, ...], area2: float, perim: float, min_cross: float
+    ) -> ConvexPolygon:
+        """A polygon from a ring of float pairs that `_measure_ring` has
+        already measured (split children); validated like any other."""
+        poly = object.__new__(cls)
+        poly._finish(verts, area2, perim, min_cross)
+        return poly
+
+    def _finish(
+        self, verts: tuple[Point, ...], area2: float, perim: float, min_cross: float
+    ) -> None:
+        """Validate a measured ring, then set the fields."""
+        diam = max(starmap(math.dist, combinations(verts, 2)))
         if diam <= 0.0:
             raise GeometryError("all vertices coincide")
-
-        area2 = 0.0
-        perim = 0.0
         eps_cross = EPS_GEOM * diam * diam
-        for i in range(m):
-            ax, ay = verts[i - 1]
-            bx, by = verts[i]
-            cx, cy = verts[(i + 1) % m]
-            cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-            if cross < -eps_cross:
-                raise GeometryError("vertices not convex in CCW order")
-            area2 += bx * cy - by * cx
-            perim += math.hypot(cx - bx, cy - by)
+        if min_cross < -eps_cross:
+            raise GeometryError("vertices not convex in CCW order")
         area = 0.5 * area2
         if area <= eps_cross:
             raise GeometryError("polygon area is not positive")
-
-        object.__setattr__(self, "area", area)
-        object.__setattr__(self, "perimeter", perim)
-        object.__setattr__(self, "diameter", diam)
+        # the dataclass is frozen: write the fields straight into the instance dict
+        self.__dict__.update(vertices=verts, area=area, perimeter=perim, diameter=diam)
 
     def contains_point(self, point: Point, slack: float = 0.0) -> bool:
         """True if `point` lies in the closed polygon (within `slack`)."""
@@ -121,13 +134,15 @@ class SplitResult:
     """Outcome of cutting a polygon by a line.
 
     `positive_part` is the closed side whose open half-plane contains the
-    origin; `negative_part` is the other side.  `chord_length` is positive
+    origin; `negative_part` is the other side.  `chord_length` is positive,
+    and `chord_ends` holds the chord's endpoints as `chord` gives them,
     exactly when both parts are present.
     """
 
     positive_part: ConvexPolygon | None
     negative_part: ConvexPolygon | None
     chord_length: float
+    chord_ends: tuple[Point, Point] | None = None
 
 
 def support_interval(poly: ConvexPolygon, theta: float) -> tuple[float, float]:
@@ -176,6 +191,15 @@ def _crossings(poly: ConvexPolygon, dist: list[float], eps: float) -> list[Point
     return pts
 
 
+def _span(pts: list[Point], line: Line) -> tuple[float, tuple[Point, Point]]:
+    """Length and endpoints of the stretch of `line` through `pts` (points on
+    it): the first lowest and the first highest along its direction."""
+    dx, dy = line.direction
+    proj = [dx * x + dy * y for x, y in pts]
+    lo, hi = min(proj), max(proj)
+    return hi - lo, (pts[proj.index(lo)], pts[proj.index(hi)])
+
+
 def chord(poly: ConvexPolygon, line: Line) -> tuple[float, tuple[Point, Point] | None]:
     """Length and endpoints of line ∩ poly; (0.0, None) when below tolerance."""
     dist, eps = _classify(poly, line)
@@ -184,14 +208,10 @@ def chord(poly: ConvexPolygon, line: Line) -> tuple[float, tuple[Point, Point] |
     pts = _crossings(poly, dist, eps)
     if len(pts) < 2:
         return 0.0, None
-    dx, dy = line.direction
-    proj = [dx * x + dy * y for x, y in pts]
-    i_lo = min(range(len(pts)), key=proj.__getitem__)
-    i_hi = max(range(len(pts)), key=proj.__getitem__)
-    length = proj[i_hi] - proj[i_lo]
+    length, ends = _span(pts, line)
     if length <= eps:
         return 0.0, None
-    return length, (pts[i_lo], pts[i_hi])
+    return length, ends
 
 
 def contains_line_hit(poly: ConvexPolygon, line: Line) -> bool:
@@ -202,27 +222,22 @@ def contains_line_hit(poly: ConvexPolygon, line: Line) -> bool:
 def _dedupe_ring(pts: list[Point], eps: float) -> list[Point]:
     out: list[Point] = []
     for p in pts:
-        if out and math.hypot(p[0] - out[-1][0], p[1] - out[-1][1]) <= eps:
+        if out and math.dist(p, out[-1]) <= eps:
             continue
         out.append(p)
-    while len(out) > 1 and math.hypot(out[0][0] - out[-1][0], out[0][1] - out[-1][1]) <= eps:
+    while len(out) > 1 and math.dist(out[0], out[-1]) <= eps:
         out.pop()
     return out
 
 
 def _side_polygon(pts: list[Point], eps: float, eps_area: float) -> ConvexPolygon | None:
-    ring = _dedupe_ring(pts, eps)
+    ring = tuple(_dedupe_ring(pts, eps))
     if len(ring) < 3:
         return None
-    area2 = 0.0
-    m = len(ring)
-    for i in range(m):
-        ax, ay = ring[i]
-        bx, by = ring[(i + 1) % m]
-        area2 += ax * by - ay * bx
+    area2, perim, min_cross = _measure_ring(ring)
     if 0.5 * area2 <= eps_area:
         return None
-    return ConvexPolygon(tuple(ring))
+    return ConvexPolygon._from_ring(ring, area2, perim, min_cross)
 
 
 def split(poly: ConvexPolygon, line: Line) -> SplitResult:
@@ -284,12 +299,10 @@ def split(poly: ConvexPolygon, line: Line) -> SplitResult:
             chord_length=0.0,
         )
 
-    dx, dy = line.direction
-    proj = [dx * x + dy * y for x, y in cross]
-    chord_len = max(proj) - min(proj)
+    chord_len, ends = _span(cross, line)
     if chord_len <= eps:
         raise DegenerateSplit(f"chord length {chord_len!r} below tolerance with two parts")
 
     if plus_is_positive:
-        return SplitResult(positive_part=up_poly, negative_part=low_poly, chord_length=chord_len)
-    return SplitResult(positive_part=low_poly, negative_part=up_poly, chord_length=chord_len)
+        return SplitResult(up_poly, low_poly, chord_len, ends)
+    return SplitResult(low_poly, up_poly, chord_len, ends)

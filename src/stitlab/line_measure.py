@@ -64,9 +64,12 @@ def hitting_measure(measure: LineMeasureSpec, poly: ConvexPolygon) -> float:
     return sum(w * width(poly, th) for th, w in measure.atoms)
 
 
-def _sample_offset_line(poly: ConvexPolygon, theta: float, rng: np.random.Generator) -> Line | None:
-    """Uniform offset on the support interval; None when degenerate near an edge/origin."""
-    lo, hi = support_interval(poly, theta)
+def _sample_offset_line(
+    poly: ConvexPolygon, theta: float, interval: tuple[float, float], rng: np.random.Generator
+) -> Line | None:
+    """Uniform offset on `interval`, the support interval of `poly` at theta;
+    None when degenerate near an edge/origin."""
+    lo, hi = interval
     p = lo + (hi - lo) * rng.random()
     eps = EPS_GEOM * poly.diameter
     if abs(p) <= eps:  # origin convention undefined on the line itself; resample
@@ -92,9 +95,10 @@ def sample_hitting_line(
         envelope = poly.diameter
         for _ in range(MAX_REJECTION_ITERATIONS):
             theta = math.pi * rng.random()
-            if envelope * rng.random() > width(poly, theta):
+            lo, hi = support_interval(poly, theta)
+            if envelope * rng.random() > hi - lo:  # hi - lo is width(poly, theta)
                 continue
-            line = _sample_offset_line(poly, theta, rng)
+            line = _sample_offset_line(poly, theta, (lo, hi), rng)
             if line is not None:
                 return line
         raise SamplerStall("isotropic line sampler exceeded its iteration budget")
@@ -110,7 +114,7 @@ def sample_hitting_line(
             if u < acc:
                 theta = th
                 break
-        line = _sample_offset_line(poly, theta, rng)
+        line = _sample_offset_line(poly, theta, support_interval(poly, theta), rng)
         if line is not None:
             return line
     raise SamplerStall("direction-mixture line sampler exceeded its iteration budget")

@@ -37,7 +37,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import DegenerateSplit, DomainError, GeometryError, LCollision, SamplerStall
-from .geometry import ConvexPolygon, Line, split
+from .geometry import ConvexPolygon, Line, SplitResult, split
 from .line_measure import (
     MAX_REJECTION_ITERATIONS,
     LineMeasureSpec,
@@ -46,6 +46,9 @@ from .line_measure import (
 )
 
 L_MIN_RELATIVE_GAP = 1e-9
+# mecke_continuous_simulate refuses horizons whose expected decision count,
+# expm1(rate * t), is larger than this.
+MAX_EXPECTED_DECISIONS = 10**6
 
 
 class ModelTag(enum.Enum):
@@ -150,12 +153,13 @@ def _apply_split(slots: list, idx: int, far, origin) -> None:
     slots.append(origin)
 
 
-def _cut(cell: ConvexPolygon | None, line: Line) -> tuple:
-    """(far part, origin part) of `cell` cut by `line`; absent parts are None."""
-    if cell is None:
-        return None, None
-    parts = split(cell, line)
-    return parts.negative_part, parts.positive_part
+_NO_PARTS = SplitResult(positive_part=None, negative_part=None, chord_length=0.0)
+
+
+def _cut(cell: ConvexPolygon | None, line: Line) -> SplitResult:
+    """`cell` cut by `line`: the far part is `negative_part`, the origin part
+    `positive_part`; an empty slot (None) has neither."""
+    return _NO_PARTS if cell is None else split(cell, line)
 
 
 def _grow(
@@ -208,9 +212,10 @@ def _cut_until_split(measure: LineMeasureSpec, slots: list, rng, draw_index) -> 
         idx = draw_index(rng)
         line = sample_hitting_line(measure, slots[idx], rng)
         try:
-            far, origin = _cut(slots[idx], line)
+            parts = _cut(slots[idx], line)
         except DegenerateSplit:
             continue
+        far, origin = parts.negative_part, parts.positive_part
         if far is not None and origin is not None:
             return idx, line, far, origin
     raise SamplerStall("no line split the selected cells within the iteration budget")
@@ -301,7 +306,8 @@ def _uniform_slot(measure: LineMeasureSpec, window: ConvexPolygon) -> Callable:
     def pick(slots: list, rng: np.random.Generator) -> tuple:
         idx = int(rng.integers(len(slots)))
         line = sample_hitting_line(measure, window, rng)
-        return (idx, line, *_cut(slots[idx], line))
+        parts = _cut(slots[idx], line)
+        return idx, line, parts.negative_part, parts.positive_part
 
     return pick
 
@@ -402,8 +408,16 @@ def mecke_continuous_simulate(
 
     With n quasi-cells extant the next decision arrives after an
     Exp(n * rate) wait, so the decision count by time t is geometric and the
-    trajectory for a smaller horizon is a prefix of the same run.
+    trajectory for a smaller horizon is a prefix of the same run.  The
+    expected decision count is expm1(rate * t); past MAX_EXPECTED_DECISIONS
+    the run is refused with DomainError instead of spinning for hours.
     """
+    rate_t = hitting_measure(measure, window) * t
+    if rate_t > math.log1p(MAX_EXPECTED_DECISIONS):  # expm1 overflows past rate * t ~ 710
+        raise DomainError(
+            f"rate * t = {rate_t:.6g} expects more than MAX_EXPECTED_DECISIONS = "
+            f"{MAX_EXPECTED_DECISIONS} decisions (expm1(rate * t))"
+        )
     slots = [window]
     events = _grow(
         slots, _uniform_slot(measure, window), _equally_likely(measure, window), rng, max_time=t
@@ -424,11 +438,21 @@ def replay(
     Slots are updated as in the simulators (`_apply_split`).  The yielded
     slot list is live; copy it if it must survive the iteration.
     """
+    for event, target, _, slots in _replay_splits(trace):
+        yield event, target, slots
+
+
+def _replay_splits(
+    trace: ProcessTrace,
+) -> Iterator[tuple[TraceEvent, ConvexPolygon | None, SplitResult, list[ConvexPolygon | None]]]:
+    """`replay` that also yields each event's `SplitResult` (no parts for an
+    empty slot)."""
     slots: list[ConvexPolygon | None] = [trace.window]
     for event in trace.events:
         target = slots[event.cell_index]
-        _apply_split(slots, event.cell_index, *_cut(target, event.line))
-        yield event, target, slots
+        parts = _cut(target, event.line)
+        _apply_split(slots, event.cell_index, parts.negative_part, parts.positive_part)
+        yield event, target, parts, slots
 
 
 def final_state(trace: ProcessTrace) -> QuasiCellState:

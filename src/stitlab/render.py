@@ -8,8 +8,7 @@ renders can be diffed in CI.
 
 from __future__ import annotations
 
-from .geometry import chord
-from .processes import ProcessTrace, replay
+from .processes import ProcessTrace, _replay_splits
 
 _MARGIN_FRACTION = 0.05
 
@@ -21,16 +20,14 @@ def _fmt(x: float) -> str:
 def chord_segments(
     trace: ProcessTrace, at: float | None = None
 ) -> list[tuple[tuple[float, float], tuple[float, float]]]:
-    """Chord endpoints of every jump event with time/index <= `at`."""
+    """Chord endpoints of every jump event with time/index <= `at`, as the
+    replayed split found them."""
     segments = []
-    for event, target, _ in replay(trace):
+    for event, _, parts, _ in _replay_splits(trace):
         if at is not None and event.time > at:
             break
-        if not event.jump or target is None:
-            continue
-        _, endpoints = chord(target, event.line)
-        if endpoints is not None:
-            segments.append(endpoints)
+        if event.jump and parts.chord_ends is not None:
+            segments.append(parts.chord_ends)
     return segments
 
 

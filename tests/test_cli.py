@@ -264,6 +264,7 @@ class TestUsageErrors:
             ["simulate", "--model", "stit", "--t", "nan"],
             ["simulate", "--model", "stit", "--t", "inf", "--jumps", "3"],
             ["simulate", "--model", "mecke-continuous", "--t", "-1"],
+            ["simulate", "--model", "mecke-continuous", "--t", "5"],
             ["table", "stit-cdf", "--L", "1,abc"],
             ["table", "stit-cdf", "--L", "1,0.5"],
             ["table", "jump-pmf", "--L", "1,1.5", "--ell", "2", "--rate", "0"],

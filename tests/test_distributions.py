@@ -1,10 +1,15 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import stitlab
 from stitlab.distributions import (
     TruncationPolicy,
     cowan_sum_cdf,
@@ -355,10 +360,11 @@ class TestCountingLaws:
 
 # Golden values recorded before the discrete laws were rewritten onto one
 # product recurrence.  The jump pmf sequence and the hypoexponential CDF/PDF
-# keep their arithmetic and must match bit for bit.  The tail keeps its
-# arithmetic too, but its dot products round differently with the number of
-# BLAS threads (by up to 5e-15 relative), so it is pinned to 1e-13 relative,
-# and a warm call must repeat the cold one exactly.  The scalar pmfs and the
+# keep their arithmetic and must match bit for bit.  The tail was recorded
+# with BLAS dot products, which round differently with the number of BLAS
+# threads (by up to 5e-15 relative); it now sums without BLAS, so it is
+# pinned to 1e-13 relative, a warm call must repeat the cold one exactly and
+# the sweep must not depend on the thread count.  The scalar pmfs and the
 # masses change their arithmetic order and must match to 1e-12 relative.
 GOLDEN_SEQUENCES = {
     "three": (LSequence((1.0, 1.5, 2.2), rate=1.0), 3),
@@ -454,6 +460,25 @@ class TestGoldenValues:
             for fn in (stit_jump_cdf, stit_jump_pdf):
                 values += list(fn(lseq, n, GOLDEN_T)) + [fn(lseq, n, float(t)) for t in GOLDEN_T]
         assert _digest(values) == GOLDEN_DIGESTS[(name, "cdfpdf")]
+
+    def test_tail_does_not_depend_on_blas_threads(self):
+        src = str(Path(stitlab.__file__).resolve().parents[1])
+        path = os.pathsep.join(
+            filter(None, [src, str(Path(__file__).parent), os.environ.get("PYTHONPATH")])
+        )
+        code = (
+            "from test_distributions import GOLDEN_SEQUENCES, _tail_sweep\n"
+            "print([_tail_sweep(lseq) for lseq, _ in GOLDEN_SEQUENCES.values()])"
+        )
+        sweeps = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+            out = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True
+            )
+            assert out.returncode == 0, out.stderr
+            sweeps.append(out.stdout)
+        assert sweeps[0] == sweeps[1]
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_SEQUENCES))
     def test_jump_law_within_1e12(self, name):

@@ -2,9 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stitlab.errors import GeometryError
-from stitlab.geometry import ConvexPolygon, Line, chord, contains_line_hit, split, width
+from stitlab.errors import DegenerateSplit, GeometryError
+from stitlab.geometry import (
+    ConvexPolygon,
+    Line,
+    _measure_ring,
+    chord,
+    contains_line_hit,
+    split,
+    support_interval,
+    width,
+)
 
 from conftest import horizontal_line_at, random_convex_polygon, vertical_line_at
 
@@ -46,6 +57,89 @@ class TestConvexPolygon:
             assert poly.area > 0.0
             assert poly.perimeter > 0.0
             assert poly.diameter > 0.0
+
+
+# the rejection cases of TestConvexPolygon, with the message each must raise
+REJECTED = [
+    (((0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 0.0)), "vertices not convex in CCW order"),
+    (((0.0, 0.0), (2.0, 0.0), (1.0, 0.2), (0.0, 2.0)), "vertices not convex in CCW order"),
+    (((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)), "polygon area is not positive"),
+    (((1.0, 1.0), (1.0, 1.0), (1.0, 1.0)), "all vertices coincide"),
+]
+
+
+@pytest.mark.parametrize("verts, message", REJECTED)
+def test_split_children_share_the_validator(verts, message):
+    # the constructor that split uses for its children raises what the public one does
+    with pytest.raises(GeometryError, match=message):
+        ConvexPolygon(verts)
+    with pytest.raises(GeometryError, match=message):
+        ConvexPolygon._from_ring(verts, *_measure_ring(verts))
+
+
+@st.composite
+def convex_polygons(draw) -> ConvexPolygon:
+    """Vertices on a random ellipse at angles at least 2 pi / 80 apart."""
+    n = draw(st.integers(3, 8))
+    gaps = draw(st.lists(st.floats(1.0, 10.0), min_size=n, max_size=n))
+    start = draw(st.floats(0.0, 2.0 * math.pi))
+    a, b = draw(st.floats(0.4, 2.5)), draw(st.floats(0.4, 2.5))
+    cx, cy = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
+    angles, acc = [], start
+    for g in gaps:
+        angles.append(acc)
+        acc += 2.0 * math.pi * g / sum(gaps)
+    return ConvexPolygon(tuple((cx + a * math.cos(t), cy + b * math.sin(t)) for t in angles))
+
+
+@st.composite
+def polygons_and_lines(draw) -> tuple[ConvexPolygon, Line]:
+    """A polygon and a line at a random or near-degenerate offset: through a
+    vertex, just inside or outside the support interval, or through the origin."""
+    poly = draw(convex_polygons())
+    theta = draw(st.floats(0.0, math.pi, exclude_max=True))
+    lo, hi = support_interval(poly, theta)
+    nx, ny = -math.sin(theta), math.cos(theta)
+    vertex_offsets = [nx * x + ny * y for x, y in poly.vertices]
+    offset = draw(
+        st.one_of(
+            st.floats(lo - 0.1, hi + 0.1),
+            st.sampled_from(vertex_offsets),
+            st.sampled_from([lo + 1e-12, hi - 1e-12, lo - 1e-12, hi + 1e-12, 0.0]),
+        )
+    )
+    return poly, Line(theta, offset)
+
+
+class TestSplitProperties:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(polygons_and_lines())
+    def test_children_measures_and_chord_ends(self, case):
+        poly, line = case
+        try:
+            result = split(poly, line)
+        except DegenerateSplit:
+            return
+        for part in (result.positive_part, result.negative_part):
+            if part is None or part is poly:
+                continue
+            rebuilt = ConvexPolygon(part.vertices)
+            assert rebuilt == part
+            assert part.area == rebuilt.area
+            assert part.perimeter == rebuilt.perimeter
+            assert part.diameter == rebuilt.diameter
+        both = result.positive_part is not None and result.negative_part is not None
+        if both:
+            assert result.chord_ends is not None
+            assert result.chord_ends == chord(poly, line)[1]
+            (ax, ay), (bx, by) = result.chord_ends  # on the line, in its direction
+            dx, dy = line.direction
+            assert dx * ax + dy * ay < dx * bx + dy * by
+            assert math.hypot(bx - ax, by - ay) == pytest.approx(result.chord_length, rel=1e-9)
+            for end in result.chord_ends:
+                assert abs(line.signed_distance(end)) <= 1e-9 * poly.diameter
+        else:
+            assert result.chord_ends is None
 
 
 class TestLine:
@@ -197,8 +291,6 @@ class TestContainsLineHit:
 
 
 def _random_hitting_line(rng: np.random.Generator, poly) -> Line:
-    from stitlab.geometry import support_interval
-
     while True:
         theta = float(rng.uniform(0.0, math.pi))
         lo, hi = support_interval(poly, theta)

@@ -255,6 +255,16 @@ class TestMeckeContinuous:
         assert state.jump_count == trace.jump_count
         state.validate(unit_square)
 
+    def test_refuses_more_than_the_expected_work_budget(self, unit_square):
+        # rate * t = 4 * 5 means about 4.9e8 expected decisions: refused, no draw made
+        rng = np.random.default_rng(22)
+        with pytest.raises(DomainError, match="MAX_EXPECTED_DECISIONS"):
+            mecke_continuous_simulate(unit_square, ISO, 5.0, rng)
+        assert rng.random() == np.random.default_rng(22).random()
+        budget_t = math.log1p(processes.MAX_EXPECTED_DECISIONS) / hitting_measure(ISO, unit_square)
+        with pytest.raises(DomainError):
+            mecke_continuous_simulate(unit_square, ISO, budget_t * 1.001, rng)
+
 
 class TestLSequence:
     def test_bare_window(self, unit_square):

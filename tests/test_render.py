@@ -1,0 +1,45 @@
+import hashlib
+
+import numpy as np
+import pytest
+
+from stitlab.geometry import ConvexPolygon
+from stitlab.line_measure import DirectionMixture, IsotropicMeasure
+from stitlab.processes import mecke_discrete_simulate, stit_simulate
+from stitlab.render import render_svg
+
+UNIT_SQUARE = ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
+MEASURES = {
+    "iso": IsotropicMeasure(1.0),
+    "dirs": DirectionMixture(((0.0, 1.0), (1.0471975511965976, 2.0), (2.0943951023931953, 1.0))),
+}
+
+# SHA-256 of the SVGs at seeds 0, 1 and 2 written one after another, keyed by
+# (model, stop rule, stop value, measure, `at`).  Recorded before `render`
+# took its chords from the replayed splits instead of calling `chord` again;
+# any change to the picture's bytes has to update this table on purpose.
+GOLDEN_SVGS = {
+    ("stit", "max_jumps", 2000, "iso", None):
+        "6c5ce0f6a18163b26befae10c6bcea8d15a3e66f2fd84f6f92afad201a21a15a",
+    ("stit", "max_jumps", 2000, "dirs", None):
+        "7ef6158e5c11440e52bca13aca45a6fe2dddd56d0da2f982c44ef2f238870522",
+    ("stit", "max_jumps", 2000, "iso", 16.0):
+        "54e49cce8f41043be705711abce3815c3ef5837ee25131fe1c5a00bcde926d9f",
+    ("mecke-discrete", "max_decisions", 400, "iso", None):
+        "b8a31de24e1d0a7230f26a246006d6d79a4170d1fb1f714f475fa1aa8b1d6329",
+    ("mecke-discrete", "max_decisions", 400, "dirs", 250):
+        "66f283c70bbbe363879829625c121ea67d331cbae1f39e9700a70d641c71fd03",
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_SVGS), ids=lambda c: "-".join(map(str, c)))
+def test_golden_svg_digests(case):
+    model, stop, value, measure, at = case
+    simulate = {"stit": stit_simulate, "mecke-discrete": mecke_discrete_simulate}[model]
+    h = hashlib.sha256()
+    for seed in (0, 1, 2):
+        trace = simulate(
+            UNIT_SQUARE, MEASURES[measure], np.random.default_rng(seed), seed=seed, **{stop: value}
+        )
+        h.update(render_svg(trace, at=at).encode())
+    assert h.hexdigest() == GOLDEN_SVGS[case]
