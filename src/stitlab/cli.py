@@ -216,32 +216,32 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if model == "mecke-discrete" and config.decisions is None and config.jumps is None:
         raise ConfigError("mecke-discrete needs --decisions or --jumps")
     rng = np.random.default_rng(config.seed)
-    if model == "stit":
-        trace = stit_simulate(
-            config.window, config.measure, rng,
-            max_time=config.t, max_jumps=config.jumps, seed=config.seed,
-        )
-    elif model == "mecke-discrete":
-        trace = mecke_discrete_simulate(
-            config.window, config.measure, rng,
-            max_decisions=config.decisions, max_jumps=config.jumps, seed=config.seed,
-        )
-    elif model == "mecke-continuous":
-        if config.t is None:
-            raise ConfigError("mecke-continuous needs --t")
-        try:
+    try:  # the expected-work guard, and a clock the measure makes non-finite
+        if model == "stit":
+            trace = stit_simulate(
+                config.window, config.measure, rng,
+                max_time=config.t, max_jumps=config.jumps, seed=config.seed,
+            )
+        elif model == "mecke-discrete":
+            trace = mecke_discrete_simulate(
+                config.window, config.measure, rng,
+                max_decisions=config.decisions, max_jumps=config.jumps, seed=config.seed,
+            )
+        elif model == "mecke-continuous":
+            if config.t is None:
+                raise ConfigError("mecke-continuous needs --t")
             _, trace = mecke_continuous_simulate(
                 config.window, config.measure, config.t, rng, seed=config.seed
             )
-        except DomainError as exc:  # the expected-work guard
-            raise ConfigError(str(exc)) from exc
-    elif model == "cowan-el":
-        trace = cowan_el_simulate(
-            config.window, config.measure, rng,
-            max_time=config.t, max_jumps=config.jumps, seed=config.seed,
-        )
-    else:
-        raise ConfigError(f"unknown model {model!r}")
+        elif model == "cowan-el":
+            trace = cowan_el_simulate(
+                config.window, config.measure, rng,
+                max_time=config.t, max_jumps=config.jumps, seed=config.seed,
+            )
+        else:
+            raise ConfigError(f"unknown model {model!r}")
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
     write_trace(trace, config.out)
     print(f"wrote {len(trace.events)} events ({trace.jump_count} jumps) to {config.out}")
     return 0

@@ -28,9 +28,12 @@ import numpy as np
 from .errors import DomainError, IllConditioned, TruncationFailure
 from .processes import LSequence
 
-DEFAULT_N_MAX = 15
-DEFAULT_ELL_MAX = 12
-DEFAULT_CONDITION_LIMIT = 1e8
+# Fixed precision limits of the alternating sums: the longest sequence the
+# continuous (N_MAX) and the discrete (ELL_MAX) jump laws evaluate, and the
+# largest condition number either accepts.  Past them they raise IllConditioned.
+N_MAX = 15
+ELL_MAX = 12
+CONDITION_LIMIT = 1e8
 _CHUNK = 1 << 16
 _ROW_BLOCK = 64  # divides _CHUNK
 
@@ -53,30 +56,36 @@ class TruncationPolicy:
 # hypoexponential jump-time laws (continuous time)
 
 
-def _stit_coefficients(lseq: LSequence, n: int, n_max: int, condition_limit: float) -> np.ndarray:
-    if not 1 <= n <= len(lseq):
-        raise DomainError(f"n={n} outside 1..{len(lseq)}")
-    if n > n_max:
-        raise IllConditioned(f"n={n} above the precision limit n_max={n_max}")
-    vals = np.asarray(lseq.values[:n], dtype=float)
+def _node_gaps(vals: np.ndarray) -> np.ndarray:
+    """prod_{j != i} (v_i - v_j) for each node v_i of `vals`."""
     diff = vals[:, None] - vals[None, :]
     np.fill_diagonal(diff, 1.0)
-    coef = (np.prod(vals) / vals) / np.prod(diff, axis=1)
-    condition = 1.0 + float(np.sum(np.abs(coef)))
-    if condition > condition_limit:
+    return np.prod(diff, axis=1)
+
+
+def _check_condition(condition: float) -> None:
+    if condition > CONDITION_LIMIT:
         raise IllConditioned(
-            f"alternating sum condition {condition:.3g} exceeds {condition_limit:.3g}"
+            f"alternating sum condition {condition:.3g} exceeds {CONDITION_LIMIT:.3g}"
         )
+
+
+def _stit_coefficients(lseq: LSequence, n: int) -> np.ndarray:
+    if not 1 <= n <= len(lseq):
+        raise DomainError(f"n={n} outside 1..{len(lseq)}")
+    if n > N_MAX:
+        raise IllConditioned(f"n={n} above the precision limit N_MAX={N_MAX}")
+    vals = np.asarray(lseq.values[:n], dtype=float)
+    coef = (np.prod(vals) / vals) / _node_gaps(vals)
+    _check_condition(1.0 + float(np.sum(np.abs(coef))))
     return coef
 
 
-def _jump_time_sum(
-    lseq: LSequence, n: int, t, n_max: int, condition_limit: float, density: bool
-):
+def _jump_time_sum(lseq: LSequence, n: int, t, density: bool):
     """The n-th jump time's CDF, 1 + sign * sum_i c_i exp(-rate * v_i * t), or
     with `density` its derivative, unclamped; a scalar `t` is summed with
     math.fsum, an array `t` by a matrix product."""
-    coef = _stit_coefficients(lseq, n, n_max, condition_limit)
+    coef = _stit_coefficients(lseq, n)
     vals = np.asarray(lseq.values[:n], dtype=float)
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0.0):
@@ -91,32 +100,18 @@ def _jump_time_sum(
     return out if density else 1.0 + out
 
 
-def stit_jump_cdf(
-    lseq: LSequence,
-    n: int,
-    t,
-    *,
-    n_max: int = DEFAULT_N_MAX,
-    condition_limit: float = DEFAULT_CONDITION_LIMIT,
-):
+def stit_jump_cdf(lseq: LSequence, n: int, t):
     """P(n-th jump time <= t): alternating Lagrange-weighted exponential sum.
 
     Accepts a scalar or array `t`; values within 1e-9 of [0, 1] are clamped
     onto the boundary.
     """
-    return _clamp(_jump_time_sum(lseq, n, t, n_max, condition_limit, density=False))
+    return _clamp(_jump_time_sum(lseq, n, t, density=False))
 
 
-def stit_jump_pdf(
-    lseq: LSequence,
-    n: int,
-    t,
-    *,
-    n_max: int = DEFAULT_N_MAX,
-    condition_limit: float = DEFAULT_CONDITION_LIMIT,
-):
+def stit_jump_pdf(lseq: LSequence, n: int, t):
     """Density of the n-th jump time; nonnegative, integrates to one."""
-    return _clamp(_jump_time_sum(lseq, n, t, n_max, condition_limit, density=True), math.inf)
+    return _clamp(_jump_time_sum(lseq, n, t, density=True), math.inf)
 
 
 def _clamp(x, top: float = 1.0):
@@ -257,33 +252,25 @@ def discrete_waiting_pmf_mass(
 
 
 def _jump_pmf_setup(
-    lseq: LSequence, ell: int, ell_max: int, condition_limit: float
+    lseq: LSequence, ell: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Coefficients c_i, seed terms at n=ell, weight values, and the sign*lead factor."""
     if not 2 <= ell <= len(lseq):
         raise DomainError(f"ell={ell} outside 2..{len(lseq)}")
-    if ell > ell_max:
-        raise IllConditioned(f"ell={ell} above the precision limit ell_max={ell_max}")
+    if ell > ELL_MAX:
+        raise IllConditioned(f"ell={ell} above the precision limit ELL_MAX={ELL_MAX}")
     vals = np.asarray(lseq.values[1:ell], dtype=float)  # positions 2..ell
-    diff = vals[:, None] - vals[None, :]
-    np.fill_diagonal(diff, 1.0)
-    coef = 1.0 / np.prod(diff, axis=1)
+    coef = 1.0 / _node_gaps(vals)
     lead = float(np.prod(vals)) * (1.0 if ell % 2 == 0 else -1.0)
     # seed: (1/ell) * prod_{m=2}^{ell-1} (1 - value/m), one per weight value
     term = np.full(vals.shape, 1.0 / ell)
     for m in range(2, ell):
         term *= 1.0 - vals / m
-    condition = abs(lead) * float(np.sum(np.abs(coef * term)))
-    if condition > condition_limit:
-        raise IllConditioned(
-            f"alternating sum condition {condition:.3g} exceeds {condition_limit:.3g}"
-        )
+    _check_condition(abs(lead) * float(np.sum(np.abs(coef * term))))
     return coef, term, vals, lead
 
 
-def _jump_pmf_chunks(
-    lseq: LSequence, ell: int, ell_max: int, condition_limit: float, count: int | None = None
-) -> Iterator[np.ndarray]:
+def _jump_pmf_chunks(lseq: LSequence, ell: int, count: int | None = None) -> Iterator[np.ndarray]:
     """pmf chunks for n = ell, ell+1, ...: `count` values, or without end.
 
     Each pmf value is lead * sum_i c_i term_i(n) over the product recurrence;
@@ -291,7 +278,7 @@ def _jump_pmf_chunks(
     is clipped.  The set-up, and so any refusal, happens at the call, before
     the first chunk is asked for.
     """
-    coef, term, vals, lead = _jump_pmf_setup(lseq, ell, ell_max, condition_limit)
+    coef, term, vals, lead = _jump_pmf_setup(lseq, ell)
 
     def pmf(rows: np.ndarray) -> np.ndarray:
         out = lead * (rows @ coef)
@@ -300,54 +287,33 @@ def _jump_pmf_chunks(
     return _product_chunks(term, vals, ell, count, pmf)
 
 
-def discrete_jump_pmf(
-    lseq: LSequence,
-    ell: int,
-    n: int,
-    *,
-    ell_max: int = DEFAULT_ELL_MAX,
-    condition_limit: float = DEFAULT_CONDITION_LIMIT,
-) -> float:
+def discrete_jump_pmf(lseq: LSequence, ell: int, n: int) -> float:
     """P(ell-th jump happens at decision n | frozen weight sequence), ell >= 2.
 
     The gamma-ratio factor for each weight value is the finite product
     prod_{m=2}^{n-1}(m - value) folded into 1/n! for stability; the outer
     alternating sum is fully compensated.
     """
-    coef, term, vals, lead = _jump_pmf_setup(lseq, ell, ell_max, condition_limit)
+    coef, term, vals, lead = _jump_pmf_setup(lseq, ell)
     if n < ell:
         raise DomainError(f"n={n} must be >= ell={ell}")
     row = _last_row(_product_chunks(term, vals, ell, n - ell + 1))
     return _clamp(float(lead * math.fsum(coef * row)))
 
 
-def discrete_jump_pmf_sequence(
-    lseq: LSequence,
-    ell: int,
-    n_max: int,
-    *,
-    ell_max: int = DEFAULT_ELL_MAX,
-    condition_limit: float = DEFAULT_CONDITION_LIMIT,
-) -> np.ndarray:
-    """Vector of discrete_jump_pmf for n = ell..n_max."""
-    if n_max < ell:
-        raise DomainError(f"n_max={n_max} must be >= ell={ell}")
-    return np.concatenate(
-        list(_jump_pmf_chunks(lseq, ell, ell_max, condition_limit, n_max - ell + 1))
-    )
+def discrete_jump_pmf_sequence(lseq: LSequence, ell: int, n_last: int) -> np.ndarray:
+    """Vector of discrete_jump_pmf for n = ell..n_last."""
+    if n_last < ell:
+        raise DomainError(f"n_last={n_last} must be >= ell={ell}")
+    return np.concatenate(list(_jump_pmf_chunks(lseq, ell, n_last - ell + 1)))
 
 
 def discrete_jump_pmf_mass(
-    lseq: LSequence,
-    ell: int,
-    n_max: int,
-    *,
-    stop_mass: float | None = None,
-    ell_max: int = DEFAULT_ELL_MAX,
-    condition_limit: float = DEFAULT_CONDITION_LIMIT,
+    lseq: LSequence, ell: int, n_last: int, *, stop_mass: float | None = None
 ) -> float:
-    """Total jump-time probability mass over decisions ell..n_max (chunked)."""
-    return _mass(_jump_pmf_chunks(lseq, ell, ell_max, condition_limit, n_max - ell + 1), stop_mass)
+    """Total jump-time probability mass over decisions ell..n_last (chunked)."""
+    return _mass(_jump_pmf_chunks(lseq, ell, n_last - ell + 1), stop_mass)
+
 
 # Memo of materialized pmf prefixes keyed by (weight values, ell).  The tail
 # evaluator is typically called for many horizons of one frozen sequence, and
@@ -358,15 +324,13 @@ _PMF_PREFIX_CACHE_LOCK = threading.Lock()
 _PMF_PREFIX_CACHE_MAX_FLOATS = 12_000_000
 
 
-def _jump_pmf_prefix(
-    lseq: LSequence, ell: int, n_hi: int, ell_max: int, condition_limit: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _jump_pmf_prefix(lseq: LSequence, ell: int, n_hi: int) -> tuple[np.ndarray, np.ndarray]:
     """(pmf, cumulative mass) arrays for n = ell..(at least n_hi), memoized."""
     key = (lseq.values, ell)
     with _PMF_PREFIX_CACHE_LOCK:
         entry = _PMF_PREFIX_CACHE.get(key)
         if entry is None:  # a refusal raises here, before the entry exists
-            chunks = _jump_pmf_chunks(lseq, ell, ell_max, condition_limit)
+            chunks = _jump_pmf_chunks(lseq, ell)
             entry = {"chunks": chunks, "next_n": ell, "pmf": [], "mass": [], "total_mass": 0.0}
             _PMF_PREFIX_CACHE[key] = entry
         _PMF_PREFIX_CACHE.move_to_end(key)
@@ -390,13 +354,7 @@ def _jump_pmf_prefix(
 
 
 def mecke_jump_tail(
-    lseq: LSequence,
-    ell: int,
-    t: float,
-    policy: TruncationPolicy | None = None,
-    *,
-    ell_max: int = DEFAULT_ELL_MAX,
-    condition_limit: float = DEFAULT_CONDITION_LIMIT,
+    lseq: LSequence, ell: int, t: float, policy: TruncationPolicy | None = None
 ) -> float:
     """P(at least ell jumps by time t | frozen weight sequence).
 
@@ -429,7 +387,7 @@ def mecke_jump_tail(
     while True:
         if pmf is None or n0 - ell >= pmf.size:
             hi = min(n0 + _CHUNK - 1, max(n_geo, n0))
-            pmf, mass = _jump_pmf_prefix(lseq, ell, hi, ell_max, condition_limit)
+            pmf, mass = _jump_pmf_prefix(lseq, ell, hi)
         n1 = min(n0 + _CHUNK, n_geo + 1, ell + pmf.size)
         sl = slice(n0 - ell, n1 - ell)
         ns = np.arange(n0, n1, dtype=float)

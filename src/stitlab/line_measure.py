@@ -20,7 +20,7 @@ from typing import Any, Union
 import numpy as np
 
 from .errors import GeometryError, SamplerStall
-from .geometry import EPS_GEOM, ConvexPolygon, Line, chord, support_interval, width
+from .geometry import EPS_GEOM, ConvexPolygon, Line, support_interval, width
 
 MAX_REJECTION_ITERATIONS = 10**6
 
@@ -68,16 +68,13 @@ def _sample_offset_line(
     poly: ConvexPolygon, theta: float, interval: tuple[float, float], rng: np.random.Generator
 ) -> Line | None:
     """Uniform offset on `interval`, the support interval of `poly` at theta;
-    None when degenerate near an edge/origin."""
+    None when the line passes within EPS_GEOM * diameter of the origin."""
     lo, hi = interval
     p = lo + (hi - lo) * rng.random()
     eps = EPS_GEOM * poly.diameter
     if abs(p) <= eps:  # origin convention undefined on the line itself; resample
         return None
-    line = Line(theta, p)
-    if chord(poly, line)[0] <= 0.0:
-        return None
-    return line
+    return Line(theta, p)
 
 
 def sample_hitting_line(

@@ -178,7 +178,10 @@ def _grow(
     `pick(slots, rng)` returns (slot index, line, far part, origin part);
     `clock(slots)` is the rate of the next event, or `clock` is None and
     event n is the n-th decision (n = len(slots) before it).
-    `jumps` is the jump count the slots already carry.
+    `jumps` is the jump count the slots already carry.  A clock rate that is
+    not finite and positive, or an event time that is not finite, raises
+    DomainError before the event is recorded (hitting weights can underflow
+    or overflow for extreme measure scales).
     """
     if max_time is None and max_jumps is None and max_decisions is None:
         raise DomainError("a stopping rule is required")
@@ -192,9 +195,14 @@ def _grow(
         if clock is None:
             t = len(slots)
         else:
-            t += rng.exponential(1.0 / clock(slots))
+            rate = clock(slots)
+            if not 0.0 < rate < math.inf:
+                raise DomainError(f"clock rate must be finite and positive, got {rate!r}")
+            t += rng.exponential(1.0 / rate)
             if max_time is not None and t > max_time:
                 break
+            if not math.isfinite(t):
+                raise DomainError(f"event time is not finite ({t!r}) at rate {rate!r}")
         idx, line, far, origin = pick(slots, rng)
         _apply_split(slots, idx, far, origin)
         jump = far is not None and origin is not None

@@ -15,7 +15,7 @@ pass vacuously.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -51,6 +51,15 @@ from .processes import (
 
 MUTATIONS = (None, "poisson-clock", "wrong-rate")
 WRONG_RATE_FACTOR = 1.2
+# Fixed settings of the equivalence harness: the conditional check freezes
+# N_CONDITIONAL_SEQUENCES weight sequences of CONDITIONAL_DEPTH values each; a
+# p-valued check passes above P_THRESHOLD, the tail-vs-CDF residual at or below
+# IDENTITY_TOL; every Mecke tail is summed under TAIL_POLICY.
+CONDITIONAL_DEPTH = 4
+N_CONDITIONAL_SEQUENCES = 3
+P_THRESHOLD = 1e-3
+IDENTITY_TOL = 1e-6
+TAIL_POLICY = TruncationPolicy(tail_bound=1e-10, max_terms=10**7)
 
 
 @dataclass(frozen=True)
@@ -68,6 +77,27 @@ class VerificationReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def _residual_report(
+    name: str, worst: float, tol: float, count: int, seed: int
+) -> VerificationReport:
+    """Report of a check that passes when its worst residual (or z-score) is at most `tol`."""
+    return VerificationReport(
+        check_name=name, statistic=worst, p_value=None, tolerance=tol,
+        passed=worst <= tol, sample_size=count, seed=seed,
+    )
+
+
+def _p_report(
+    name: str, worst_p: float, count: int, seed: int, *, passed: bool = True, note: str = ""
+) -> VerificationReport:
+    """Report of a check that passes when its worst p-value is above P_THRESHOLD
+    (and `passed`, any further condition of the check, holds)."""
+    return VerificationReport(
+        check_name=name, statistic=worst_p, p_value=worst_p, tolerance=P_THRESHOLD,
+        passed=passed and worst_p > P_THRESHOLD, sample_size=count, seed=seed, note=note,
+    )
 
 
 def format_report_table(reports: Sequence[VerificationReport]) -> str:
@@ -309,17 +339,10 @@ class EquivalenceConfig:
     time_grid: tuple[float, ...] = (0.2, 0.5, 1.0)
     replicas: int = 20_000
     conditional_replicas: int = 20_000
-    conditional_depth: int = 4
-    n_conditional_sequences: int = 3
     cowan_replicas: int = 100_000
     selection_events: int = 100_000
     identity_sequences: int = 20
     seed: int = 0
-    p_threshold: float = 1e-3
-    identity_tol: float = 1e-6
-    tail_policy: TruncationPolicy = field(
-        default_factory=lambda: TruncationPolicy(tail_bound=1e-10, max_terms=10**7)
-    )
     mutation: str | None = None
 
     def __post_init__(self) -> None:
@@ -337,11 +360,11 @@ def _frozen_sequences(config: EquivalenceConfig) -> list[LSequence]:
     """Weight sequences frozen from seeded discrete-process traces."""
     out: list[LSequence] = []
     attempt = 0
-    while len(out) < config.n_conditional_sequences:
+    while len(out) < N_CONDITIONAL_SEQUENCES:
         rng = _rng(config.seed, 1, attempt)
         attempt += 1
         trace = mecke_discrete_simulate(
-            config.window, config.measure, rng, max_jumps=config.conditional_depth - 1
+            config.window, config.measure, rng, max_jumps=CONDITIONAL_DEPTH - 1
         )
         try:
             out.append(l_sequence(trace))
@@ -363,8 +386,7 @@ def _check_conditional(config: EquivalenceConfig) -> VerificationReport:
     sequences = _frozen_sequences(config)
     worst_p = 1.0
     n_total = 0
-    stit_tail = lambda lseq, j, t: stit_jump_cdf(lseq, j, t)
-    mecke_tail_fn = lambda lseq, j, t: mecke_jump_tail(lseq, j, t, config.tail_policy)
+    mecke_tail_fn = lambda lseq, j, t: mecke_jump_tail(lseq, j, t, TAIL_POLICY)
     for s_idx, lseq in enumerate(sequences):
         for t_idx, t in enumerate(config.time_grid):
             if -math.expm1(-lseq.rate * t) <= 0.0:
@@ -377,7 +399,7 @@ def _check_conditional(config: EquivalenceConfig) -> VerificationReport:
                 lseq, t, config.conditional_replicas, rng
             )
             n_total += 2 * config.conditional_replicas
-            pmf_s = _capped_count_pmf(lseq, t, stit_tail)
+            pmf_s = _capped_count_pmf(lseq, t, stit_jump_cdf)
             pmf_m = _capped_count_pmf(lseq, t, mecke_tail_fn)
             for counts, pmf in (
                 (counts_from_values(stit_counts), pmf_s),
@@ -391,15 +413,7 @@ def _check_conditional(config: EquivalenceConfig) -> VerificationReport:
                 counts_from_values(stit_counts), counts_from_values(mecke_counts)
             )
             worst_p = min(worst_p, p2)
-    return VerificationReport(
-        check_name="conditional-jump-counts",
-        statistic=worst_p,
-        p_value=worst_p,
-        tolerance=config.p_threshold,
-        passed=worst_p > config.p_threshold,
-        sample_size=n_total,
-        seed=config.seed,
-    )
+    return _p_report("conditional-jump-counts", worst_p, n_total, config.seed)
 
 
 def _mecke_jump_times(
@@ -445,16 +459,9 @@ def _check_unconditional(config: EquivalenceConfig) -> VerificationReport:
         spread = math.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
         if spread > 0.0:
             worst_z = max(worst_z, abs(float(a.mean() - b.mean())) / spread)
-    passed = worst_p > config.p_threshold and worst_z <= 3.0
-    return VerificationReport(
-        check_name="unconditional-cell-counts",
-        statistic=worst_p,
-        p_value=worst_p,
-        tolerance=config.p_threshold,
-        passed=passed,
-        sample_size=2 * config.replicas * n_grid,
-        seed=config.seed,
-        note=f"max mean z-score {worst_z:.2f} (limit 3)",
+    return _p_report(
+        "unconditional-cell-counts", worst_p, 2 * config.replicas * n_grid, config.seed,
+        passed=worst_z <= 3.0, note=f"max mean z-score {worst_z:.2f} (limit 3)",
     )
 
 
@@ -478,40 +485,33 @@ def _check_cowan(config: EquivalenceConfig) -> VerificationReport:
             counts_from_values(counts), lambda k: nu_pmf(rate, t, k), support_lo=0
         )
         worst_p = min(worst_p, p)
-    return VerificationReport(
-        check_name="cowan-geometric",
-        statistic=worst_p,
-        p_value=worst_p,
-        tolerance=config.p_threshold,
-        passed=worst_p > config.p_threshold,
-        sample_size=n_total,
-        seed=config.seed,
-    )
+    return _p_report("cowan-geometric", worst_p, n_total, config.seed)
+
+
+def _tail_cdf_residual(
+    rng: np.random.Generator, sequences: int, rate: float, times: Sequence[float]
+) -> tuple[float, int]:
+    """Largest |mecke_jump_tail - stit_jump_cdf| over `sequences` random weight
+    sequences of length 2..6, every ell and every t in `times`, and the number
+    of pairs compared."""
+    worst = 0.0
+    count = 0
+    for _ in range(sequences):
+        lseq = random_l_sequence(rng, int(rng.integers(2, 7)), rate)
+        for ell in range(1, len(lseq) + 1):
+            for t in times:
+                lhs = mecke_jump_tail(lseq, ell, t, TAIL_POLICY)
+                worst = max(worst, abs(lhs - stit_jump_cdf(lseq, ell, t)))
+                count += 1
+    return worst, count
 
 
 def _check_identity(config: EquivalenceConfig) -> VerificationReport:
     rate = hitting_measure(config.measure, config.window)
-    rng = _rng(config.seed, 5)
-    worst = 0.0
-    count = 0
-    for _ in range(config.identity_sequences):
-        length = int(rng.integers(2, 7))
-        lseq = random_l_sequence(rng, length, rate)
-        for ell in range(1, length + 1):
-            for t in config.time_grid:
-                lhs = mecke_jump_tail(lseq, ell, t, config.tail_policy)
-                rhs = stit_jump_cdf(lseq, ell, t)
-                worst = max(worst, abs(lhs - rhs))
-                count += 1
-    return VerificationReport(
-        check_name="tail-vs-cdf-identity",
-        statistic=worst,
-        p_value=None,
-        tolerance=config.identity_tol,
-        passed=worst <= config.identity_tol,
-        sample_size=count,
-        seed=config.seed,
+    worst, count = _tail_cdf_residual(
+        _rng(config.seed, 5), config.identity_sequences, rate, config.time_grid
     )
+    return _residual_report("tail-vs-cdf-identity", worst, IDENTITY_TOL, count, config.seed)
 
 
 def _check_selection(config: EquivalenceConfig) -> VerificationReport:
@@ -533,14 +533,8 @@ def _check_selection(config: EquivalenceConfig) -> VerificationReport:
         p = w / total_w
         sigma = math.sqrt(config.selection_events * p * (1.0 - p))
         worst_z = max(worst_z, abs(hits[idx] - config.selection_events * p) / sigma)
-    return VerificationReport(
-        check_name="selection-probabilities",
-        statistic=worst_z,
-        p_value=None,
-        tolerance=3.0,
-        passed=worst_z <= 3.0,
-        sample_size=config.selection_events,
-        seed=config.seed,
+    return _residual_report(
+        "selection-probabilities", worst_z, 3.0, config.selection_events, config.seed
     )
 
 
@@ -562,12 +556,6 @@ def run_identity_suite(seed: int = 0, *, instances: int = 200) -> list[Verificat
     the tail-vs-CDF identity, and the series normalizations."""
     reports: list[VerificationReport] = []
 
-    def residual_report(name: str, worst: float, tol: float, count: int) -> VerificationReport:
-        return VerificationReport(
-            check_name=name, statistic=worst, p_value=None, tolerance=tol,
-            passed=worst <= tol, sample_size=count, seed=seed,
-        )
-
     rng = _rng(seed, 100)
     worst = verify_lagrange_identity([1.0, 2.0, 3.0], 4.0)
     for _ in range(instances):
@@ -576,7 +564,7 @@ def run_identity_suite(seed: int = 0, *, instances: int = 200) -> list[Verificat
         if float(np.min(np.abs(nodes - x_eval))) < 1e-6:
             continue
         worst = max(worst, verify_lagrange_identity(nodes, x_eval))
-    reports.append(residual_report("lagrange-constant", worst, 1e-9, instances + 1))
+    reports.append(_residual_report("lagrange-constant", worst, 1e-9, instances + 1, seed))
 
     rng = _rng(seed, 101)
     worst = 0.0
@@ -585,7 +573,7 @@ def run_identity_suite(seed: int = 0, *, instances: int = 200) -> list[Verificat
         nodes = np.asarray(lseq.values[1:])
         x_eval = float(nodes[-1] + rng.uniform(0.1, 0.9))
         worst = max(worst, verify_lagrange_gamma_identity(nodes, x_eval))
-    reports.append(residual_report("lagrange-gamma", worst, 1e-9, instances))
+    reports.append(_residual_report("lagrange-gamma", worst, 1e-9, instances, seed))
 
     rng = _rng(seed, 102)
     worst = verify_telescoping_identity(1.3, 2.7, 3, 4)  # base case: one-term sum
@@ -597,7 +585,7 @@ def run_identity_suite(seed: int = 0, *, instances: int = 200) -> list[Verificat
             continue
         n = ell + int(rng.integers(1, 13))
         worst = max(worst, verify_telescoping_identity(l_i, l_next, ell, n))
-    reports.append(residual_report("telescoping", worst, 1e-9, instances + 1))
+    reports.append(_residual_report("telescoping", worst, 1e-9, instances + 1, seed))
 
     rng = _rng(seed, 103)
     worst = max(
@@ -609,22 +597,10 @@ def run_identity_suite(seed: int = 0, *, instances: int = 200) -> list[Verificat
         k = int(rng.integers(0, ell))
         l_value = _non_integer_uniform(rng, 1.0, float(ell))
         worst = max(worst, verify_binomial_gamma_identity(ell, k, l_value))
-    reports.append(residual_report("binomial-gamma", worst, 1e-9, instances + 2))
+    reports.append(_residual_report("binomial-gamma", worst, 1e-9, instances + 2, seed))
 
-    rng = _rng(seed, 104)
-    policy = TruncationPolicy(tail_bound=1e-10, max_terms=10**7)
-    worst = 0.0
-    count = 0
-    for _ in range(10):
-        lseq = random_l_sequence(rng, int(rng.integers(2, 7)), 1.0)
-        for ell in range(1, len(lseq) + 1):
-            for t in (0.1, 0.5, 1.0, 2.0):
-                diff = abs(
-                    mecke_jump_tail(lseq, ell, t, policy) - stit_jump_cdf(lseq, ell, t)
-                )
-                worst = max(worst, diff)
-                count += 1
-    reports.append(residual_report("tail-vs-cdf", worst, 1e-6, count))
+    worst, count = _tail_cdf_residual(_rng(seed, 104), 10, 1.0, (0.1, 0.5, 1.0, 2.0))
+    reports.append(_residual_report("tail-vs-cdf", worst, IDENTITY_TOL, count, seed))
 
     worst = 0.0
     count = 0
@@ -636,11 +612,11 @@ def run_identity_suite(seed: int = 0, *, instances: int = 200) -> list[Verificat
             mass = discrete_waiting_pmf_mass(n, k, l_k, 10**8, stop_mass=1.0 - 1e-8)
             worst = max(worst, 1.0 - mass)
             count += 1
-    reports.append(residual_report("waiting-normalization", worst, 1e-8, count))
+    reports.append(_residual_report("waiting-normalization", worst, 1e-8, count, seed))
 
     lseq = LSequence((1.0, 1.5, 2.2), rate=1.0)
     mass = discrete_jump_pmf_mass(lseq, 3, 10**7, stop_mass=1.0 - 1e-8)
-    reports.append(residual_report("jump-normalization", 1.0 - mass, 1e-8, 1))
+    reports.append(_residual_report("jump-normalization", 1.0 - mass, 1e-8, 1, seed))
 
     worst = 0.0  # P(N_t >= n) from the count pmf against the clock-sum CDF
     for rate in (0.5, 1.0, 4.0):
@@ -648,7 +624,7 @@ def run_identity_suite(seed: int = 0, *, instances: int = 200) -> list[Verificat
             for n in range(1, 20):
                 at_least_n = 1.0 - math.fsum(nu_pmf(rate, t, k) for k in range(n))
                 worst = max(worst, abs(at_least_n - cowan_sum_cdf(rate, n, t)))
-    reports.append(residual_report("count-pmf-match", worst, 1e-12, 171))
+    reports.append(_residual_report("count-pmf-match", worst, 1e-12, 171, seed))
 
     return reports
 

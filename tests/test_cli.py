@@ -259,6 +259,9 @@ class TestUsageErrors:
             ["simulate", "--model", "stit", "--jumps", "3", "--measure", "iso:inf"],
             ["simulate", "--model", "stit", "--jumps", "3", "--measure", "dirs:0"],
             ["simulate", "--model", "stit", "--jumps", "3", "--measure", "dirs:0:1"],
+            ["simulate", "--model", "stit", "--jumps", "3", "--measure", "iso:1e-320"],
+            ["simulate", "--model", "stit", "--jumps", "3", "--measure", "iso:1e308"],
+            ["simulate", "--model", "stit", "--jumps", "3", "--measure", "dirs:0:1e-320,1:1e-320"],
             ["simulate", "--model", "stit", "--jumps", "-5"],
             ["simulate", "--model", "mecke-discrete", "--decisions", "-1"],
             ["simulate", "--model", "stit", "--t", "nan"],

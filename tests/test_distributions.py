@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import math
 import os
 import subprocess
@@ -11,6 +12,9 @@ from scipy.integrate import quad
 
 import stitlab
 from stitlab.distributions import (
+    CONDITION_LIMIT,
+    ELL_MAX,
+    N_MAX,
     TruncationPolicy,
     cowan_sum_cdf,
     discrete_jump_pmf,
@@ -209,11 +213,28 @@ class TestDiscreteJumpPmf:
         with pytest.raises(IllConditioned):
             discrete_jump_pmf(long_seq, 13, 20)
 
+    def test_condition_guard_below_the_length_cap(self):
+        # the last two weights are 1e-7 apart: about 87 times the relative gap
+        # LSequence demands, yet the alternating sum's condition passes 1e8
+        close = LSequence((1.0, 1.05, 1.1, 1.15, 1.15 + 1e-7), rate=1.0)
+        assert len(close) < ELL_MAX
+        for evaluate in (discrete_jump_pmf, discrete_jump_pmf_sequence):
+            with pytest.raises(IllConditioned, match="condition .* exceeds"):
+                evaluate(close, 5, 20)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             discrete_jump_pmf(L_THREE, 1, 5)
         with pytest.raises(DomainError):
             discrete_jump_pmf(L_THREE, 3, 2)
+
+
+def test_precision_limits_are_fixed():
+    # the past-cap rounds of the benchmark expect refusals at lengths 17 and 14
+    assert (N_MAX, ELL_MAX, CONDITION_LIMIT) == (15, 12, 1e8)
+    for fn in (stit_jump_cdf, stit_jump_pdf, discrete_jump_pmf, discrete_jump_pmf_sequence,
+               discrete_jump_pmf_mass, mecke_jump_tail):
+        assert not {"n_max", "ell_max", "condition_limit"} & set(inspect.signature(fn).parameters)
 
 
 class TestMeckeJumpTail:

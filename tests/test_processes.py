@@ -93,6 +93,15 @@ def test_unsplittable_cell_stalls_instead_of_hanging(simulate, unit_square, monk
         simulate(unit_square, ISO, np.random.default_rng(0), max_jumps=3)
 
 
+@pytest.mark.parametrize("simulate", [stit_simulate, cowan_el_simulate])
+@pytest.mark.parametrize("scale", [1e-320, 1e308])
+def test_non_finite_clock_raises_before_recording(simulate, scale, unit_square):
+    # W(window) is subnormal (1/rate overflows, so the first wait is inf) or
+    # overflows to inf (STIT's running total would become inf - inf)
+    with pytest.raises(DomainError, match="not finite|finite and positive"):
+        simulate(unit_square, IsotropicMeasure(scale), np.random.default_rng(0), max_jumps=3)
+
+
 class TestMeckeDiscreteStep:
     def test_first_decision_always_jumps(self, unit_square):
         rng = np.random.default_rng(6)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -187,11 +188,28 @@ class TestReports:
         assert "demo" in table and "PASS" in table
 
 
+# SHA-256 of the JSON of a run's reports, recorded before the checks shared
+# their report builders; the same under OPENBLAS_NUM_THREADS=1 and =2.
+GOLDEN_SUITE_DIGESTS = {
+    None: "dafc509bcc5c0ffc4525ad38f0dd66f5e302ee265abb4d9828cdb14e754c5029",
+    "poisson-clock": "ede310c4acc5ca46381a6836f890793e3f772e6b58a4126b643ae0f3708a7446",
+    "wrong-rate": "378bf86f6334081122aa4f7664164e035e8e99c9b679c7964f266e575d2a6301",
+}
+GOLDEN_IDENTITY_DIGEST = "800e096054eb324373fdcee176be091cb8ad55785bf882fc9d30e93735bd54e8"
+
+
+def _report_digest(reports) -> str:
+    return hashlib.sha256(json.dumps([r.to_dict() for r in reports]).encode()).hexdigest()
+
+
 class TestIdentitySuite:
     def test_all_pass(self):
         reports = run_identity_suite(seed=3, instances=80)
         assert all(r.passed for r in reports)
         assert len(reports) == 8
+
+    def test_golden_report_digest(self):
+        assert _report_digest(run_identity_suite(seed=0)) == GOLDEN_IDENTITY_DIGEST
 
 
 class TestEquivalenceSuite:
@@ -241,13 +259,23 @@ class TestEquivalenceSuite:
         with pytest.raises(DomainError):
             EquivalenceConfig(window=unit_square, measure=ISO, mutation="bogus")
 
-    def test_reproducible_reports(self, small_config):
+    @pytest.fixture
+    def quick_config(self, small_config):
         import dataclasses
 
-        config = dataclasses.replace(
+        return dataclasses.replace(
             small_config, replicas=300, conditional_replicas=400, cowan_replicas=1000,
             selection_events=500, identity_sequences=2,
         )
-        first = run_equivalence_suite(config)
-        second = run_equivalence_suite(config)
+
+    def test_reproducible_reports(self, quick_config):
+        first = run_equivalence_suite(quick_config)
+        second = run_equivalence_suite(quick_config)
         assert [r.to_dict() for r in first] == [r.to_dict() for r in second]
+
+    @pytest.mark.parametrize("mutation", sorted(GOLDEN_SUITE_DIGESTS, key=str))
+    def test_golden_report_digests(self, quick_config, mutation):
+        import dataclasses
+
+        reports = run_equivalence_suite(dataclasses.replace(quick_config, mutation=mutation))
+        assert _report_digest(reports) == GOLDEN_SUITE_DIGESTS[mutation]
