@@ -1,0 +1,435 @@
+"""Batched replica geometry: a struct-of-arrays cell store and the lockstep
+simulators of the unconditional equivalence check.
+
+A batch of convex polygons is a `Polys`: padded vertices of shape
+(cells, vmax, 2) with a vertex count per cell, where a cell with fewer than
+vmax vertices repeats its last vertex in the padding.  A repeated vertex
+adds a zero-length edge and a zero shoelace term and never changes a
+projection, so support intervals, diameters, perimeters, areas and the
+half-plane split need no mask.  Every operation runs over the whole batch
+and applies the scalar rules of `geometry.split` and
+`line_measure.sample_hitting_line`, which stay the oracle: the same
+EPS_GEOM * diameter tolerances, the same ring order, the same dedupe,
+sliver and degeneracy tests.
+
+The simulators advance blocks of up to BLOCK replicas of one process in
+lockstep, one event per live replica per step, and return how many replicas
+show each cell count at each grid time:
+
+* `stit_cell_counts`: STIT.  The clock rate is the replica's total cell
+  weight; a cell is picked in proportion to its weight and cut by a line
+  from its own hitting distribution, both redrawn until the line splits it.
+* `mecke_cell_counts`: the discrete Mecke stepper under a clock whose rate
+  depends only on the number n of quasi-cells: each decision takes a uniform
+  slot out of n and, when the slot holds a cell, one window line, which
+  makes a jump when it splits the cell.  Empty slots are not stored: with k
+  cells, slot j < k is the replica's j-th cell and any other slot is empty,
+  so each cell is picked with probability 1/n, as in
+  `processes.mecke_discrete_step`.  A step runs one replica's decisions up
+  to the next one that picks a cell; those that pick an empty slot change
+  nothing but the time.
+
+Memory is bounded by the block, not by the replica count.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, fields
+from typing import Callable, Sequence
+
+import numpy as np
+
+from .errors import DomainError, SamplerStall
+from .geometry import EPS_GEOM, ConvexPolygon, _dedupe_ring
+from .line_measure import MAX_REJECTION_ITERATIONS, IsotropicMeasure, LineMeasureSpec
+
+BLOCK = 2048  # replicas advanced together
+MECKE_RUN = 16  # decisions a Mecke wait draws at once
+
+# the outcome of a split, per row: both parts present, the cell left whole on
+# the origin side or on the far side, or DegenerateSplit
+CUT, WHOLE_ORIGIN, WHOLE_FAR, DEGENERATE = range(4)
+
+
+@dataclass(frozen=True)
+class Polys:
+    """A batch of convex polygons as arrays, one row per polygon."""
+
+    verts: np.ndarray  # (m, vmax, 2), padded by repeating the last vertex
+    nv: np.ndarray  # (m,) vertex counts
+    area: np.ndarray
+    perimeter: np.ndarray
+    diameter: np.ndarray
+
+    @staticmethod
+    def of(polygons: Sequence[ConvexPolygon]) -> Polys:
+        vmax = max(len(p.vertices) for p in polygons)
+        verts = np.array([p.vertices + p.vertices[-1:] * (vmax - len(p.vertices)) for p in polygons])
+        return Polys(
+            verts,
+            np.array([len(p.vertices) for p in polygons]),
+            np.array([p.area for p in polygons]),
+            np.array([p.perimeter for p in polygons]),
+            np.array([p.diameter for p in polygons]),
+        )
+
+    def __len__(self) -> int:
+        return len(self.nv)
+
+    def take(self, rows: np.ndarray) -> Polys:
+        return Polys(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    def widened(self, width: int) -> Polys:
+        """The same polygons in `width` vertex columns (more than now)."""
+        pad = np.repeat(self.verts[:, -1:], width - self.verts.shape[1], axis=1)
+        verts = np.concatenate([self.verts, pad], axis=1)
+        return Polys(verts, *(getattr(self, f.name) for f in fields(self)[1:]))
+
+
+def _ring_measures(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Area, perimeter and diameter of padded rings."""
+    x, y = verts[..., 0], verts[..., 1]
+    xn, yn = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
+    area = 0.5 * (x * yn - y * xn).sum(axis=1)
+    perimeter = np.sqrt((xn - x) ** 2 + (yn - y) ** 2).sum(axis=1)
+    i, j = np.triu_indices(verts.shape[1], 1)
+    diameter = np.sqrt(((x[:, i] - x[:, j]) ** 2 + (y[:, i] - y[:, j]) ** 2).max(axis=1, initial=0.0))
+    return area, perimeter, diameter
+
+
+def support_intervals(verts: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the projection interval onto the unit normal of direction theta."""
+    s = -np.sin(theta)[:, None] * verts[..., 0] + np.cos(theta)[:, None] * verts[..., 1]
+    return s.min(axis=1), s.max(axis=1)
+
+
+def _atom_widths(measure, polys: Polys) -> np.ndarray:
+    """(m, atoms): weight * width of each polygon at each atom's direction."""
+    m = len(polys)
+    cols = []
+    for th, w in measure.atoms:
+        lo, hi = support_intervals(polys.verts, np.full(m, th))
+        cols.append(w * (hi - lo))
+    return np.stack(cols, axis=1)
+
+
+def hitting_weights(measure: LineMeasureSpec, polys: Polys) -> np.ndarray:
+    """`line_measure.hitting_measure` of every row."""
+    if isinstance(measure, IsotropicMeasure):
+        return measure.scale * polys.perimeter
+    return _atom_widths(measure, polys).sum(axis=1)
+
+
+def sample_lines(
+    measure: LineMeasureSpec, polys: Polys, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """(theta, offset) of one line per row from that row's hitting distribution,
+    by the rules of `line_measure.sample_hitting_line`: the isotropic theta by
+    rejection against the diameter, a mixture atom in proportion to weight *
+    width, the offset uniform on the support interval and redrawn (with
+    theta) within EPS_GEOM * diameter of the origin.  Rows still undrawn
+    after MAX_REJECTION_ITERATIONS rounds raise SamplerStall."""
+    m = len(polys)
+    theta, offset = np.empty(m), np.empty(m)
+    eps = EPS_GEOM * polys.diameter
+    iso = isinstance(measure, IsotropicMeasure)
+    if not iso:
+        atom_theta = np.array([th for th, _ in measure.atoms])
+        cum = np.cumsum(_atom_widths(measure, polys), axis=1)
+    todo = np.arange(m)
+    for _ in range(MAX_REJECTION_ITERATIONS):
+        if not todo.size:
+            return theta, offset
+        if iso:
+            th = math.pi * rng.random(todo.size)
+            lo, hi = support_intervals(polys.verts[todo], th)
+            ok = polys.diameter[todo] * rng.random(todo.size) <= hi - lo
+        else:
+            c = cum[todo]
+            u = c[:, -1] * rng.random(todo.size)
+            th = atom_theta[np.minimum((c <= u[:, None]).sum(axis=1), len(atom_theta) - 1)]
+            lo, hi = support_intervals(polys.verts[todo], th)
+            ok = np.ones(todo.size, dtype=bool)
+        p = lo + (hi - lo) * rng.random(todo.size)
+        ok &= np.abs(p) > eps[todo]
+        theta[todo[ok]], offset[todo[ok]] = th[ok], p[ok]
+        todo = todo[~ok]
+    raise SamplerStall("batched line sampler exceeded its iteration budget")
+
+
+@dataclass(frozen=True)
+class BatchSplit:
+    """`split_cells` per row: a status (CUT, WHOLE_ORIGIN, WHOLE_FAR or
+    DEGENERATE) and the chord length (0 unless CUT); the two parts of the CUT
+    rows, in row order (`origin` is `SplitResult.positive_part`, `far` is
+    `negative_part`)."""
+
+    status: np.ndarray
+    chord: np.ndarray
+    origin: Polys
+    far: Polys
+
+
+def _side(
+    cand: np.ndarray, keep: np.ndarray, eps: np.ndarray, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One side of a cut: the kept candidate points in ring order, deduped as
+    `geometry._dedupe_ring` does, as points padded to `width` and counts."""
+    n = keep.sum(axis=1)
+    order = np.argsort(~keep, axis=1, kind="stable")
+    cols = np.minimum(np.arange(width), np.maximum(n, 1)[:, None] - 1)
+    rows = np.arange(len(cand))[:, None]
+    pts = cand[rows, order[rows, cols]]
+    # rows where two ring neighbours are within eps (with a margin, so every
+    # row the scalar pass would change is caught) take the scalar pass
+    near = (eps * (1.0 + 1e-9)) ** 2
+    step = np.diff(pts, axis=1, append=pts[:, :1])  # the last column is the closing step
+    gap = (step**2).sum(axis=2)
+    close = ((gap <= near[:, None]) & (np.arange(1, width + 1) < n[:, None])).any(axis=1)
+    close |= (n > 1) & (gap[:, -1] <= near)
+    for r in np.flatnonzero(close):
+        ring = _dedupe_ring(list(map(tuple, pts[r, : n[r]])), float(eps[r]))
+        n[r] = len(ring)
+        pts[r, : n[r]] = ring
+        pts[r, n[r]:] = ring[-1]
+    return pts, n
+
+
+def split_cells(polys: Polys, theta: np.ndarray, offset: np.ndarray) -> BatchSplit:
+    """Cut row i of `polys` by the line (theta[i], offset[i]), as `geometry.split` does."""
+    m = len(polys)
+    verts = polys.verts[:, : int(polys.nv.max(initial=1))]  # the rest is padding
+    diam = polys.diameter
+    eps = EPS_GEOM * diam
+    s = -np.sin(theta)[:, None] * verts[..., 0] + np.cos(theta)[:, None] * verts[..., 1]
+    s -= offset[:, None]
+    plus_is_origin = offset < 0.0
+    lo, hi = s.min(axis=1), s.max(axis=1)
+    miss = (lo > -eps) | (hi < eps)
+    status = np.where((hi >= eps) == plus_is_origin, WHOLE_ORIGIN, WHOLE_FAR)
+    chord = np.zeros(m)
+    # the rest runs on the rows the line crosses
+    hit = np.flatnonzero(~miss)
+    verts, s, diam, eps, plus_is_origin = verts[hit], s[hit], diam[hit], eps[hit], plus_is_origin[hit]
+    k, v, _ = verts.shape
+    e = eps[:, None]
+    real = np.arange(v) < polys.nv[hit, None]  # padding repeats the last vertex: take it once
+    s_next = np.roll(s, -1, axis=1)
+    on = np.abs(s) <= e
+    crosses = ~on & ~np.roll(on, -1, axis=1) & (s * s_next < 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(crosses, s / (s - s_next), 0.0)
+    # candidate points in ring order: vertex i, then the crossing on edge (i, i + 1)
+    cand = np.empty((k, 2 * v, 2))
+    cand[:, 0::2] = verts
+    cand[:, 1::2] = verts + t[..., None] * (np.roll(verts, -1, axis=1) - verts)
+
+    def mask(vertex_rule: np.ndarray) -> np.ndarray:
+        out = np.empty((k, 2 * v), dtype=bool)
+        out[:, 0::2], out[:, 1::2] = vertex_rule & real, crosses
+        return out
+
+    masks = [mask(s >= -e), mask(s <= e)]  # the upper and the lower side
+    width = max(int(mk.sum(axis=1).max(initial=1)) for mk in masks)
+    sides = []
+    for keep in masks:
+        pts, n = _side(cand, keep, eps, width)
+        area, perimeter, diameter = _ring_measures(pts)
+        sides.append((Polys(pts, n, area, perimeter, diameter), (n < 3) | (area <= eps * diam)))
+    (up, up_none), (low, low_none) = sides
+
+    along = np.cos(theta[hit])[:, None] * cand[..., 0] + np.sin(theta[hit])[:, None] * cand[..., 1]
+    on_line = mask(on)
+    length = np.where(on_line, along, -np.inf).max(axis=1) - np.where(on_line, along, np.inf).min(axis=1)
+
+    got = np.where(low_none == plus_is_origin, WHOLE_ORIGIN, WHOLE_FAR)
+    both = ~up_none & ~low_none
+    got[both] = CUT
+    got[(up_none & low_none) | (both & (length <= eps))] = DEGENERATE
+    status[hit] = got
+    cut = got == CUT
+    chord[hit[cut]] = length[cut]
+    up, low, plus_is_origin = up.take(cut), low.take(cut), plus_is_origin[cut]
+    return BatchSplit(status, chord, _where(plus_is_origin, up, low), _where(plus_is_origin, low, up))
+
+
+def _where(cond: np.ndarray, a: Polys, b: Polys) -> Polys:
+    """Row i of `a` where cond[i], else row i of `b`."""
+    return Polys(np.where(cond[:, None, None], a.verts, b.verts), *(
+        np.where(cond, getattr(a, f.name), getattr(b, f.name)) for f in fields(a)[1:]
+    ))
+
+
+# ---------------------------------------------------------------------------
+# the lockstep simulators
+
+
+class _Replicas:
+    """The cells of one block of replicas: a growing store of cells (rows of a
+    `Polys`, each with its hitting weight) and, per replica, the store rows of
+    its cells in order (the first `count` columns of its row of `members`)."""
+
+    def __init__(self, measure: LineMeasureSpec, window: Polys, size: int) -> None:
+        self.measure = measure
+        capacity = 8 * size
+        self.cells = window.take(np.zeros(capacity, dtype=np.int64))
+        self.weight = np.full(capacity, hitting_weights(measure, window)[0])
+        self.used = size
+        self.members = np.arange(size)[:, None]
+        self.count = np.ones(size, dtype=np.int64)
+
+    def weights(self, reps: np.ndarray) -> np.ndarray:
+        """(len(reps), cells): the weights of each replica's cells, 0 past its count."""
+        cols = np.arange(self.members.shape[1])
+        return np.where(cols < self.count[reps, None], self.weight[self.members[reps]], 0.0)
+
+    def apply(self, reps: np.ndarray, rows: np.ndarray, res: BatchSplit) -> None:
+        """Where res.status is CUT, row rows[i] of replica reps[i] keeps the far
+        part and the origin part is appended as the replica's next cell."""
+        cut = res.status == CUT
+        if not cut.any():
+            return
+        reps, rows, far, origin = reps[cut], rows[cut], res.far, res.origin
+        width = far.verts.shape[1]  # the parts' common width
+        if width > self.cells.verts.shape[1]:
+            self.cells = self.cells.widened(max(width, 2 * self.cells.verts.shape[1]))
+        end = self.used + reps.size
+        if end > len(self.weight):
+            grow = np.zeros(end, dtype=np.int64)  # at least twice the rows needed, copies of row 0
+            self.cells = self.cells.take(np.concatenate([np.arange(self.used), grow]))
+            self.weight = np.resize(self.weight, len(self.cells))
+        new = np.arange(self.used, end)
+        verts = self.cells.verts
+        for target, part in ((rows, far), (new, origin)):
+            verts[target, :width] = part.verts
+            verts[target, width:] = part.verts[:, -1:]
+            for f in fields(part)[1:]:
+                getattr(self.cells, f.name)[target] = getattr(part, f.name)
+            self.weight[target] = hitting_weights(self.measure, part)
+        self.used = end
+        if self.count[reps].max() >= self.members.shape[1]:
+            self.members = np.pad(self.members, ((0, 0), (0, self.members.shape[1])))
+        self.members[reps, self.count[reps]] = new
+        self.count[reps] += 1
+
+
+def _waits(rate, shape: tuple, rng: np.random.Generator) -> np.ndarray:
+    """Exp(rate) waits; a rate that is not finite and positive raises DomainError."""
+    if not np.all((0.0 < rate) & (rate < math.inf)):
+        raise DomainError("clock rate must be finite and positive")
+    return rng.exponential(size=shape) / rate
+
+
+class _Stit(_Replicas):
+    """STIT: every wait ends in an event."""
+
+    def wait(self, reps: np.ndarray, t: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
+        total = self.weights(reps).sum(axis=1)
+        return t + _waits(total, reps.shape, rng), np.ones(reps.size, dtype=bool)
+
+    def event(self, reps: np.ndarray, rng: np.random.Generator) -> None:
+        for _ in range(MAX_REJECTION_ITERATIONS):
+            if not reps.size:
+                return
+            cum = np.cumsum(self.weights(reps), axis=1)
+            u = cum[:, -1] * rng.random(reps.size)
+            j = np.minimum((cum <= u[:, None]).sum(axis=1), self.count[reps] - 1)
+            rows = self.members[reps, j]
+            cells = self.cells.take(rows)
+            res = split_cells(cells, *sample_lines(self.measure, cells, rng))
+            self.apply(reps, rows, res)
+            reps = reps[res.status != CUT]
+        raise SamplerStall("no line split the selected cells within the iteration budget")
+
+
+class _Mecke(_Replicas):
+    """The Mecke stepper.  A wait draws the next MECKE_RUN decisions of each
+    replica (times and slots) and stops at the first whose slot holds a cell;
+    the decisions before it pick empty slots and change nothing, and the draws
+    after it are dropped.  The event then cuts that cell by one window line."""
+
+    def __init__(self, measure, window, size, clock: Callable) -> None:
+        super().__init__(measure, window, size)
+        self.windows = window.take(np.zeros(size, dtype=np.int64))
+        self.clock = clock
+        self.slots = np.ones(size, dtype=np.int64)  # quasi-cells, empty ones included
+        self.pick = np.zeros(size, dtype=np.int64)  # the pending decision's slot
+
+    def wait(self, reps: np.ndarray, t: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
+        n = self.slots[reps, None] + np.arange(MECKE_RUN)  # slots before each decision
+        times = t[:, None] + np.cumsum(_waits(self.clock(n), n.shape, rng), axis=1)
+        slot = rng.integers(0, n)
+        full = slot < self.count[reps, None]
+        fire = full.any(axis=1)
+        f = np.where(fire, full.argmax(axis=1), MECKE_RUN - 1)
+        rows = np.arange(reps.size)
+        self.pick[reps] = slot[rows, f]
+        self.slots[reps] += f + 1
+        return times[rows, f], fire
+
+    def event(self, reps: np.ndarray, rng: np.random.Generator) -> None:
+        slot = self.pick[reps]
+        for _ in range(MAX_REJECTION_ITERATIONS):
+            if not reps.size:
+                return
+            rows = self.members[reps, slot]
+            lines = sample_lines(self.measure, self.windows.take(slice(reps.size)), rng)
+            res = split_cells(self.cells.take(rows), *lines)
+            self.apply(reps, rows, res)
+            reps = reps[res.status == DEGENERATE]  # the decision is drawn again
+            slot = rng.integers(0, self.slots[reps] - 1)
+            reps, slot = reps[slot < self.count[reps]], slot[slot < self.count[reps]]
+        raise SamplerStall("degenerate splits exceeded the iteration budget")
+
+
+def _cell_counts(make_block: Callable, grid: Sequence[float], replicas: int, rng) -> np.ndarray:
+    """hist[j, c]: how many of `replicas` runs show c cells at time grid[j].
+
+    Each block of BLOCK replicas steps in lockstep.  A step draws every live
+    replica's wait to its next event, records its cell count at the grid
+    times the wait passes (nothing changes during a wait), retires it past
+    the largest grid time, and runs the events of the rest."""
+    times = np.asarray(grid, dtype=float)
+    t_max = float(times.max())
+    hist = np.zeros((times.size, 2), dtype=np.int64)
+    for first in range(0, replicas, BLOCK):
+        size = min(BLOCK, replicas - first)
+        block = make_block(size)
+        t = np.zeros(size)
+        seen = np.empty((size, times.size), dtype=np.int64)
+        live = np.arange(size)
+        while live.size:
+            t_next, fire = block.wait(live, t[live], rng)
+            r, j = np.nonzero((t[live, None] <= times) & (t_next[:, None] > times))
+            seen[live[r], j] = block.count[live[r]]
+            t[live] = t_next
+            keep = t_next <= t_max
+            block.event(live[keep & fire], rng)
+            live = live[keep]
+        top = int(seen.max()) + 1
+        if top > hist.shape[1]:
+            hist = np.pad(hist, ((0, 0), (0, top - hist.shape[1])))
+        for j in range(times.size):
+            hist[j, :top] += np.bincount(seen[:, j], minlength=top)
+    return hist
+
+
+def stit_cell_counts(
+    window: ConvexPolygon, measure: LineMeasureSpec, grid: Sequence[float], replicas: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Cell-count histograms of `replicas` STIT runs at each grid time."""
+    cells = Polys.of([window])
+    return _cell_counts(lambda size: _Stit(measure, cells, size), grid, replicas, rng)
+
+
+def mecke_cell_counts(
+    window: ConvexPolygon, measure: LineMeasureSpec, grid: Sequence[float], replicas: int,
+    rng: np.random.Generator, clock: Callable,
+) -> np.ndarray:
+    """Cell-count histograms of `replicas` runs of the Mecke stepper at each
+    grid time; the decision taken with n quasi-cells comes after an
+    Exp(clock(n)) wait (`clock` maps an array of counts to their rates)."""
+    cells = Polys.of([window])
+    return _cell_counts(lambda size: _Mecke(measure, cells, size, clock), grid, replicas, rng)

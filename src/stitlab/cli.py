@@ -8,6 +8,7 @@ flags and the seed (flag > config file > STITLAB_SEED > 0).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -20,7 +21,13 @@ import numpy as np
 from . import distributions as dist
 from .errors import ConfigError, DomainError, GeometryError, LCollision, StitlabError
 from .geometry import ConvexPolygon
-from .line_measure import DirectionMixture, IsotropicMeasure, LineMeasureSpec, measure_from_json
+from .line_measure import (
+    DirectionMixture,
+    IsotropicMeasure,
+    LineMeasureSpec,
+    hitting_measure,
+    measure_from_json,
+)
 from .processes import (
     LSequence,
     cowan_el_simulate,
@@ -29,7 +36,13 @@ from .processes import (
     stit_simulate,
 )
 from .render import render_svg
-from .stats import EquivalenceConfig, format_report_table, run_equivalence_suite, run_identity_suite
+from .stats import (
+    EquivalenceConfig,
+    format_pass_rates,
+    format_report_table,
+    run_equivalence_suite,
+    run_identity_suite,
+)
 from .trace_io import polygon_from_json, read_trace, write_reports, write_trace
 
 WINDOW_SHORTCUTS = {
@@ -122,11 +135,36 @@ def parse_int_grid(spec: str) -> list[int]:
 
 def resolve_seed(flag_value: int | None, config: dict) -> int:
     if flag_value is not None:
-        return flag_value
-    if "seed" in config:
-        return int(config["seed"])
-    env = os.environ.get("STITLAB_SEED")
-    return int(env) if env else 0
+        value = flag_value
+    elif "seed" in config:
+        value = config["seed"]
+    else:
+        value = os.environ.get("STITLAB_SEED") or 0
+    return _number("seed", value, int)
+
+
+def parse_seed_range(spec: str) -> list[int]:
+    """`--seeds A:B`: the seeds A..B inclusive, 0 <= A <= B."""
+    if spec.count(":") != 1:
+        raise ConfigError(f"--seeds must be A:B, got {spec!r}")
+    seeds = parse_int_grid(spec)
+    if seeds[0] < 0:
+        raise ConfigError(f"--seeds must be nonnegative, got {spec!r}")
+    return seeds
+
+
+def checked_measure(window: ConvexPolygon, spec: str) -> LineMeasureSpec:
+    """The measure of `spec`, refused when the window's hitting weight under
+    it leaves the normal float range (every clock and weight sequence is
+    built from that weight)."""
+    measure = parse_measure(spec)
+    weight = hitting_measure(measure, window)
+    if not sys.float_info.min <= weight < math.inf:
+        raise ConfigError(
+            f"measure {spec!r} gives the window a hitting weight of {weight!r}, "
+            "outside the normal float range"
+        )
+    return measure
 
 
 def load_config_file(path: str | None) -> dict:
@@ -189,7 +227,7 @@ class ExperimentConfig:
         if model is None:
             raise ConfigError("a model is required (--model or config)")
         window = parse_window(args.window or cfg.get("window", "unit-square"))
-        measure = parse_measure(args.measure or cfg.get("measure", "iso:1"))
+        measure = checked_measure(window, args.measure or cfg.get("measure", "iso:1"))
         t = args.t if args.t is not None else cfg.get("t")
         jumps = args.jumps if args.jumps is not None else cfg.get("jumps")
         decisions = args.decisions if args.decisions is not None else cfg.get("decisions")
@@ -257,12 +295,18 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = load_config_file(args.config)
-    seed = resolve_seed(args.seed, cfg)
+    if args.seeds is not None:
+        if args.seed is not None:
+            raise ConfigError("use --seed or --seeds, not both")
+        seeds = parse_seed_range(args.seeds)
+    else:
+        seeds = [resolve_seed(args.seed, cfg)]
+    note = ""
     if args.suite == "identities":
-        reports = run_identity_suite(seed=seed)
+        suite = lambda seed: run_identity_suite(seed=seed)
     elif args.suite == "equivalence":
         window = parse_window(args.window or cfg.get("window", "unit-square"))
-        measure = parse_measure(args.measure or cfg.get("measure", "iso:1"))
+        measure = checked_measure(window, args.measure or cfg.get("measure", "iso:1"))
         grid = _time_grid(args.t_grid, cfg)
         replicas = _number(
             "replicas", args.replicas if args.replicas is not None else cfg.get("replicas", 20_000),
@@ -277,13 +321,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
             conditional_replicas=replicas,
             cowan_replicas=max(replicas, 10_000),
             selection_events=max(replicas, 10_000),
-            seed=seed,
+            seed=seeds[0],
             mutation=mutation,
         )
-        reports = run_equivalence_suite(config)
+        suite = lambda seed: run_equivalence_suite(dataclasses.replace(config, seed=seed))
+        # see run_equivalence_suite
+        note = "  (nominal false-alarm rate per fresh seed: about 2-3 %)"
     else:
         raise ConfigError(f"unknown suite {args.suite!r}")
-    print(format_report_table(reports))
+    if args.seeds is None:
+        runs = [suite(seeds[0])]
+        print(format_report_table(runs[0]))
+    else:
+        runs = []
+        for seed in seeds:
+            runs.append(suite(seed))
+            failed = [r.check_name for r in runs[-1] if not r.passed]
+            print(f"seed {seed}: " + (f"FAIL ({', '.join(failed)})" if failed else "PASS"), flush=True)
+        print(format_pass_rates(runs, note))
+    reports = [r for run in runs for r in run]
     if args.out:
         write_reports(reports, args.out)
         print(f"wrote {args.out}")
@@ -392,6 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run a verification suite")
     ver.add_argument("--suite", choices=["identities", "equivalence"], required=True)
     ver.add_argument("--seed", type=int)
+    ver.add_argument("--seeds", help="run at each seed of A:B (inclusive) and report pass rates")
     ver.add_argument("--window")
     ver.add_argument("--measure")
     ver.add_argument("--t-grid", dest="t_grid", help="e.g. 0.2,0.5,1.0")

@@ -4,8 +4,10 @@ The harness turns the distributional claims about the processes into
 executable checks: conditional jump-count laws on frozen weight sequences,
 unconditional cell-count comparison of the two continuous models, the
 geometric law of the equally-likely clock, the deterministic tail-vs-CDF
-identity, and the selection probabilities of the discrete process.  Checks
-are seeded per replica so every report is reproducible from (seed, config).
+identity, and the selection probabilities of the discrete process.  Each
+check draws from its own child stream of the seed, so every report is
+reproducible from (seed, config).  The unconditional check runs its
+replicas of both processes on the batched geometry of `stitlab.batch`.
 
 Negative controls are built in: a mutated clock (`poisson-clock` or
 `wrong-rate`) must make the stochastic checks fail, so the harness cannot
@@ -21,6 +23,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 from scipy import special
 
+from . import batch
 from .distributions import (
     TruncationPolicy,
     cowan_sum_cdf,
@@ -37,17 +40,7 @@ from .distributions import (
 from .errors import DegenerateBins, DomainError, LCollision, StitlabError, TooFewSamples
 from .geometry import ConvexPolygon
 from .line_measure import LineMeasureSpec, hitting_measure
-from .processes import (
-    LSequence,
-    _equally_likely,
-    _grow,
-    _uniform_slot,
-    final_state,
-    l_sequence,
-    mecke_discrete_simulate,
-    mecke_discrete_step,
-    stit_simulate,
-)
+from .processes import LSequence, final_state, l_sequence, mecke_discrete_simulate
 
 MUTATIONS = (None, "poisson-clock", "wrong-rate")
 WRONG_RATE_FACTOR = 1.2
@@ -108,6 +101,20 @@ def format_report_table(reports: Sequence[VerificationReport]) -> str:
             f"{r.check_name:<28} {r.statistic:>12.4g} {p_txt:>10} {r.tolerance:>9.3g}"
             f" {r.sample_size:>8d}  {'PASS' if r.passed else 'FAIL'}"
         )
+    return "\n".join(lines)
+
+
+def format_pass_rates(runs: Sequence[Sequence[VerificationReport]], note: str = "") -> str:
+    """Pass count and rate of each check, and of the whole suite, over runs of
+    a suite at several seeds; `note` follows the whole-suite row."""
+    names = list(dict.fromkeys(r.check_name for run in runs for r in run))
+    rows = [(name, sum(all(r.passed for r in run if r.check_name == name) for run in runs))
+            for name in names]
+    rows.append(("whole suite", sum(all(r.passed for r in run) for run in runs)))
+    lines = [f"{'check':<28} {'passed':>9} {'rate':>7}"]
+    for name, passed in rows:
+        lines.append(f"{name:<28} {f'{passed}/{len(runs)}':>9} {passed / len(runs):>7.1%}")
+    lines[-1] += note
     return "\n".join(lines)
 
 
@@ -416,51 +423,46 @@ def _check_conditional(config: EquivalenceConfig) -> VerificationReport:
     return _p_report("conditional-jump-counts", worst_p, n_total, config.seed)
 
 
-def _mecke_jump_times(
-    config: EquivalenceConfig, t_max: float, rng: np.random.Generator
-) -> list[float]:
-    """Jump times of the composed Mecke process up to `t_max`: the Mecke
-    selector driven by the equally-likely clock, or by a deliberately wrong
-    clock under a mutation."""
+def _mecke_clock(config: EquivalenceConfig) -> Callable:
+    """Rate of the decision taken with n quasi-cells: the equally-likely clock,
+    or a deliberately wrong clock under a mutation."""
     rate = hitting_measure(config.measure, config.window)
-    clock = {
-        None: _equally_likely(config.measure, config.window),
-        "poisson-clock": lambda slots: rate,  # arrivals ignore how many quasi-cells exist
-        "wrong-rate": lambda slots: len(slots) * rate * WRONG_RATE_FACTOR,
+    return {
+        None: lambda n: n * rate,
+        "poisson-clock": lambda n: rate,  # arrivals ignore how many quasi-cells exist
+        "wrong-rate": lambda n: n * rate * WRONG_RATE_FACTOR,
     }[config.mutation]
-    pick = _uniform_slot(config.measure, config.window)
-    return [e.time for e in _grow([config.window], pick, clock, rng, max_time=t_max) if e.jump]
 
 
-def _counts_at_grid(times: Sequence[float], grid: Sequence[float]) -> list[int]:
-    return [1 + sum(1 for x in times if x <= t) for t in grid]
+def _moments(hist: np.ndarray) -> tuple[float, float, int]:
+    """Mean, variance (ddof 1) and size of a cell-count histogram (size >= 2)."""
+    values = np.arange(hist.size)
+    size = int(hist.sum())
+    mean = float(values @ hist) / size
+    return mean, float(((values - mean) ** 2) @ hist) / (size - 1), size
 
 
 def _check_unconditional(config: EquivalenceConfig) -> VerificationReport:
     grid = config.time_grid
-    t_max = max(grid)
-    n_grid = len(grid)
-    stit_cc = np.empty((config.replicas, n_grid), dtype=np.int64)
-    mecke_cc = np.empty((config.replicas, n_grid), dtype=np.int64)
-    for r in range(config.replicas):
-        rng = _rng(config.seed, 3, r)
-        trace = stit_simulate(config.window, config.measure, rng, max_time=t_max)
-        stit_cc[r] = _counts_at_grid([e.time for e in trace.events], grid)
-        mecke_cc[r] = _counts_at_grid(_mecke_jump_times(config, t_max, rng), grid)
+    rng = _rng(config.seed, 3)
+    stit = batch.stit_cell_counts(config.window, config.measure, grid, config.replicas, rng)
+    mecke = batch.mecke_cell_counts(
+        config.window, config.measure, grid, config.replicas, rng, _mecke_clock(config)
+    )
     worst_p = 1.0
     worst_z = 0.0
-    for j, t in enumerate(grid):
-        a, b = stit_cc[:, j], mecke_cc[:, j]
-        ca, cb = counts_from_values(a), counts_from_values(b)
+    for a, b in zip(stit, mecke):
+        ca, cb = ({k: int(c) for k, c in enumerate(h) if c} for h in (a, b))
         if ca == cb and len(ca) == 1:
             continue  # e.g. t = 0: every replica still shows the bare window
-        _, p = two_sample_chi_square(ca, cb)
+        _, p = two_sample_chi_square(ca, cb)  # DegenerateBins below ten replicas
         worst_p = min(worst_p, p)
-        spread = math.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
+        (mean_a, var_a, n_a), (mean_b, var_b, n_b) = _moments(a), _moments(b)
+        spread = math.sqrt(var_a / n_a + var_b / n_b)
         if spread > 0.0:
-            worst_z = max(worst_z, abs(float(a.mean() - b.mean())) / spread)
+            worst_z = max(worst_z, abs(mean_a - mean_b) / spread)
     return _p_report(
-        "unconditional-cell-counts", worst_p, 2 * config.replicas * n_grid, config.seed,
+        "unconditional-cell-counts", worst_p, 2 * config.replicas * len(grid), config.seed,
         passed=worst_z <= 3.0, note=f"max mean z-score {worst_z:.2f} (limit 3)",
     )
 
@@ -515,27 +517,31 @@ def _check_identity(config: EquivalenceConfig) -> VerificationReport:
 
 
 def _check_selection(config: EquivalenceConfig) -> VerificationReport:
+    """From a frozen two-jump state with n quasi-cells, decisions (a uniform
+    slot out of n, one window line) are drawn in bulk rounds until
+    `selection_events` of them hit: the slot holds a cell and the line's offset
+    lies strictly inside that cell's support interval at the line's theta."""
     rng = _rng(config.seed, 6)
     trace = mecke_discrete_simulate(config.window, config.measure, rng, max_jumps=2)
-    state = final_state(trace)
-    cells = [(i, c) for i, c in enumerate(state.quasi_cells) if c is not None]
-    weights = [hitting_measure(config.measure, c) for _, c in cells]
-    total_w = sum(weights)
-    hits = {i: 0 for i, _ in cells}
-    n_events = 0
-    while n_events < config.selection_events:
-        _, event = mecke_discrete_step(state, config.measure, config.window, rng)
-        if event.jump:
-            hits[event.cell_index] += 1
-            n_events += 1
-    worst_z = 0.0
-    for (idx, _), w in zip(cells, weights):
-        p = w / total_w
-        sigma = math.sqrt(config.selection_events * p * (1.0 - p))
-        worst_z = max(worst_z, abs(hits[idx] - config.selection_events * p) / sigma)
-    return _residual_report(
-        "selection-probabilities", worst_z, 3.0, config.selection_events, config.seed
-    )
+    slots = final_state(trace).quasi_cells
+    full = [i for i, c in enumerate(slots) if c is not None]
+    cell_of_slot = np.full(len(slots), -1)
+    cell_of_slot[full] = np.arange(len(full))
+    cells = batch.Polys.of([slots[i] for i in full])
+    weights = np.array([hitting_measure(config.measure, slots[i]) for i in full])
+    windows = batch.Polys.of([config.window]).take(np.zeros(batch.BLOCK, dtype=np.int64))
+    hits = np.zeros(len(full), dtype=np.int64)
+    while hits.sum() < config.selection_events:
+        picked = cell_of_slot[rng.integers(0, len(slots), size=batch.BLOCK)]
+        picked = picked[picked >= 0]
+        theta, offset = batch.sample_lines(config.measure, windows.take(slice(picked.size)), rng)
+        lo, hi = batch.support_intervals(cells.verts[picked], theta)
+        hit = picked[(lo < offset) & (offset < hi)]
+        hits += np.bincount(hit[: config.selection_events - hits.sum()], minlength=len(full))
+    p = weights / weights.sum()
+    n = config.selection_events
+    worst_z = float(np.max(np.abs(hits - n * p) / np.sqrt(n * p * (1.0 - p))))
+    return _residual_report("selection-probabilities", worst_z, 3.0, n, config.seed)
 
 
 def _spaced_nodes(rng: np.random.Generator, count: int, lo: float = 1.0) -> np.ndarray:

@@ -241,6 +241,22 @@ class TestVerify:
         assert run(args + ["--out", str(b)]) == 0
         assert a.read_text() == b.read_text()
 
+    def test_seed_range_reports_pass_rates(self, tmp_path, capsys):
+        out = tmp_path / "eq.json"
+        code = run(["verify", "--suite", "equivalence", "--seeds", "4:6",
+                    "--replicas", "300", "--t-grid", "0.4", "--out", str(out)])
+        text = capsys.readouterr().out
+        assert code == 0
+        assert "seed 4: PASS" in text and "seed 6: PASS" in text
+        assert "unconditional-cell-counts          3/3  100.0%" in text
+        assert "whole suite" in text and "nominal false-alarm rate" in text
+        assert sorted({r["seed"] for r in json.loads(out.read_text())}) == [4, 5, 6]
+
+    def test_seed_range_with_a_failure_exits_1(self):
+        code = run(["verify", "--suite", "equivalence", "--seeds", "7:8",
+                    "--replicas", "800", "--t-grid", "0.8", "--mutate", "poisson-clock"])
+        assert code == 1
+
     def test_mutation_exits_1(self, tmp_path):
         code = run(["verify", "--suite", "equivalence", "--seed", "7",
                     "--replicas", "800", "--t-grid", "0.8",
@@ -286,6 +302,18 @@ class TestUsageErrors:
             ["verify", "--suite", "equivalence", "--replicas", "0", "--t-grid", "0.2"],
             ["verify", "--suite", "equivalence", "--replicas", "5", "--t-grid", "0"],
             ["verify", "--suite", "equivalence", "--replicas", "5", "--t-grid", "0.2,inf"],
+            ["simulate", "--model", "mecke-discrete", "--jumps", "3", "--measure", "iso:1e308",
+             "--seed", "0"],
+            ["simulate", "--model", "mecke-discrete", "--jumps", "3", "--measure", "iso:1e-320",
+             "--seed", "0"],
+            ["simulate", "--model", "stit", "--jumps", "3", "--seed", "-1"],
+            ["verify", "--suite", "identities", "--seed", "-1"],
+            ["verify", "--suite", "equivalence", "--measure", "iso:1e308", "--t-grid", "0.2"],
+            ["verify", "--suite", "equivalence", "--seeds", "3"],
+            ["verify", "--suite", "equivalence", "--seeds", "a:b"],
+            ["verify", "--suite", "equivalence", "--seeds", "5:2"],
+            ["verify", "--suite", "equivalence", "--seeds=-1:2"],
+            ["verify", "--suite", "equivalence", "--seeds", "0:1", "--seed", "3"],
         ],
         ids=" ".join,
     )

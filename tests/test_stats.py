@@ -188,12 +188,14 @@ class TestReports:
         assert "demo" in table and "PASS" in table
 
 
-# SHA-256 of the JSON of a run's reports, recorded before the checks shared
-# their report builders; the same under OPENBLAS_NUM_THREADS=1 and =2.
+# SHA-256 of the JSON of a run's reports, recorded when the unconditional and
+# the selection checks moved to batched draws (the other three reports kept
+# their earlier values field for field); the same under
+# OPENBLAS_NUM_THREADS=1 and =2.
 GOLDEN_SUITE_DIGESTS = {
-    None: "dafc509bcc5c0ffc4525ad38f0dd66f5e302ee265abb4d9828cdb14e754c5029",
-    "poisson-clock": "ede310c4acc5ca46381a6836f890793e3f772e6b58a4126b643ae0f3708a7446",
-    "wrong-rate": "378bf86f6334081122aa4f7664164e035e8e99c9b679c7964f266e575d2a6301",
+    None: "1c28902fe7b61593a7de45e669a019fa73028f83372a9b1c4e5b57f646572e44",
+    "poisson-clock": "36a289365b7f8f36a54b2f4be7d19eacb131286b35192c433bf2e4807d93da76",
+    "wrong-rate": "3def8fd717e5bb6eaf3d4abd8bc7900f7fe390e4c741eb56a00b2d675e1b5092",
 }
 GOLDEN_IDENTITY_DIGEST = "800e096054eb324373fdcee176be091cb8ad55785bf882fc9d30e93735bd54e8"
 
@@ -241,6 +243,15 @@ class TestEquivalenceSuite:
         )
         reports = run_equivalence_suite(config)
         assert all(r.passed for r in reports), format_report_table(reports)
+
+    @pytest.mark.parametrize("replicas", [0, 1])
+    def test_too_few_replicas_are_reported(self, small_config, replicas):
+        import dataclasses
+
+        config = dataclasses.replace(small_config, replicas=replicas, time_grid=(0.8,))
+        by_name = {r.check_name: r for r in run_equivalence_suite(config)}
+        assert not by_name["unconditional"].passed
+        assert by_name["unconditional"].note.startswith("DegenerateBins")
 
     @pytest.mark.parametrize("mutation", ["poisson-clock", "wrong-rate"])
     def test_mutations_fail(self, small_config, mutation):
