@@ -282,6 +282,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ConfigError(str(exc)) from exc
     write_trace(trace, config.out)
     print(f"wrote {len(trace.events)} events ({trace.jump_count} jumps) to {config.out}")
+    if trace.jump_count == 0 and config.t is not None and config.jumps != 0:
+        # every model's first event is a jump of the whole window, at rate W(window)
+        chance = -math.expm1(-config.t * hitting_measure(config.measure, config.window))
+        print(
+            f"warning: no jump by t={config.t!r}; the chance of a first jump by then "
+            f"is {chance:.3g}",
+            file=sys.stderr,
+        )
     return 0
 
 

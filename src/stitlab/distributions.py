@@ -63,6 +63,15 @@ def _node_gaps(vals: np.ndarray) -> np.ndarray:
     return np.prod(diff, axis=1)
 
 
+def _times(t) -> np.ndarray:
+    """`t` (a scalar or an array) as a float array; a negative or NaN time
+    is outside every law's domain."""
+    t_arr = np.asarray(t, dtype=float)
+    if not np.all(t_arr >= 0.0):
+        raise DomainError(f"t must be nonnegative and not NaN, got {t!r}")
+    return t_arr
+
+
 def _check_condition(condition: float) -> None:
     if condition > CONDITION_LIMIT:
         raise IllConditioned(
@@ -87,9 +96,7 @@ def _jump_time_sum(lseq: LSequence, n: int, t, density: bool):
     math.fsum, an array `t` by a matrix product."""
     coef = _stit_coefficients(lseq, n)
     vals = np.asarray(lseq.values[:n], dtype=float)
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0):
-        raise DomainError("t must be nonnegative")
+    t_arr = _times(t)
     sign = -1.0 if n % 2 else 1.0
     if density:  # d/dt multiplies each term by -rate * v_i
         sign, coef = -sign, lseq.rate * vals * coef
@@ -132,33 +139,49 @@ def _product_chunks(
     term: np.ndarray, vals: np.ndarray, m0: int, count: int | None, reduce: Callable | None = None
 ) -> Iterator[np.ndarray]:
     """Yield the rows term(m) = term(m-1) * (m-1-v)/m for m = m0, m0+1, ...,
-    one column per value v in `vals`, from term(m0) = `term`, in chunks of at
-    most _CHUNK rows: `count` rows in all, or without end when count is None.
+    one column per value v in `vals`, from term(m0) = `term`, in pieces:
+    `count` rows in all, or without end when count is None.
 
-    Chunks always end at m0 + j*_CHUNK - 1 and are built in whole blocks of
-    _ROW_BLOCK rows, then cut to the count: a matrix product rounds its last
-    rows differently when their number is not a whole number of the BLAS
-    kernel's blocks.  So no value depends on how many were asked for, and a
-    short request builds one short chunk.  Each chunk is passed through
-    `reduce` when one is given.
+    The rows fall into fixed windows of _CHUNK rows from m0 + j*_CHUNK: a
+    window's rows are its first row times the running product of the ratios
+    since it.  With a count, each piece is the rest of a window.  Without
+    one, a piece has as many rows as were built before it (at least
+    _ROW_BLOCK), so the first window grows 64, 64, 128, ... rows at a time and
+    later ones come whole; a piece picks up the window's running product
+    where the last one left it, so every row is bit-identical to a one-piece
+    build.  Pieces are built in whole blocks of _ROW_BLOCK rows, then cut to
+    the count: a matrix product rounds its last rows differently when their
+    number is not a whole number of the BLAS kernel's blocks.  So no value
+    depends on how many were asked for.  The product runs in place over
+    contiguous memory, in a (columns, rows) array; each piece is then copied
+    out as (rows, columns) and passed through `reduce` when one is given.
     """
-    while count is None or count > 0:
-        size = _CHUNK if count is None else min(count, _CHUNK)
+    col = vals[:, None]
+    done = 0
+    while count is None or done < count:
+        at = done % _CHUNK
+        size = min(_CHUNK - at, max(_ROW_BLOCK, done) if count is None else count - done)
         built = -(-size // _ROW_BLOCK) * _ROW_BLOCK
-        ms = np.arange(m0 + 1, m0 + built, dtype=float)
-        ratios = (ms[:, None] - 1.0 - vals) / ms[:, None]
-        rows = np.empty((built, vals.size))
-        rows[0] = term
-        np.cumprod(ratios, axis=0, out=ratios)
-        rows[1:] = term * ratios
-        m_last = float(m0 + size - 1)
-        term = rows[size - 1] * ((m_last - vals) / (m_last + 1.0))
+        ms = np.arange(m0 + done - 1, m0 + done - 1 + built, dtype=float)  # m - 1
+        prod = ms - col
+        ms += 1.0
+        prod /= ms
+        if at == 0:  # the window's first row is its seed
+            prod[:, 0] = 1.0
+        else:
+            prod[:, 0] *= carry
+        np.cumprod(prod, axis=1, out=prod)
+        carry = prod[:, size - 1].copy()
+        prod *= term[:, None]
+        rows = np.ascontiguousarray(prod.T)
+        done += size
+        if done % _CHUNK == 0:  # seed of the next window
+            m_last = float(m0 + done - 1)
+            term = rows[size - 1] * ((m_last - vals) / (m_last + 1.0))
         out = (rows if reduce is None else reduce(rows))[:size]
-        m0 += size
-        count = None if count is None else count - size
-        # the prefix cache keeps a suspended generator between chunks: hold
-        # on to nothing the next chunk does not need
-        del ms, ratios, rows
+        # the prefix cache keeps a suspended generator between pieces: hold
+        # on to nothing the next piece does not need
+        del ms, prod, rows
         yield out
 
 
@@ -315,42 +338,85 @@ def discrete_jump_pmf_mass(
     return _mass(_jump_pmf_chunks(lseq, ell, n_last - ell + 1), stop_mass)
 
 
+class _PmfPrefix:
+    """The endless pmf stream of one (weight values, ell) as far as it has
+    been built, in the generator's windows of _CHUNK values, and the
+    cumulative mass at the end of each whole window: the mass before the
+    window plus the window's running sum, which is carried from piece to
+    piece, so no value depends on how the stream was grown."""
+
+    def __init__(self, pieces: Iterator[np.ndarray]) -> None:
+        self.pieces = pieces
+        self.pmf: list[np.ndarray] = []
+        self.mass: list[float] = []  # one per whole window
+        self.rows = 0
+        self.run = 0.0  # running sum of the window being grown
+
+    @property
+    def floats(self) -> int:
+        return self.rows + len(self.mass)
+
+    def grow(self, rows: int) -> int:
+        """Build at least `rows` values; returns the floats this added."""
+        before = self.floats
+        while self.rows < rows:
+            pmf = next(self.pieces)
+            run = pmf.copy()
+            run[0] += self.run
+            self.run = float(np.cumsum(run, out=run)[-1])
+            if self.rows % _CHUNK:  # the last window is still growing
+                self.pmf[-1] = np.concatenate((self.pmf[-1], pmf))
+            else:
+                self.pmf.append(pmf)
+            self.rows += pmf.size
+            if self.rows % _CHUNK == 0:
+                self.mass.append((self.mass[-1] if self.mass else 0.0) + self.run)
+                self.run = 0.0
+        return self.floats - before
+
+
+class _PrefixCache(OrderedDict):
+    """Least-recently-used memo of _PmfPrefix entries, with a running count
+    of the floats they hold."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.floats = 0
+
+    def clear(self) -> None:
+        super().clear()
+        self.floats = 0
+
+
 # Memo of materialized pmf prefixes keyed by (weight values, ell).  The tail
 # evaluator is typically called for many horizons of one frozen sequence, and
 # the pmf stream is identical across those calls; only the geometric weights
-# change.  Results are bit-identical with or without a cache hit.
-_PMF_PREFIX_CACHE: OrderedDict[tuple, dict] = OrderedDict()
+# change.  Results are bit-identical with or without a cache hit.  Past the
+# budget of floats held (pmf and window masses), the least recently used
+# entries go.
+_PMF_PREFIX_CACHE = _PrefixCache()
 _PMF_PREFIX_CACHE_LOCK = threading.Lock()
 _PMF_PREFIX_CACHE_MAX_FLOATS = 12_000_000
 
 
-def _jump_pmf_prefix(lseq: LSequence, ell: int, n_hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """(pmf, cumulative mass) arrays for n = ell..(at least n_hi), memoized."""
+def _jump_pmf_window(
+    lseq: LSequence, ell: int, n0: int, n_hi: int
+) -> tuple[np.ndarray, float | None]:
+    """The pmf of the window of the pmf stream that starts at decision
+    n0 = ell + j*_CHUNK, built at least to n_hi, and the cumulative mass
+    through its end (None while the window is not whole); memoized."""
     key = (lseq.values, ell)
+    cache = _PMF_PREFIX_CACHE
     with _PMF_PREFIX_CACHE_LOCK:
-        entry = _PMF_PREFIX_CACHE.get(key)
+        entry = cache.get(key)
         if entry is None:  # a refusal raises here, before the entry exists
-            chunks = _jump_pmf_chunks(lseq, ell)
-            entry = {"chunks": chunks, "next_n": ell, "pmf": [], "mass": [], "total_mass": 0.0}
-            _PMF_PREFIX_CACHE[key] = entry
-        _PMF_PREFIX_CACHE.move_to_end(key)
-        while entry["next_n"] <= n_hi:
-            pmf = next(entry["chunks"])
-            mass = entry["total_mass"] + np.cumsum(pmf)
-            entry["pmf"].append(pmf)
-            entry["mass"].append(mass)
-            entry["total_mass"] = float(mass[-1])
-            entry["next_n"] += pmf.size
-        while (
-            len(_PMF_PREFIX_CACHE) > 1
-            and sum(e["next_n"] - _ell for (_, _ell), e in _PMF_PREFIX_CACHE.items())
-            > _PMF_PREFIX_CACHE_MAX_FLOATS
-        ):
-            _PMF_PREFIX_CACHE.popitem(last=False)
-        return (
-            np.concatenate(entry["pmf"]),
-            np.concatenate(entry["mass"]),
-        )
+            entry = cache[key] = _PmfPrefix(_jump_pmf_chunks(lseq, ell))
+        cache.move_to_end(key)
+        cache.floats += entry.grow(n_hi - ell + 1)
+        while len(cache) > 1 and cache.floats > _PMF_PREFIX_CACHE_MAX_FLOATS:
+            cache.floats -= cache.popitem(last=False)[1].floats
+        j = (n0 - ell) // _CHUNK
+        return entry.pmf[j], entry.mass[j] if j < len(entry.mass) else None
 
 
 def mecke_jump_tail(
@@ -363,10 +429,10 @@ def mecke_jump_tail(
     tail bound.  Two valid bounds are combined: the geometric envelope
     a^(N+1)/(1-a) and the sharper a^(N+1) * (1 - partial pmf mass); without
     the second, horizons with rate*t around 10 would need tens of millions
-    of terms.
+    of terms.  When a rounds to 1 (rate*t above about 37) neither bound can
+    close the series, and it raises TruncationFailure at once.
     """
-    if t < 0.0:
-        raise DomainError(f"t must be nonnegative, got {t!r}")
+    t = float(_times(t))
     if not 1 <= ell <= len(lseq):
         raise DomainError(f"ell={ell} outside 1..{len(lseq)}")
     policy = policy if policy is not None else TruncationPolicy()
@@ -375,30 +441,30 @@ def mecke_jump_tail(
         return 0.0
     if ell == 1:  # the first jump happens at the first decision, always
         return a
+    if a == 1.0:
+        raise TruncationFailure(
+            f"rate*t={lseq.rate * t!r}: 1 - exp(-rate*t) rounds to 1, so the series has no "
+            "geometric decay to truncate"
+        )
     log_a = math.log(a)
     # geometric envelope: a^(N+1)/(1-a) < tail_bound
     n_geo = math.ceil((math.log(policy.tail_bound) + math.log1p(-a)) / log_a) - 1
     if n_geo < ell:  # the whole series is already below the tail bound
         return 0.0
     total = 0.0
-    used = 0
     n0 = ell
-    pmf = mass = None
-    while True:
-        if pmf is None or n0 - ell >= pmf.size:
-            hi = min(n0 + _CHUNK - 1, max(n_geo, n0))
-            pmf, mass = _jump_pmf_prefix(lseq, ell, hi)
-        n1 = min(n0 + _CHUNK, n_geo + 1, ell + pmf.size)
-        sl = slice(n0 - ell, n1 - ell)
+    while True:  # one window of the pmf stream at a time
+        n1 = min(n0 + _CHUNK, n_geo + 1)
+        pmf, mass = _jump_pmf_window(lseq, ell, n0, n1 - 1)
         ns = np.arange(n0, n1, dtype=float)
         # einsum, not a BLAS dot, so the sum does not depend on the thread count
-        total += float(np.einsum("i,i->", np.exp(log_a * ns), pmf[sl]))
-        used += n1 - n0
+        total += float(np.einsum("i,i->", np.exp(log_a * ns), pmf[: n1 - n0]))
         if n1 > n_geo:
             break
-        if math.exp(log_a * n1) * max(0.0, 1.0 - float(mass[n1 - 1 - ell])) < policy.tail_bound:
+        # the window is whole: mass is the pmf's mass through n1 - 1
+        if math.exp(log_a * n1) * max(0.0, 1.0 - mass) < policy.tail_bound:
             break
-        if used >= policy.max_terms:
+        if n1 - ell >= policy.max_terms:
             raise TruncationFailure(
                 f"needed more than max_terms={policy.max_terms} terms for t={t!r}"
             )
@@ -414,8 +480,7 @@ def nu_pmf(rate: float, t: float, k) -> float | np.ndarray:
     """P(number of decisions by time t = k): geometric with parameter e^(-rate*t)."""
     if not rate > 0.0:
         raise DomainError(f"rate must be positive, got {rate!r}")
-    if t < 0.0:
-        raise DomainError(f"t must be nonnegative, got {t!r}")
+    t = float(_times(t))
     k_arr = np.asarray(k)
     if np.any(k_arr < 0):
         raise DomainError("k must be nonnegative")
@@ -431,9 +496,7 @@ def cowan_sum_cdf(rate: float, n: int, t) -> float | np.ndarray:
         raise DomainError(f"rate must be positive, got {rate!r}")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0):
-        raise DomainError("t must be nonnegative")
+    t_arr = _times(t)
     out = np.power(-np.expm1(-rate * t_arr), n)
     return float(out) if out.ndim == 0 else out
 

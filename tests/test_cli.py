@@ -122,6 +122,23 @@ class TestSimulate:
         code = run(["simulate", "--model", "stit", "--out", str(tmp_path / "x.jsonl")])
         assert code == 2
 
+    @pytest.mark.parametrize("model", ["stit", "mecke-continuous", "cowan-el"])
+    def test_run_without_a_jump_warns(self, tmp_path, capsys, model):
+        out = tmp_path / "t.jsonl"
+        code = run(["simulate", "--model", model, "--measure", "iso:1e-300", "--t", "1",
+                    "--out", str(out)])
+        assert code == 0
+        assert read_trace(out).jump_count == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("warning: no jump by t=1.0")
+        # t * W(unit square) = 4e-300: the chance of a first jump by t
+        assert err[0].endswith("is 4e-300")
+
+    def test_run_with_a_jump_does_not_warn(self, tmp_path, capsys):
+        code = run(["simulate", "--model", "stit", "--t", "1", "--out", str(tmp_path / "t.jsonl")])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestRender:
     def _simulate(self, tmp_path, jumps, seed=7):
@@ -339,6 +356,10 @@ class TestUsageErrors:
         values = ",".join(str(1.0 + 0.5 * i) for i in range(17))
         assert run(["table", "stit-cdf", "--L", values, "--t", "1"]) == 3
         assert capsys.readouterr().err.startswith("runtime error: ")
+        # rate * t = 40: 1 - exp(-rate * t) rounds to 1, and the tail series cannot close
+        assert run(["table", "mecke-tail", "--L", "1,1.5,2.2", "--ell", "2", "--t", "40"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("runtime error: ")
 
     def test_unknown_model(self, tmp_path):
         assert run(["simulate", "--model", "nope", "--jumps", "1",

@@ -276,6 +276,67 @@ class TestMeckeJumpTail:
         with pytest.raises(DomainError):
             TruncationPolicy(max_terms=5)
 
+    def test_geometric_weight_of_one_refuses_at_once(self):
+        from stitlab.distributions import _PMF_PREFIX_CACHE
+
+        # rate * t = 40: 1 - exp(-40) rounds to 1, and no bound can close the series
+        lseq = LSequence((1.0, 1.5, 2.2), rate=4.0)
+        _PMF_PREFIX_CACHE.clear()
+        with pytest.raises(TruncationFailure, match="rounds to 1"):
+            mecke_jump_tail(lseq, 2, 10.0)
+        assert not _PMF_PREFIX_CACHE
+        assert mecke_jump_tail(lseq, 1, 10.0) == 1.0  # no series behind the first jump
+
+
+class TestPmfPrefixCache:
+    """The tail's memo of the endless pmf stream: windows of _CHUNK values,
+    the first grown in pieces, each value as a one-piece build gives it."""
+
+    def test_cold_short_horizon_builds_a_short_prefix(self):
+        from stitlab.distributions import _PMF_PREFIX_CACHE
+
+        _PMF_PREFIX_CACHE.clear()
+        mecke_jump_tail(L_THREE, 3, 1.0)  # rate * t = 1
+        assert _PMF_PREFIX_CACHE[(L_THREE.values, 3)].rows <= 2048
+
+    def test_values_do_not_depend_on_the_growth_history(self):
+        from stitlab.distributions import _CHUNK, _PMF_PREFIX_CACHE
+
+        lseq, ell = LSequence((1.0, 1.45, 2.05, 2.6), rate=1.0), 4
+        _PMF_PREFIX_CACHE.clear()
+        for h in (0.5, 1.0, 3.0, 5.0, 2.0, 8.0, 11.0):
+            mecke_jump_tail(lseq, ell, h)
+        entry = _PMF_PREFIX_CACHE[(lseq.values, ell)]
+        assert entry.rows > 70_001 > _CHUNK
+        cached = np.concatenate(entry.pmf)[:70_001]
+        assert cached.tobytes() == discrete_jump_pmf_sequence(lseq, ell, ell + 70_000).tobytes()
+        # each whole window's end mass: the mass before it plus its own running sum
+        assert len(entry.mass) == entry.rows // _CHUNK
+        base = 0.0
+        for pmf, mass in zip(entry.pmf, entry.mass):
+            assert mass == base + np.cumsum(pmf)[-1]
+            base = mass
+
+    def test_budget_counts_what_entries_hold(self, monkeypatch):
+        from stitlab import distributions
+        from stitlab.distributions import _PMF_PREFIX_CACHE
+
+        budget = 3_000_000
+        monkeypatch.setattr(distributions, "_PMF_PREFIX_CACHE_MAX_FLOATS", budget)
+        _PMF_PREFIX_CACHE.clear()
+        calls = 8
+        for i in range(calls):  # each a far horizon: about a million values
+            lseq = LSequence((1.0, 1.3 + 0.05 * i, 2.1), rate=1.0)
+            mecke_jump_tail(lseq, 3, 12.0)
+            entries = list(_PMF_PREFIX_CACHE.values())
+            held = sum(e.floats for e in entries)
+            assert all(e.floats == sum(map(len, e.pmf)) + len(e.mass) for e in entries)
+            assert _PMF_PREFIX_CACHE.floats == held
+            assert held <= budget or len(entries) == 1
+        assert len(_PMF_PREFIX_CACHE) < calls  # the budget did evict
+        _PMF_PREFIX_CACHE.clear()
+        assert _PMF_PREFIX_CACHE.floats == 0
+
 
 class TestHighPrecisionOracles:
     """Cross-check the product-form evaluators against 50-digit arithmetic.
@@ -377,6 +438,25 @@ class TestCountingLaws:
             nu_pmf(1.0, -1.0, 0)
         with pytest.raises(DomainError):
             cowan_sum_cdf(1.0, 0, 1.0)
+
+
+@pytest.mark.parametrize("t", [math.nan, np.array([0.5, math.nan])])
+def test_nan_time_is_a_domain_error(t):
+    for call in (
+        lambda: stit_jump_cdf(L_THREE, 2, t),
+        lambda: stit_jump_pdf(L_THREE, 2, t),
+        lambda: cowan_sum_cdf(1.0, 2, t),
+    ):
+        with pytest.raises(DomainError, match="not NaN"):
+            call()
+    if np.ndim(t) == 0:  # the scalar-time laws
+        for call in (
+            lambda: nu_pmf(1.0, t, 2),
+            lambda: mecke_jump_tail(L_THREE, 1, t),
+            lambda: mecke_jump_tail(L_THREE, 2, t),
+        ):
+            with pytest.raises(DomainError, match="not NaN"):
+                call()
 
 
 # Golden values recorded before the discrete laws were rewritten onto one
