@@ -383,15 +383,15 @@ def _table_rows(args: argparse.Namespace) -> tuple[list[str], list[list[float]]]
         else:
             k = 1 if args.n == 1 else max(2, math.ceil(l_k))
         grid = parse_int_grid(args.l or "1:10")
-        return ["wait", "pmf"], [
-            [w, dist.discrete_waiting_pmf(args.n, k, l_k, w)] for w in grid
-        ]
+        pmf = dist.discrete_waiting_pmf(args.n, k, l_k, grid)
+        return ["wait", "pmf"], [[w, p] for w, p in zip(grid, pmf)]
     if name == "jump-pmf":
         if not args.L or args.ell is None:
             raise ConfigError("jump-pmf needs --L and --ell")
         lseq = _weight_sequence(args)
         grid = parse_int_grid(args.n_grid or f"{args.ell}:{args.ell + 10}")
-        return ["n", "pmf"], [[n, dist.discrete_jump_pmf(lseq, args.ell, n)] for n in grid]
+        pmf = dist.discrete_jump_pmf(lseq, args.ell, grid)
+        return ["n", "pmf"], [[n, p] for n, p in zip(grid, pmf)]
     if name == "cowan-pmf":
         if args.t is None:
             raise ConfigError("cowan-pmf needs --t")

@@ -7,12 +7,14 @@ Conventions used throughout:
 * Every gamma-function ratio whose arguments may be negative is expanded as
   a finite product of (m - value) factors; the gamma function itself is
   never evaluated.
-* Alternating sums use fully compensated summation (math.fsum) on the
-  scalar paths and pairwise summation (numpy) on the vector paths.  Their
-  conditioning is measured on the probability scale: the sum of term
-  magnitudes bounds the absolute rounding error via the machine epsilon,
-  and evaluation refuses to proceed (IllConditioned) once that bound can
-  exceed ~1e-8.
+* The continuous law's alternating sum uses fully compensated summation
+  (math.fsum) at a scalar time and a matrix product at an array of times.
+  Each discrete law is one pmf stream, the product recurrence reduced by a
+  matrix product with round-off negatives clipped to 0; point values,
+  sequences, masses and the jump tail all read it.  Conditioning is
+  measured on the probability scale: the sum of term magnitudes bounds the
+  absolute rounding error via the machine epsilon, and evaluation refuses
+  to proceed (IllConditioned) once that bound can exceed ~1e-8.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ class TruncationPolicy:
     """Stopping rule for infinite series: absolute tail bound + term budget."""
 
     tail_bound: float = 1e-10
-    max_terms: int = 10**6
+    max_terms: int = 10**7
 
     def __post_init__(self) -> None:
         if not 0.0 < self.tail_bound < 1e-6:
@@ -136,7 +138,7 @@ def _clamp(x, top: float = 1.0):
 
 
 def _product_chunks(
-    term: np.ndarray, vals: np.ndarray, m0: int, count: int | None, reduce: Callable | None = None
+    term: np.ndarray, vals: np.ndarray, m0: int, count: int | None, reduce: Callable
 ) -> Iterator[np.ndarray]:
     """Yield the rows term(m) = term(m-1) * (m-1-v)/m for m = m0, m0+1, ...,
     one column per value v in `vals`, from term(m0) = `term`, in pieces:
@@ -154,7 +156,8 @@ def _product_chunks(
     number is not a whole number of the BLAS kernel's blocks.  So no value
     depends on how many were asked for.  The product runs in place over
     contiguous memory, in a (columns, rows) array; each piece is then copied
-    out as (rows, columns) and passed through `reduce` when one is given.
+    out as (rows, columns) and passed through `reduce`, which makes it one
+    value per row; at most a window of rows is held at a time.
     """
     col = vals[:, None]
     done = 0
@@ -166,6 +169,7 @@ def _product_chunks(
         prod = ms - col
         ms += 1.0
         prod /= ms
+        del ms
         if at == 0:  # the window's first row is its seed
             prod[:, 0] = 1.0
         else:
@@ -174,14 +178,15 @@ def _product_chunks(
         carry = prod[:, size - 1].copy()
         prod *= term[:, None]
         rows = np.ascontiguousarray(prod.T)
+        del prod
         done += size
         if done % _CHUNK == 0:  # seed of the next window
             m_last = float(m0 + done - 1)
             term = rows[size - 1] * ((m_last - vals) / (m_last + 1.0))
-        out = (rows if reduce is None else reduce(rows))[:size]
+        out = reduce(rows)[:size]
         # the prefix cache keeps a suspended generator between pieces: hold
         # on to nothing the next piece does not need
-        del ms, prod, rows
+        del rows
         yield out
 
 
@@ -197,11 +202,31 @@ def _mass(chunks: Iterator[np.ndarray], stop_mass: float | None) -> float:
     return total
 
 
-def _last_row(chunks: Iterator[np.ndarray]) -> np.ndarray:
-    """The last entry (a value, or a row of terms) of the last chunk."""
-    for chunk in chunks:
-        pass
-    return chunk[-1]
+def _count(last: int, first: int, name: str) -> int:
+    """The number of stream values first..last; the range must not be empty."""
+    if last < first:
+        raise DomainError(f"{name}={last} must be >= {first}")
+    return last - first + 1
+
+
+def _values_at(chunks: Callable[[int], Iterator[np.ndarray]], x, first: int, name: str):
+    """The values of a pmf stream at the indices `x` (an int or a sequence of
+    ints, each >= first; the stream starts at index `first`): one pass over
+    the stream's first max(x) - first + 1 values, chunks(count), picking each
+    value out as its chunk passes.  A float for an int, else an array."""
+    at = np.asarray(x) - first
+    if at.size and at.min() < 0:
+        raise DomainError(f"{name}={first + int(at.min())} must be >= {first}")
+    order = np.argsort(at, axis=None)
+    want = at.ravel()[order]
+    out = np.empty(at.size)
+    i = lo = 0
+    for chunk in chunks(int(want[-1]) + 1 if at.size else 0):
+        hi = lo + chunk.size
+        j = int(np.searchsorted(want, hi))
+        out[order[i:j]] = chunk[want[i:j] - lo]
+        i, lo = j, hi
+    return float(out[0]) if at.ndim == 0 else out.reshape(at.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -211,49 +236,36 @@ def _last_row(chunks: Iterator[np.ndarray]) -> np.ndarray:
 def _check_waiting_args(n: int, k: int, l_k: float) -> None:
     if n < 1:
         raise DomainError(f"decision base n must be >= 1, got {n}")
-    if n == 1:
-        if k != 1:
-            raise DomainError("n=1 admits only k=1 (the bare window)")
-        if abs(l_k - 1.0) > 1e-12:
-            raise DomainError("the single-cell weight is exactly 1")
-        return
-    if not 2 <= k <= n:
-        raise DomainError(f"k={k} outside 2..n={n}")
-    if not 1.0 <= l_k <= k * (1.0 + 1e-12):
+    if not min(n, 2) <= k <= n:
+        raise DomainError(f"k={k} outside {min(n, 2)}..n={n}")
+    # the bare window's weight is exactly 1 (its pmf is then [1, 0, 0, ...])
+    if not 1.0 <= l_k <= (1.0 if k == 1 else k * (1.0 + 1e-12)):
         raise DomainError(f"l_k={l_k!r} outside [1, k={k}]")
 
 
 def _waiting_chunks(n: int, l_k: float, count: int) -> Iterator[np.ndarray]:
-    """pmf chunks over waits 1..count, n >= 2: the pmf at wait w is the
-    product recurrence at m = n + w - 1 with the one value l_k, from l_k/n."""
+    """pmf chunks over waits 1..count: the pmf at wait w is the product
+    recurrence at m = n + w - 1 with the one value l_k, from l_k/n."""
     return _product_chunks(np.array([l_k / n]), np.array([l_k]), n, count, np.ravel)
 
 
-def discrete_waiting_pmf(n: int, k: int, l_k: float, wait: int) -> float:
+def discrete_waiting_pmf(n: int, k: int, l_k: float, wait) -> float | np.ndarray:
     """P(state with k cells after n-1 decisions changes after exactly `wait` steps).
 
-    Evaluated as l_k/n times the finite product of the factors
-    (m - 1 - l_k)/m, m = n+1 .. n+wait-1; the equivalent factorial/gamma
-    form is never used directly.
+    `wait` is an int (the answer is a float) or a sequence of ints (an
+    array).  Evaluated as l_k/n times the finite product of the factors
+    (m - 1 - l_k)/m, m = n+1 .. n+wait-1, read off the stream of
+    discrete_waiting_pmf_sequence; the equivalent factorial/gamma form is
+    never used directly.
     """
     _check_waiting_args(n, k, l_k)
-    if wait < 1:
-        raise DomainError(f"wait must be >= 1, got {wait}")
-    if n == 1:
-        return 1.0 if wait == 1 else 0.0
-    return float(_last_row(_waiting_chunks(n, l_k, wait)))
+    return _values_at(lambda count: _waiting_chunks(n, l_k, count), wait, 1, "wait")
 
 
 def discrete_waiting_pmf_sequence(n: int, k: int, l_k: float, max_wait: int) -> np.ndarray:
     """Vector of discrete_waiting_pmf(n, k, l_k, w) for w = 1..max_wait."""
     _check_waiting_args(n, k, l_k)
-    if max_wait < 1:
-        raise DomainError(f"max_wait must be >= 1, got {max_wait}")
-    if n == 1:
-        out = np.zeros(max_wait)
-        out[0] = 1.0
-        return out
-    return np.concatenate(list(_waiting_chunks(n, l_k, max_wait)))
+    return np.concatenate(list(_waiting_chunks(n, l_k, _count(max_wait, 1, "max_wait"))))
 
 
 def discrete_waiting_pmf_mass(
@@ -265,9 +277,7 @@ def discrete_waiting_pmf_mass(
     the returned value is then a lower bound on the full truncated sum.
     """
     _check_waiting_args(n, k, l_k)
-    if n == 1:
-        return 1.0 if max_wait >= 1 else 0.0
-    return _mass(_waiting_chunks(n, l_k, max_wait), stop_mass)
+    return _mass(_waiting_chunks(n, l_k, _count(max_wait, 1, "max_wait")), stop_mass)
 
 
 # ---------------------------------------------------------------------------
@@ -304,38 +314,35 @@ def _jump_pmf_chunks(lseq: LSequence, ell: int, count: int | None = None) -> Ite
     coef, term, vals, lead = _jump_pmf_setup(lseq, ell)
 
     def pmf(rows: np.ndarray) -> np.ndarray:
-        out = lead * (rows @ coef)
+        out = rows @ coef
+        out *= lead
         return np.maximum(out, 0.0, out=out)
 
     return _product_chunks(term, vals, ell, count, pmf)
 
 
-def discrete_jump_pmf(lseq: LSequence, ell: int, n: int) -> float:
+def discrete_jump_pmf(lseq: LSequence, ell: int, n) -> float | np.ndarray:
     """P(ell-th jump happens at decision n | frozen weight sequence), ell >= 2.
 
+    `n` is an int (the answer is a float) or a sequence of ints (an array).
     The gamma-ratio factor for each weight value is the finite product
-    prod_{m=2}^{n-1}(m - value) folded into 1/n! for stability; the outer
-    alternating sum is fully compensated.
+    prod_{m=2}^{n-1}(m - value) folded into 1/n! for stability.  The values
+    are read off the stream of discrete_jump_pmf_sequence in one pass, so
+    they equal its values bit for bit.
     """
-    coef, term, vals, lead = _jump_pmf_setup(lseq, ell)
-    if n < ell:
-        raise DomainError(f"n={n} must be >= ell={ell}")
-    row = _last_row(_product_chunks(term, vals, ell, n - ell + 1))
-    return _clamp(float(lead * math.fsum(coef * row)))
+    return _values_at(lambda count: _jump_pmf_chunks(lseq, ell, count), n, ell, "n")
 
 
 def discrete_jump_pmf_sequence(lseq: LSequence, ell: int, n_last: int) -> np.ndarray:
     """Vector of discrete_jump_pmf for n = ell..n_last."""
-    if n_last < ell:
-        raise DomainError(f"n_last={n_last} must be >= ell={ell}")
-    return np.concatenate(list(_jump_pmf_chunks(lseq, ell, n_last - ell + 1)))
+    return np.concatenate(list(_jump_pmf_chunks(lseq, ell, _count(n_last, ell, "n_last"))))
 
 
 def discrete_jump_pmf_mass(
     lseq: LSequence, ell: int, n_last: int, *, stop_mass: float | None = None
 ) -> float:
     """Total jump-time probability mass over decisions ell..n_last (chunked)."""
-    return _mass(_jump_pmf_chunks(lseq, ell, n_last - ell + 1), stop_mass)
+    return _mass(_jump_pmf_chunks(lseq, ell, _count(n_last, ell, "n_last")), stop_mass)
 
 
 class _PmfPrefix:

@@ -137,9 +137,9 @@ class LSequence:
         return len(self.values)
 
 
-def replica_rng(seed: int, index: int = 0) -> np.random.Generator:
-    """Deterministic child stream for replica `index` of master `seed`."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+def replica_rng(seed: int, index: int = 0, *key: int) -> np.random.Generator:
+    """Deterministic child stream (index, *key) of master `seed`."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index, *key)))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from scipy import special
 
 from . import batch
 from .distributions import (
-    TruncationPolicy,
     cowan_sum_cdf,
     discrete_jump_pmf_mass,
     discrete_waiting_pmf_mass,
@@ -40,19 +39,19 @@ from .distributions import (
 from .errors import DegenerateBins, DomainError, LCollision, StitlabError, TooFewSamples
 from .geometry import ConvexPolygon
 from .line_measure import LineMeasureSpec, hitting_measure
-from .processes import LSequence, final_state, l_sequence, mecke_discrete_simulate
+from .processes import LSequence, final_state, l_sequence, mecke_discrete_simulate, replica_rng
 
 MUTATIONS = (None, "poisson-clock", "wrong-rate")
 WRONG_RATE_FACTOR = 1.2
 # Fixed settings of the equivalence harness: the conditional check freezes
 # N_CONDITIONAL_SEQUENCES weight sequences of CONDITIONAL_DEPTH values each; a
 # p-valued check passes above P_THRESHOLD, the tail-vs-CDF residual at or below
-# IDENTITY_TOL; every Mecke tail is summed under TAIL_POLICY.
+# IDENTITY_TOL; a chi-square test merges bins until each expects MIN_EXPECTED.
 CONDITIONAL_DEPTH = 4
 N_CONDITIONAL_SEQUENCES = 3
 P_THRESHOLD = 1e-3
 IDENTITY_TOL = 1e-6
-TAIL_POLICY = TruncationPolicy(tail_bound=1e-10, max_terms=10**7)
+MIN_EXPECTED = 5.0
 
 
 @dataclass(frozen=True)
@@ -143,13 +142,13 @@ def counts_from_values(values: Iterable[int]) -> dict[int, int]:
     return {int(k): int(c) for k, c in zip(uniq, cnt)}
 
 
-def _merge_bins(raw: list[list[float]], min_expected: float, expected_col: int) -> list[list[float]]:
-    """Greedy left-to-right merge until each bin's expected column reaches the floor."""
+def _merge_bins(raw: list[list[float]], expected_col: int) -> list[list[float]]:
+    """Greedy left-to-right merge until each bin's expected column reaches MIN_EXPECTED."""
     merged: list[list[float]] = []
     acc = [0.0] * len(raw[0])
     for row in raw:
         acc = [a + b for a, b in zip(acc, row)]
-        if acc[expected_col] >= min_expected:
+        if acc[expected_col] >= MIN_EXPECTED:
             merged.append(acc)
             acc = [0.0] * len(raw[0])
     if any(acc):
@@ -164,7 +163,6 @@ def chi_square_gof(
     counts: Mapping[int, int],
     pmf: Callable[[int], float],
     *,
-    min_expected: float = 5.0,
     support_lo: int | None = None,
 ) -> tuple[float, float, int]:
     """Pearson test of an integer histogram against a pmf.
@@ -172,7 +170,7 @@ def chi_square_gof(
     Bins run from `support_lo` (default: smallest observed value, which must
     be the start of the pmf's support) to the largest observed value; the
     pmf mass beyond that range is folded into the last bin.  Adjacent bins
-    are merged until every expected count reaches `min_expected`.
+    are merged until every expected count reaches MIN_EXPECTED.
     """
     if not counts:
         raise DegenerateBins("empty histogram")
@@ -186,7 +184,7 @@ def chi_square_gof(
         cum += q
         raw.append([float(counts.get(k, 0)), n * q])
     raw[-1][1] += n * max(0.0, 1.0 - cum)
-    merged = _merge_bins(raw, min_expected, expected_col=1)
+    merged = _merge_bins(raw, expected_col=1)
     if len(merged) < 2:
         raise DegenerateBins(f"only {len(merged)} bin(s) after merging")
     stat = math.fsum((o - e) ** 2 / e for o, e in merged)
@@ -197,8 +195,6 @@ def chi_square_gof(
 def two_sample_chi_square(
     counts_a: Mapping[int, int],
     counts_b: Mapping[int, int],
-    *,
-    min_expected: float = 5.0,
 ) -> tuple[float, float]:
     """Contingency-table test that two integer histograms share a law."""
     if not counts_a or not counts_b:
@@ -214,7 +210,7 @@ def two_sample_chi_square(
         o_b = float(counts_b.get(k, 0))
         col = o_a + o_b
         raw.append([o_a, o_b, min(n_a, n_b) * col / total])
-    merged = _merge_bins(raw, min_expected, expected_col=2)
+    merged = _merge_bins(raw, expected_col=2)
     if len(merged) < 2:
         raise DegenerateBins(f"only {len(merged)} bin(s) after merging")
     stat = 0.0
@@ -359,16 +355,12 @@ class EquivalenceConfig:
             raise DomainError("time grid must be nonnegative")
 
 
-def _rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
-
-
 def _frozen_sequences(config: EquivalenceConfig) -> list[LSequence]:
     """Weight sequences frozen from seeded discrete-process traces."""
     out: list[LSequence] = []
     attempt = 0
     while len(out) < N_CONDITIONAL_SEQUENCES:
-        rng = _rng(config.seed, 1, attempt)
+        rng = replica_rng(config.seed, 1, attempt)
         attempt += 1
         trace = mecke_discrete_simulate(
             config.window, config.measure, rng, max_jumps=CONDITIONAL_DEPTH - 1
@@ -393,12 +385,11 @@ def _check_conditional(config: EquivalenceConfig) -> VerificationReport:
     sequences = _frozen_sequences(config)
     worst_p = 1.0
     n_total = 0
-    mecke_tail_fn = lambda lseq, j, t: mecke_jump_tail(lseq, j, t, TAIL_POLICY)
     for s_idx, lseq in enumerate(sequences):
         for t_idx, t in enumerate(config.time_grid):
             if -math.expm1(-lseq.rate * t) <= 0.0:
                 continue  # no jumps can have happened; trivially consistent
-            rng = _rng(config.seed, 2, s_idx, t_idx)
+            rng = replica_rng(config.seed, 2, s_idx, t_idx)
             stit_counts = simulate_conditional_stit_counts(
                 lseq, t, config.conditional_replicas, rng
             )
@@ -407,7 +398,7 @@ def _check_conditional(config: EquivalenceConfig) -> VerificationReport:
             )
             n_total += 2 * config.conditional_replicas
             pmf_s = _capped_count_pmf(lseq, t, stit_jump_cdf)
-            pmf_m = _capped_count_pmf(lseq, t, mecke_tail_fn)
+            pmf_m = _capped_count_pmf(lseq, t, mecke_jump_tail)
             for counts, pmf in (
                 (counts_from_values(stit_counts), pmf_s),
                 (counts_from_values(mecke_counts), pmf_m),
@@ -444,7 +435,7 @@ def _moments(hist: np.ndarray) -> tuple[float, float, int]:
 
 def _check_unconditional(config: EquivalenceConfig) -> VerificationReport:
     grid = config.time_grid
-    rng = _rng(config.seed, 3)
+    rng = replica_rng(config.seed, 3)
     stit = batch.stit_cell_counts(config.window, config.measure, grid, config.replicas, rng)
     mecke = batch.mecke_cell_counts(
         config.window, config.measure, grid, config.replicas, rng, _mecke_clock(config)
@@ -477,7 +468,7 @@ def _check_cowan(config: EquivalenceConfig) -> VerificationReport:
     for t_idx, t in enumerate(config.time_grid):
         if -math.expm1(-rate * t) <= 0.0:
             continue
-        rng = _rng(config.seed, 4, t_idx)
+        rng = replica_rng(config.seed, 4, t_idx)
         if config.mutation == "poisson-clock":
             counts = rng.poisson(sim_rate * t, size=config.cowan_replicas)
         else:
@@ -502,7 +493,7 @@ def _tail_cdf_residual(
         lseq = random_l_sequence(rng, int(rng.integers(2, 7)), rate)
         for ell in range(1, len(lseq) + 1):
             for t in times:
-                lhs = mecke_jump_tail(lseq, ell, t, TAIL_POLICY)
+                lhs = mecke_jump_tail(lseq, ell, t)
                 worst = max(worst, abs(lhs - stit_jump_cdf(lseq, ell, t)))
                 count += 1
     return worst, count
@@ -511,7 +502,7 @@ def _tail_cdf_residual(
 def _check_identity(config: EquivalenceConfig) -> VerificationReport:
     rate = hitting_measure(config.measure, config.window)
     worst, count = _tail_cdf_residual(
-        _rng(config.seed, 5), config.identity_sequences, rate, config.time_grid
+        replica_rng(config.seed, 5), config.identity_sequences, rate, config.time_grid
     )
     return _residual_report("tail-vs-cdf-identity", worst, IDENTITY_TOL, count, config.seed)
 
@@ -521,7 +512,7 @@ def _check_selection(config: EquivalenceConfig) -> VerificationReport:
     slot out of n, one window line) are drawn in bulk rounds until
     `selection_events` of them hit: the slot holds a cell and the line's offset
     lies strictly inside that cell's support interval at the line's theta."""
-    rng = _rng(config.seed, 6)
+    rng = replica_rng(config.seed, 6)
     trace = mecke_discrete_simulate(config.window, config.measure, rng, max_jumps=2)
     slots = final_state(trace).quasi_cells
     full = [i for i, c in enumerate(slots) if c is not None]
@@ -562,7 +553,7 @@ def run_identity_suite(seed: int = 0, *, instances: int = 200) -> list[Verificat
     the tail-vs-CDF identity, and the series normalizations."""
     reports: list[VerificationReport] = []
 
-    rng = _rng(seed, 100)
+    rng = replica_rng(seed, 100)
     worst = verify_lagrange_identity([1.0, 2.0, 3.0], 4.0)
     for _ in range(instances):
         nodes = _spaced_nodes(rng, int(rng.integers(2, 11)))
@@ -572,7 +563,7 @@ def run_identity_suite(seed: int = 0, *, instances: int = 200) -> list[Verificat
         worst = max(worst, verify_lagrange_identity(nodes, x_eval))
     reports.append(_residual_report("lagrange-constant", worst, 1e-9, instances + 1, seed))
 
-    rng = _rng(seed, 101)
+    rng = replica_rng(seed, 101)
     worst = 0.0
     for _ in range(instances):
         lseq = random_l_sequence(rng, int(rng.integers(2, 11)), 1.0)
@@ -581,7 +572,7 @@ def run_identity_suite(seed: int = 0, *, instances: int = 200) -> list[Verificat
         worst = max(worst, verify_lagrange_gamma_identity(nodes, x_eval))
     reports.append(_residual_report("lagrange-gamma", worst, 1e-9, instances, seed))
 
-    rng = _rng(seed, 102)
+    rng = replica_rng(seed, 102)
     worst = verify_telescoping_identity(1.3, 2.7, 3, 4)  # base case: one-term sum
     for _ in range(instances):
         ell = int(rng.integers(1, 11))
@@ -593,7 +584,7 @@ def run_identity_suite(seed: int = 0, *, instances: int = 200) -> list[Verificat
         worst = max(worst, verify_telescoping_identity(l_i, l_next, ell, n))
     reports.append(_residual_report("telescoping", worst, 1e-9, instances + 1, seed))
 
-    rng = _rng(seed, 103)
+    rng = replica_rng(seed, 103)
     worst = max(
         verify_binomial_gamma_identity(2, 0, 1.4),
         verify_binomial_gamma_identity(2, 1, 1.4),
@@ -605,7 +596,7 @@ def run_identity_suite(seed: int = 0, *, instances: int = 200) -> list[Verificat
         worst = max(worst, verify_binomial_gamma_identity(ell, k, l_value))
     reports.append(_residual_report("binomial-gamma", worst, 1e-9, instances + 2, seed))
 
-    worst, count = _tail_cdf_residual(_rng(seed, 104), 10, 1.0, (0.1, 0.5, 1.0, 2.0))
+    worst, count = _tail_cdf_residual(replica_rng(seed, 104), 10, 1.0, (0.1, 0.5, 1.0, 2.0))
     reports.append(_residual_report("tail-vs-cdf", worst, IDENTITY_TOL, count, seed))
 
     worst = 0.0

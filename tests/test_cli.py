@@ -229,6 +229,54 @@ class TestTable:
         assert run(["table", "stit-cdf"]) == 2
         assert run(["table", "waiting-pmf", "--n", "3"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, grid",
+        [
+            (["jump-pmf", "--L", "1,1.5,2.2", "--ell", "3", "--n-grid"],
+             ["65530:65545", "40,3,7,3,100"]),
+            (["waiting-pmf", "--n", "3", "--Lk", "1.5", "--l"], ["65530:65545", "9,1,4,4,70000"]),
+        ],
+    )
+    def test_pmf_rows_equal_point_values(self, argv, grid, capsys):
+        from stitlab.distributions import discrete_jump_pmf, discrete_waiting_pmf
+        from stitlab.processes import LSequence
+
+        lseq = LSequence((1.0, 1.5, 2.2), rate=1.0)
+        point = {
+            "jump-pmf": lambda x: discrete_jump_pmf(lseq, 3, x),
+            "waiting-pmf": lambda x: discrete_waiting_pmf(3, 2, 1.5, x),
+        }[argv[0]]
+        for spec in grid:
+            assert run(["table", *argv, spec]) == 0
+            rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+            xs = parse_int_grid(spec)
+            assert [int(x) for x, _ in rows] == xs
+            assert [float(v) for _, v in rows] == [point(x) for x in xs]
+
+    def test_pmf_table_builds_the_recurrence_once(self, monkeypatch, capsys):
+        from stitlab import distributions
+
+        calls = []
+        build = distributions._product_chunks
+        monkeypatch.setattr(
+            distributions, "_product_chunks", lambda *a, **kw: calls.append(1) or build(*a, **kw)
+        )
+        assert run(["table", "jump-pmf", "--L", "1,1.5,2.2", "--ell", "3",
+                    "--n-grid", "8000:9999"]) == 0
+        assert run(["table", "waiting-pmf", "--n", "3", "--Lk", "1.5", "--l", "8000:9999"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2 * 2001
+        assert len(calls) == 2
+
+    def test_mecke_tail_runs_under_the_default_policy(self, capsys):
+        # between 1.3 and 1.5 million terms: past the old default budget of 10**6
+        argv = ["--L", "1,1.05", "--rate", "4", "--t", "3"]
+        assert run(["table", "mecke-tail", "--ell", "2", *argv]) == 0
+        tail = float(capsys.readouterr().out.splitlines()[1].split(",")[1])
+        assert run(["table", "stit-cdf", *argv]) == 0
+        cdf = float(capsys.readouterr().out.splitlines()[1].split(",")[1])
+        assert tail == pytest.approx(0.99993841184, abs=1e-11)
+        assert tail == pytest.approx(cdf, abs=1e-10)
+
 
 class TestVerify:
     def test_identities_pass(self, tmp_path):

@@ -144,6 +144,10 @@ class TestDiscreteWaitingPmf:
     def test_bare_window_waits_one_step(self):
         assert discrete_waiting_pmf(1, 1, 1.0, 1) == 1.0
         assert discrete_waiting_pmf(1, 1, 1.0, 2) == 0.0
+        # the recurrence's first factor is (2 - 1 - 1)/2 = 0
+        assert discrete_waiting_pmf(1, 1, 1.0, [3, 1, 70_000]).tolist() == [0.0, 1.0, 0.0]
+        assert discrete_waiting_pmf_sequence(1, 1, 1.0, 4).tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert discrete_waiting_pmf_mass(1, 1, 1.0, 10) == 1.0
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -155,12 +159,30 @@ class TestDiscreteWaitingPmf:
         with pytest.raises(DomainError):
             discrete_waiting_pmf(4, 2, 2.5, 1)  # weight above its cell count
         with pytest.raises(DomainError):
+            discrete_waiting_pmf(1, 1, 1.0 + 1e-13, 1)  # the single-cell weight is exactly 1
+        with pytest.raises(DomainError):
             discrete_waiting_pmf(3, 2, 1.5, 0)
+        with pytest.raises(DomainError):
+            discrete_waiting_pmf(3, 2, 1.5, [4, 0])
+        for max_wait in (0, -5):  # an empty range of waits
+            for evaluate in (discrete_waiting_pmf_sequence, discrete_waiting_pmf_mass):
+                with pytest.raises(DomainError, match="max_wait"):
+                    evaluate(3, 2, 1.5, max_wait)
 
     def test_sequence_matches_scalar(self):
         seq = discrete_waiting_pmf_sequence(4, 3, 2.2, 30)
         for w in range(1, 31):
             assert seq[w - 1] == pytest.approx(discrete_waiting_pmf(4, 3, 2.2, w), rel=1e-12)
+
+    def test_point_values_read_the_sequence(self):
+        # an unsorted grid with a repeat, across a window boundary of the stream
+        waits = [70_001, 3, 65_536, 65_537, 3, 1]
+        seq = discrete_waiting_pmf_sequence(4, 3, 2.2, 70_001)
+        got = discrete_waiting_pmf(4, 3, 2.2, waits)
+        assert got.tobytes() == seq[np.array(waits) - 1].tobytes()
+        assert discrete_waiting_pmf(4, 3, 2.2, 65_537) == seq[65_536]
+        assert type(discrete_waiting_pmf(4, 3, 2.2, 5)) is float
+        assert discrete_waiting_pmf(4, 3, 2.2, []).shape == (0,)
 
     def test_normalization(self):
         for n, l_k in ((2, 1.5), (5, 1.9), (8, 2.7)):
@@ -227,6 +249,35 @@ class TestDiscreteJumpPmf:
             discrete_jump_pmf(L_THREE, 1, 5)
         with pytest.raises(DomainError):
             discrete_jump_pmf(L_THREE, 3, 2)
+        with pytest.raises(DomainError, match="n=2"):
+            discrete_jump_pmf(L_THREE, 3, [7, 2, 5])
+        for evaluate in (discrete_jump_pmf_sequence, discrete_jump_pmf_mass):
+            with pytest.raises(DomainError, match="n_last"):  # an empty range of decisions
+                evaluate(L_THREE, 3, 2)
+
+    def test_point_values_read_the_sequence(self):
+        # an unsorted grid with a repeat, across a window boundary of the stream
+        ns = [70_000, 3, 65_538, 65_539, 3, 41]
+        seq = discrete_jump_pmf_sequence(L_THREE, 3, 70_000)
+        assert discrete_jump_pmf(L_THREE, 3, ns).tobytes() == seq[np.array(ns) - 3].tobytes()
+        assert discrete_jump_pmf(L_THREE, 3, 65_539) == seq[65_536]
+        assert type(discrete_jump_pmf(L_THREE, 3, 5)) is float
+
+    def test_far_point_value_holds_a_bounded_window(self):
+        import tracemalloc
+
+        from stitlab.distributions import _CHUNK
+
+        window = _CHUNK * 2 * 8  # bytes of one window of rows for ell = 3 (two columns)
+        discrete_jump_pmf(L_THREE, 3, 10)
+        tracemalloc.start()
+        try:
+            value = discrete_jump_pmf(L_THREE, 3, 3_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < value < 1e-15
+        assert peak < 3 * window  # the values up to n would take 23 windows
 
 
 def test_precision_limits_are_fixed():

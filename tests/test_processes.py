@@ -319,6 +319,12 @@ class TestReplicaRng:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    def test_keyed_child_stream(self):
+        # the equivalence harness keys each check's stream as (check, *indices)
+        expected = np.random.default_rng(np.random.SeedSequence(42, spawn_key=(2, 1, 0)))
+        assert np.array_equal(replica_rng(42, 2, 1, 0).random(4), expected.random(4))
+        assert np.array_equal(replica_rng(42).random(4), replica_rng(42, 0).random(4))
+
 
 def _linear_scan(weights, u):
     """Selection oracle: the first index whose running weight sum exceeds u,

@@ -88,7 +88,7 @@ class TestChiSquareGof:
         rng = np.random.default_rng(54)
         sample = rng.geometric(0.8, size=2_000) - 1
         stat, p, dof = chi_square_gof(counts_from_values(sample), geometric_pmf(0.8),
-                                      support_lo=0, min_expected=5.0)
+                                      support_lo=0)
         assert dof >= 1 and p > 1e-6
 
     def test_degenerate_bins(self):
