@@ -214,7 +214,10 @@ def _values_at(chunks: Callable[[int], Iterator[np.ndarray]], x, first: int, nam
     ints, each >= first; the stream starts at index `first`): one pass over
     the stream's first max(x) - first + 1 values, chunks(count), picking each
     value out as its chunk passes.  A float for an int, else an array."""
-    at = np.asarray(x) - first
+    at = np.asarray(x)
+    if at.size and not np.issubdtype(at.dtype, np.integer):
+        raise DomainError(f"{name} must be of integer type, got {at.dtype} values")
+    at = at - first
     if at.size and at.min() < 0:
         raise DomainError(f"{name}={first + int(at.min())} must be >= {first}")
     order = np.argsort(at, axis=None)
@@ -238,8 +241,7 @@ def _check_waiting_args(n: int, k: int, l_k: float) -> None:
         raise DomainError(f"decision base n must be >= 1, got {n}")
     if not min(n, 2) <= k <= n:
         raise DomainError(f"k={k} outside {min(n, 2)}..n={n}")
-    # the bare window's weight is exactly 1 (its pmf is then [1, 0, 0, ...])
-    if not 1.0 <= l_k <= (1.0 if k == 1 else k * (1.0 + 1e-12)):
+    if not 1.0 <= l_k <= k:
         raise DomainError(f"l_k={l_k!r} outside [1, k={k}]")
 
 

@@ -3,13 +3,14 @@
 All four models are one split process on a list of slots (cells, or empty
 quasi-cells as None in the Mecke models): an event picks a slot and a line,
 the slot keeps the far part of the cut and the origin part is appended.  A
-*selector* picks the slot and the line, a *clock* times the next event:
+*selector* picks the slot and the line, a *clock* (a rate function of the
+slot count n, shared with `stitlab.batch` and `stats`) times the next event.
 
 * STIT: a cell picked in proportion to its hitting weight W(C), cut by a
   line from its normalized hitting distribution; clock rate sum_j W(C_j).
 * Cowan equally-likely: a cell picked uniformly, cut by a line from its own
-  hitting distribution; the equally-likely clock, rate len(slots) * W(window),
-  whose event count by time t is geometric.
+  hitting distribution; the equally-likely clock, rate n * W(window), whose
+  event count by time t is geometric.
 * Mecke discrete: one of the n quasi-cells picked uniformly, cut by a line
   from the window's hitting distribution; no clock, event n is decision n.
   A decision is a jump only when the quasi-cell is nonempty and the line hits it.
@@ -176,7 +177,7 @@ def _grow(
     """Run the split process on `slots`, in place, until a stop rule fires.
 
     `pick(slots, rng)` returns (slot index, line, far part, origin part);
-    `clock(slots)` is the rate of the next event, or `clock` is None and
+    `clock(len(slots))` is the rate of the next event, or `clock` is None and
     event n is the n-th decision (n = len(slots) before it).
     `jumps` is the jump count the slots already carry.  A clock rate that is
     not finite and positive, or an event time that is not finite, raises
@@ -195,7 +196,7 @@ def _grow(
         if clock is None:
             t = len(slots)
         else:
-            rate = clock(slots)
+            rate = clock(len(slots))
             if not 0.0 < rate < math.inf:
                 raise DomainError(f"clock rate must be finite and positive, got {rate!r}")
             t += rng.exponential(1.0 / rate)
@@ -285,7 +286,7 @@ class _ByWeight:
         self.tree = _SumTree()
         self.tree.append(self.total)
 
-    def rate(self, slots: list) -> float:
+    def rate(self, n: int) -> float:
         return self.total
 
     def _index(self, rng: np.random.Generator) -> int:
@@ -320,10 +321,9 @@ def _uniform_slot(measure: LineMeasureSpec, window: ConvexPolygon) -> Callable:
     return pick
 
 
-def _equally_likely(measure: LineMeasureSpec, window: ConvexPolygon) -> Callable:
-    """The equally-likely clock: rate len(slots) * W(window)."""
-    rate = hitting_measure(measure, window)
-    return lambda slots: len(slots) * rate
+def _equally_likely(window_weight: float) -> Callable:
+    """The equally-likely clock: rate n * W(window) with n slots (n may be an array)."""
+    return lambda n: n * window_weight
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +358,8 @@ def cowan_el_simulate(
 ) -> ProcessTrace:
     """Equally-likely continuous model: Exp(k * rate) waits, uniform cell choice."""
     events = _grow(
-        [window], _uniform_cell(measure), _equally_likely(measure, window), rng,
-        max_time=max_time, max_jumps=max_jumps,
+        [window], _uniform_cell(measure), _equally_likely(hitting_measure(measure, window)),
+        rng, max_time=max_time, max_jumps=max_jumps,
     )
     return ProcessTrace(window, measure, tuple(events), ModelTag.COWAN_EL, seed)
 
@@ -420,7 +420,8 @@ def mecke_continuous_simulate(
     expected decision count is expm1(rate * t); past MAX_EXPECTED_DECISIONS
     the run is refused with DomainError instead of spinning for hours.
     """
-    rate_t = hitting_measure(measure, window) * t
+    rate = hitting_measure(measure, window)
+    rate_t = rate * t
     if rate_t > math.log1p(MAX_EXPECTED_DECISIONS):  # expm1 overflows past rate * t ~ 710
         raise DomainError(
             f"rate * t = {rate_t:.6g} expects more than MAX_EXPECTED_DECISIONS = "
@@ -428,7 +429,7 @@ def mecke_continuous_simulate(
         )
     slots = [window]
     events = _grow(
-        slots, _uniform_slot(measure, window), _equally_likely(measure, window), rng, max_time=t
+        slots, _uniform_slot(measure, window), _equally_likely(rate), rng, max_time=t
     )
     trace = ProcessTrace(window, measure, tuple(events), ModelTag.MECKE_CONTINUOUS, seed)
     return QuasiCellState(tuple(slots), len(events), trace.jump_count), trace

@@ -40,9 +40,11 @@ from .errors import DegenerateBins, DomainError, LCollision, StitlabError, TooFe
 from .geometry import ConvexPolygon
 from .line_measure import LineMeasureSpec, hitting_measure
 from .processes import LSequence, final_state, l_sequence, mecke_discrete_simulate, replica_rng
+from .processes import _equally_likely  # the clock of the Cowan and Mecke-continuous models
 
 MUTATIONS = (None, "poisson-clock", "wrong-rate")
 WRONG_RATE_FACTOR = 1.2
+MIN_REL_GAP = 0.05  # between neighbouring values of a random_l_sequence
 # Fixed settings of the equivalence harness: the conditional check freezes
 # N_CONDITIONAL_SEQUENCES weight sequences of CONDITIONAL_DEPTH values each; a
 # p-valued check passes above P_THRESHOLD, the tail-vs-CDF residual at or below
@@ -227,24 +229,32 @@ def two_sample_chi_square(
 # vectorized replica simulators (time/counting layer only)
 
 
-def simulate_cowan_counts(
-    rate: float, t: float, n_replicas: int, rng: np.random.Generator
+def _clock_counts(
+    clock: Callable, t: float, n_replicas: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Jump counts of the equally-likely clock: races of Exp(k * rate) waits."""
-    if not rate > 0.0 or t < 0.0 or n_replicas < 1:
+    """Event counts by time t of a clock (a rate function of the slot count k,
+    1 at the start and one more per event): races of Exp(clock(k)) waits."""
+    if not clock(1) > 0.0 or t < 0.0 or n_replicas < 1:
         raise DomainError("need rate > 0, t >= 0, n_replicas >= 1")
     remaining = np.full(n_replicas, t, dtype=float)
     counts = np.zeros(n_replicas, dtype=np.int64)
     active = np.arange(n_replicas)
     k = 1
     while active.size:
-        waits = rng.exponential(1.0 / (k * rate), size=active.size)
+        waits = rng.exponential(1.0 / clock(k), size=active.size)
         remaining[active] -= waits
         alive = remaining[active] >= 0.0
         counts[active[alive]] += 1
         active = active[alive]
         k += 1
     return counts
+
+
+def simulate_cowan_counts(
+    rate: float, t: float, n_replicas: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Jump counts of the equally-likely clock: races of Exp(k * rate) waits."""
+    return _clock_counts(_equally_likely(rate), t, n_replicas, rng)
 
 
 def simulate_conditional_jump_decisions(
@@ -310,21 +320,15 @@ def simulate_conditional_stit_counts(
     return (np.cumsum(waits, axis=1) <= t).sum(axis=1).astype(np.int64)
 
 
-def random_l_sequence(
-    rng: np.random.Generator,
-    length: int,
-    rate: float,
-    *,
-    min_rel_gap: float = 0.05,
-) -> LSequence:
-    """Seeded random weight sequence with a guaranteed relative gap."""
+def random_l_sequence(rng: np.random.Generator, length: int, rate: float) -> LSequence:
+    """Seeded random weight sequence with a relative gap of at least MIN_REL_GAP."""
     if length < 1:
         raise DomainError(f"length must be >= 1, got {length}")
     values = [1.0]
     while len(values) < length:
         prev = values[-1]
         k_next = len(values) + 1
-        lo = prev * min_rel_gap / (1.0 - min_rel_gap) + 1e-3
+        lo = prev * MIN_REL_GAP / (1.0 - MIN_REL_GAP) + 1e-3
         hi = min(0.8, k_next - prev - 1e-3)
         step = lo if hi <= lo else float(rng.uniform(lo, hi))
         values.append(prev + step)
@@ -417,11 +421,11 @@ def _check_conditional(config: EquivalenceConfig) -> VerificationReport:
 def _mecke_clock(config: EquivalenceConfig) -> Callable:
     """Rate of the decision taken with n quasi-cells: the equally-likely clock,
     or a deliberately wrong clock under a mutation."""
-    rate = hitting_measure(config.measure, config.window)
+    clock = _equally_likely(hitting_measure(config.measure, config.window))
     return {
-        None: lambda n: n * rate,
-        "poisson-clock": lambda n: rate,  # arrivals ignore how many quasi-cells exist
-        "wrong-rate": lambda n: n * rate * WRONG_RATE_FACTOR,
+        None: clock,
+        "poisson-clock": lambda n: clock(1),  # arrivals ignore how many quasi-cells exist
+        "wrong-rate": lambda n: clock(n) * WRONG_RATE_FACTOR,
     }[config.mutation]
 
 
@@ -459,20 +463,16 @@ def _check_unconditional(config: EquivalenceConfig) -> VerificationReport:
 
 
 def _check_cowan(config: EquivalenceConfig) -> VerificationReport:
+    """The event counts of the clock under test against the geometric law of
+    the equally-likely clock."""
     rate = hitting_measure(config.measure, config.window)
-    sim_rate = rate
-    if config.mutation == "wrong-rate":
-        sim_rate = rate * WRONG_RATE_FACTOR
+    clock = _mecke_clock(config)
     worst_p = 1.0
     n_total = 0
     for t_idx, t in enumerate(config.time_grid):
         if -math.expm1(-rate * t) <= 0.0:
             continue
-        rng = replica_rng(config.seed, 4, t_idx)
-        if config.mutation == "poisson-clock":
-            counts = rng.poisson(sim_rate * t, size=config.cowan_replicas)
-        else:
-            counts = simulate_cowan_counts(sim_rate, t, config.cowan_replicas, rng)
+        counts = _clock_counts(clock, t, config.cowan_replicas, replica_rng(config.seed, 4, t_idx))
         n_total += config.cowan_replicas
         _, p, _ = chi_square_gof(
             counts_from_values(counts), lambda k: nu_pmf(rate, t, k), support_lo=0

@@ -120,7 +120,8 @@ def _scalar_counts(window, measure, seed: int, replicas: int, mecke: bool) -> li
     for r in range(replicas):
         if mecke:
             events = _grow([window], _uniform_slot(measure, window),
-                           _equally_likely(measure, window), rng, max_time=GRID[-1])
+                           _equally_likely(hitting_measure(measure, window)), rng,
+                           max_time=GRID[-1])
             times = [e.time for e in events if e.jump]
         else:
             times = [e.time for e in stit_simulate(window, measure, rng, max_time=GRID[-1]).events]
@@ -131,8 +132,8 @@ def _scalar_counts(window, measure, seed: int, replicas: int, mecke: bool) -> li
 def _batched_counts(window, measure, seed: int, replicas: int, mecke: bool, grid=GRID) -> list[dict]:
     rng = np.random.default_rng(seed)
     if mecke:
-        rate = hitting_measure(measure, window)
-        hist = batch.mecke_cell_counts(window, measure, grid, replicas, rng, lambda n: n * rate)
+        clock = _equally_likely(hitting_measure(measure, window))
+        hist = batch.mecke_cell_counts(window, measure, grid, replicas, rng, clock)
     else:
         hist = batch.stit_cell_counts(window, measure, grid, replicas, rng)
     return [{k: int(c) for k, c in enumerate(row) if c} for row in hist]

@@ -8,7 +8,17 @@ from pathlib import Path
 import pytest
 
 import stitlab
-from stitlab.cli import main, parse_float_grid, parse_int_grid, parse_measure, parse_window
+from stitlab.cli import (
+    SIMULATE,
+    TABLE,
+    VERIFY,
+    build_parser,
+    main,
+    parse_float_grid,
+    parse_int_grid,
+    parse_measure,
+    parse_window,
+)
 from stitlab.errors import ConfigError
 from stitlab.line_measure import DirectionMixture, IsotropicMeasure
 from stitlab.processes import ModelTag
@@ -113,6 +123,27 @@ class TestSimulate:
         assert code == 0
         assert len(read_trace(out).events) == 4
 
+    def test_config_window_and_measure_may_be_json(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "stit", "jumps": 2, "window": [[0, 0], [1, 0], [0, 1]],
+                                   "measure": {"type": "isotropic", "scale": 2.0}}))
+        out = tmp_path / "t.jsonl"
+        assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        trace = read_trace(out)
+        assert trace.window.area == pytest.approx(0.5)
+        assert trace.measure == IsotropicMeasure(2.0)
+
+    def test_config_key_the_model_does_not_take_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"decisions": 3}))
+        out = tmp_path / "t.jsonl"
+        code = run(["simulate", "--model", "stit", "--jumps", "3", "--config", str(cfg),
+                    "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "decisions" in err
+        assert not out.exists()
+
     def test_unknown_config_field_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model": "stit", "jumps": 2, "bogus": 1}))
@@ -121,6 +152,10 @@ class TestSimulate:
     def test_missing_stop_rule_is_config_error(self, tmp_path):
         code = run(["simulate", "--model", "stit", "--out", str(tmp_path / "x.jsonl")])
         assert code == 2
+
+    def test_empty_out_is_a_missing_out(self, capsys):
+        assert run(["simulate", "--model", "stit", "--jumps", "3", "--out", ""]) == 2
+        assert capsys.readouterr().err == "error: stit needs --out\n"
 
     @pytest.mark.parametrize("model", ["stit", "mecke-continuous", "cowan-el"])
     def test_run_without_a_jump_warns(self, tmp_path, capsys, model):
@@ -322,11 +357,98 @@ class TestVerify:
                     "--replicas", "800", "--t-grid", "0.8", "--mutate", "poisson-clock"])
         assert code == 1
 
+    def test_config_out_writes_the_report(self, tmp_path):
+        out = tmp_path / "rep.json"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out": str(out), "seed": 5}))
+        assert run(["verify", "--suite", "identities", "--config", str(cfg)]) == 0
+        reports = json.loads(out.read_text())
+        assert len(reports) == 8 and {r["seed"] for r in reports} == {5}
+
+    def test_config_suite_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"suite": "equivalence", "out": str(tmp_path / "rep.json")}))
+        assert run(["verify", "--suite", "identities", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "suite" in err
+        assert not (tmp_path / "rep.json").exists()
+
     def test_mutation_exits_1(self, tmp_path):
         code = run(["verify", "--suite", "equivalence", "--seed", "7",
                     "--replicas", "800", "--t-grid", "0.8",
                     "--mutate", "poisson-clock"])
         assert code == 1
+
+
+COMMANDS = {"simulate": SIMULATE, "table": TABLE, "verify": VERIFY}
+# a valid value of every input flag of each command
+FLAG_VALUES = {
+    "simulate": {"window": "triangle", "measure": "iso:2", "t": "0.5", "jumps": "3",
+                 "decisions": "5", "seed": "1"},
+    "table": {"L": "1,1.5", "rate": "2", "t": "0.5", "n": "3", "k": "2", "Lk": "1.5",
+              "l": "1:3", "ell": "2", "n_grid": "2:4"},
+    "verify": {"seed": "1", "seeds": "1:2", "window": "triangle", "measure": "iso:2",
+               "t_grid": "0.2", "replicas": "5", "mutate": "wrong-rate"},
+}
+
+
+def _option(flag: str) -> str:
+    return "--" + flag.replace("_", "-")
+
+
+def _entry_argv(command: str, name: str, out) -> list[str]:
+    """`command` run on entry `name` with the first flag of each of its needs, and --out."""
+    cmd = COMMANDS[command]
+    pick = [name] if command == "table" else [_option(cmd.pick), name]
+    needs = [a for group in cmd.entries[name].needs.split() if group != "out"
+             for a in (_option(group.split("|")[0]), FLAG_VALUES[command][group.split("|")[0]])]
+    return [command, *pick, *needs, "--out", str(out)]
+
+
+def _refused_flags():
+    """(command, entry, flag) for every input flag of a command that the entry does not take."""
+    parser = build_parser()
+    for command, cmd in COMMANDS.items():
+        pick = [] if command == "table" else [_option(cmd.pick)]
+        dests = vars(parser.parse_args([command, *pick, next(iter(cmd.entries))]))
+        for name, entry in cmd.entries.items():
+            for flag in dests:
+                if flag not in {"command", "config", cmd.pick, *f"{cmd.common} {entry.takes}".split()}:
+                    yield command, name, flag
+
+
+REFUSED = list(_refused_flags())
+ENTRIES = [(c, n) for c in ("simulate", "table") for n in COMMANDS[c].entries]
+
+
+class TestInputTables:
+    @pytest.mark.parametrize("command, name, flag", REFUSED, ids=[" ".join(c) for c in REFUSED])
+    def test_flag_the_entry_does_not_take_exits_2(self, command, name, flag, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = _entry_argv(command, name, out) + [_option(flag), FLAG_VALUES[command][flag]]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"does not take {_option(flag)}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, name", ENTRIES, ids=[" ".join(c) for c in ENTRIES])
+    def test_needed_flags_suffice(self, command, name, tmp_path):
+        out = tmp_path / "out"
+        assert run(_entry_argv(command, name, out)) == 0
+        assert out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "table", "verify"])
+    def test_help_lists_each_entrys_flags(self, command, capsys):
+        assert run([command, "--help"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for name, entry in COMMANDS[command].entries.items():
+            (line,) = [x for x in lines if x.strip().startswith(name + " ")]
+            assert all(_option(flag) in line for flag in entry.takes.split())
+
+    def test_stit_cdf_refuses_ell_and_names_its_jump(self, capsys):
+        assert run(["table", "stit-cdf", "--L", "1,1.5,2.2", "--ell", "2", "--t", "1"]) == 2
+        assert "the CDF of jump len(L)" in capsys.readouterr().err
 
 
 class TestUsageErrors:
@@ -379,6 +501,17 @@ class TestUsageErrors:
             ["verify", "--suite", "equivalence", "--seeds", "5:2"],
             ["verify", "--suite", "equivalence", "--seeds=-1:2"],
             ["verify", "--suite", "equivalence", "--seeds", "0:1", "--seed", "3"],
+            ["simulate", "--model", "mecke-continuous", "--t", "0.5", "--jumps", "3"],
+            ["simulate", "--model", "mecke-discrete", "--t", "1", "--decisions", "50"],
+            ["simulate", "--model", "stit", "--jumps", "3", "--window", "5"],
+            ["simulate", "--model", "stit", "--jumps", "3", "--window", "[[0,0],[1,0]]"],
+            ["simulate", "--model", "stit", "--jumps", "3", "--window", '{"a": 1}'],
+            ["simulate", "--model", "stit", "--jumps", "3", "--measure", "[1]"],
+            ["simulate", "--jumps", "3"],
+            ["table", "waiting-pmf", "--n", "2", "--k", "2", "--Lk", "2.0000000000002",
+             "--l", "1:3"],
+            ["verify", "--suite", "identities", "--mutate", "wrong-rate", "--replicas", "5",
+             "--window", "triangle"],
         ],
         ids=" ".join,
     )
@@ -391,7 +524,9 @@ class TestUsageErrors:
         assert not (tmp_path / "x.jsonl").exists()
 
     @pytest.mark.parametrize(
-        "config", [{"replicas": 0}, {"time_grid": [0.2, -1.0]}, {"time_grid": 0.5}]
+        "config",
+        [{"replicas": 0}, {"time_grid": [0.2, -1.0]}, {"time_grid": 0.5}, {"mutate": "bogus"},
+         {"suite": "identities"}, {"seeds": "1:2"}, {"t_grid": "0.2"}, {"model": "stit"}],
     )
     def test_bad_verify_config_exits_2(self, config, tmp_path, capsys):
         path = tmp_path / "cfg.json"

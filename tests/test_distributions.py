@@ -164,10 +164,20 @@ class TestDiscreteWaitingPmf:
             discrete_waiting_pmf(3, 2, 1.5, 0)
         with pytest.raises(DomainError):
             discrete_waiting_pmf(3, 2, 1.5, [4, 0])
+        with pytest.raises(DomainError, match="integer"):
+            discrete_waiting_pmf(3, 2, 1.5, 2.5)
+        with pytest.raises(DomainError, match="integer"):
+            discrete_waiting_pmf(3, 2, 1.5, [2, 2.5])
         for max_wait in (0, -5):  # an empty range of waits
             for evaluate in (discrete_waiting_pmf_sequence, discrete_waiting_pmf_mass):
                 with pytest.raises(DomainError, match="max_wait"):
                     evaluate(3, 2, 1.5, max_wait)
+
+    def test_weight_above_its_cell_count_is_refused(self):
+        # l_k/n above 1 gave a first value of 1.0000000000001 and negative values after it
+        with pytest.raises(DomainError, match="outside"):
+            discrete_waiting_pmf(2, 2, 2.0000000000002, [1, 2, 3])
+        assert discrete_waiting_pmf(2, 2, 2.0, [1, 2, 3]).tolist() == [1.0, 0.0, 0.0]
 
     def test_sequence_matches_scalar(self):
         seq = discrete_waiting_pmf_sequence(4, 3, 2.2, 30)
@@ -251,6 +261,8 @@ class TestDiscreteJumpPmf:
             discrete_jump_pmf(L_THREE, 3, 2)
         with pytest.raises(DomainError, match="n=2"):
             discrete_jump_pmf(L_THREE, 3, [7, 2, 5])
+        with pytest.raises(DomainError, match="integer"):
+            discrete_jump_pmf(L_THREE, 3, 5.5)
         for evaluate in (discrete_jump_pmf_sequence, discrete_jump_pmf_mass):
             with pytest.raises(DomainError, match="n_last"):  # an empty range of decisions
                 evaluate(L_THREE, 3, 2)

@@ -7,11 +7,13 @@ import pytest
 
 from stitlab.errors import DegenerateBins, DomainError, TooFewSamples
 from stitlab.geometry import ConvexPolygon
-from stitlab.line_measure import IsotropicMeasure
+from stitlab.line_measure import IsotropicMeasure, hitting_measure
 from stitlab.processes import LSequence
 from stitlab.stats import (
     EquivalenceConfig,
     VerificationReport,
+    _clock_counts,
+    _mecke_clock,
     chi_square_gof,
     counts_from_values,
     format_report_table,
@@ -144,6 +146,15 @@ class TestVectorizedSimulators:
         assert np.all(simulate_conditional_mecke_counts(lseq, 0.0, 100, rng) == 0)
         assert np.all(simulate_conditional_stit_counts(lseq, 0.0, 100, rng) == 0)
         assert np.all(simulate_cowan_counts(4.0, 0.0, 100, rng) == 0)
+
+    def test_poisson_clock_counts_are_poisson(self, unit_square):
+        # the constant-rate control: its race of Exp(W) waits counts Poisson(W * t) events
+        config = EquivalenceConfig(window=unit_square, measure=ISO, mutation="poisson-clock")
+        mean = hitting_measure(ISO, unit_square) * 0.8
+        counts = _clock_counts(_mecke_clock(config), 0.8, 20_000, np.random.default_rng(7))
+        poisson = lambda k: math.exp(k * math.log(mean) - mean - math.lgamma(k + 1))
+        _, p, _ = chi_square_gof(counts_from_values(counts), poisson, support_lo=0)
+        assert p > 1e-3
 
     @pytest.mark.parametrize(
         "call",
