@@ -4,8 +4,10 @@
 table, which says what flags it takes and needs (flag > config key > default).
 
 Exit codes: 0 success / all checks passed, 1 verification failure, 2 usage
-or configuration error, 3 runtime error.  Output is deterministic given the
-flags and the seed (flag > config file > STITLAB_SEED > 0).
+or configuration error, 3 runtime error.  An --out path is checked before
+any work: an empty one, a directory and one in a missing directory exit 2.
+Output is deterministic given the flags and the seed (flag > config file >
+STITLAB_SEED > 0).
 """
 
 from __future__ import annotations
@@ -122,6 +124,18 @@ def load_config_file(path: str | None) -> dict:
     return obj
 
 
+def _check_out(out) -> None:
+    """Refuse an output path before any work is done: it must be a nonempty
+    path that names no directory, in a directory that exists."""
+    if not isinstance(out, str) or not out or "\0" in out:
+        raise ConfigError(f"--out must be a nonempty file path, got {out!r}")
+    path = Path(out)
+    if path.is_dir() or out.endswith(("/", os.sep)):
+        raise ConfigError(f"--out {out!r} names a directory")
+    if not path.parent.is_dir():
+        raise ConfigError(f"--out {out!r}: no directory {str(path.parent)!r}")
+
+
 def _number(name: str, value, kind: type, minimum: int = 0) -> float | int | None:
     """A `--name` value (flag or config) as `kind`; it must be finite and >= minimum."""
     if value is None:
@@ -171,8 +185,8 @@ def _flags(spec: str, sep: str = ", ") -> str:
 def _resolve(cmd: Command, args: argparse.Namespace) -> tuple[Entry, Callable]:
     """The entry that `args` picks and `get(flag, default=None)`, which reads
     an input as the flag, then its config key, then the default.  A flag or
-    config key that the entry does not take, and a missing need, raise
-    ConfigError naming it."""
+    config key that the entry does not take, a missing need and an --out that
+    cannot be written raise ConfigError naming it."""
     config = load_config_file(getattr(args, "config", None))
     name = getattr(args, cmd.pick) or config.get(cmd.pick)
     if not isinstance(name, str) or name not in cmd.entries:
@@ -196,6 +210,9 @@ def _resolve(cmd: Command, args: argparse.Namespace) -> tuple[Entry, Callable]:
     for group in entry.needs.split():  # an empty --out or --L is not given
         if all(get(flag) in (None, "") for flag in group.split("|")):
             raise ConfigError(f"{name} needs {_flags(group)}")
+    out = get("out")
+    if out is not None:
+        _check_out(out)
     return entry, get
 
 
@@ -271,6 +288,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
+    _check_out(args.out)
     trace = read_trace(args.trace)
     svg = render_svg(trace, at=args.at)
     Path(args.out).write_text(svg, encoding="utf-8")
@@ -337,7 +355,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(stats.format_pass_rates(runs, f"  ({entry.note})" if entry.note else ""))
     reports = [r for run in runs for r in run]
     out = get("out")
-    if out:
+    if out is not None:
         write_reports(reports, str(out))
         print(f"wrote {out}")
     return 0 if all(r.passed for r in reports) else 1
@@ -420,7 +438,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         lines.append(f"{x!r},{float(value)!r}")
     text = "\n".join(lines) + "\n"
     out = get("out")
-    if out:
+    if out is not None:
         Path(out).write_text(text, encoding="utf-8")
         print(f"wrote {out}")
     else:

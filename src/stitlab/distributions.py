@@ -11,7 +11,10 @@ Conventions used throughout:
   (math.fsum) at a scalar time and a matrix product at an array of times.
   Each discrete law is one pmf stream, the product recurrence reduced by a
   matrix product with round-off negatives clipped to 0; point values,
-  sequences, masses and the jump tail all read it.  Conditioning is
+  sequences and masses read it.  The jump tail reads the recurrence itself:
+  it sums each weight column once, weighted and unweighted, combines the
+  columns once, and tests its truncation bound after every piece; nothing
+  is memoized between calls.  Conditioning is
   measured on the probability scale: the sum of term magnitudes bounds the
   absolute rounding error via the machine epsilon, and evaluation refuses
   to proceed (IllConditioned) once that bound can exceed ~1e-8.
@@ -20,8 +23,6 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -61,15 +62,15 @@ class TruncationPolicy:
 def _node_gaps(vals: np.ndarray) -> np.ndarray:
     """prod_{j != i} (v_i - v_j) for each node v_i of `vals`."""
     diff = vals[:, None] - vals[None, :]
-    np.fill_diagonal(diff, 1.0)
-    return np.prod(diff, axis=1)
+    diff.flat[:: vals.size + 1] = 1.0  # the diagonal; np.fill_diagonal costs ten times more
+    return diff.prod(axis=1)
 
 
 def _times(t) -> np.ndarray:
     """`t` (a scalar or an array) as a float array; a negative or NaN time
     is outside every law's domain."""
     t_arr = np.asarray(t, dtype=float)
-    if not np.all(t_arr >= 0.0):
+    if not (t_arr >= 0.0).all():
         raise DomainError(f"t must be nonnegative and not NaN, got {t!r}")
     return t_arr
 
@@ -154,10 +155,11 @@ def _product_chunks(
     build.  Pieces are built in whole blocks of _ROW_BLOCK rows, then cut to
     the count: a matrix product rounds its last rows differently when their
     number is not a whole number of the BLAS kernel's blocks.  So no value
-    depends on how many were asked for.  The product runs in place over
-    contiguous memory, in a (columns, rows) array; each piece is then copied
-    out as (rows, columns) and passed through `reduce`, which makes it one
-    value per row; at most a window of rows is held at a time.
+    depends on how many were asked for (without a count no piece is cut).
+    The product runs in place over contiguous memory, in a (columns, rows)
+    array, which is passed as built through `reduce`; the rows past the count
+    are cut from the last axis of what it returns.  At most a window of rows
+    is held at a time.
     """
     col = vals[:, None]
     done = 0
@@ -174,20 +176,17 @@ def _product_chunks(
             prod[:, 0] = 1.0
         else:
             prod[:, 0] *= carry
-        np.cumprod(prod, axis=1, out=prod)
+        prod.cumprod(axis=1, out=prod)
         carry = prod[:, size - 1].copy()
         prod *= term[:, None]
-        rows = np.ascontiguousarray(prod.T)
-        del prod
         done += size
         if done % _CHUNK == 0:  # seed of the next window
             m_last = float(m0 + done - 1)
-            term = rows[size - 1] * ((m_last - vals) / (m_last + 1.0))
-        out = reduce(rows)[:size]
-        # the prefix cache keeps a suspended generator between pieces: hold
-        # on to nothing the next piece does not need
-        del rows
+            term = prod[:, size - 1] * ((m_last - vals) / (m_last + 1.0))
+        out = reduce(prod)[..., :size]
+        del prod
         yield out
+        del out  # neither piece is held while the next one is built
 
 
 def _mass(chunks: Iterator[np.ndarray], stop_mass: float | None) -> float:
@@ -229,6 +228,7 @@ def _values_at(chunks: Callable[[int], Iterator[np.ndarray]], x, first: int, nam
         j = int(np.searchsorted(want, hi))
         out[order[i:j]] = chunk[want[i:j] - lo]
         i, lo = j, hi
+        del chunk  # not held while the next chunk is built
     return float(out[0]) if at.ndim == 0 else out.reshape(at.shape)
 
 
@@ -296,17 +296,17 @@ def _jump_pmf_setup(
         raise IllConditioned(f"ell={ell} above the precision limit ELL_MAX={ELL_MAX}")
     vals = np.asarray(lseq.values[1:ell], dtype=float)  # positions 2..ell
     coef = 1.0 / _node_gaps(vals)
-    lead = float(np.prod(vals)) * (1.0 if ell % 2 == 0 else -1.0)
+    lead = float(vals.prod()) * (1.0 if ell % 2 == 0 else -1.0)
     # seed: (1/ell) * prod_{m=2}^{ell-1} (1 - value/m), one per weight value
     term = np.full(vals.shape, 1.0 / ell)
     for m in range(2, ell):
         term *= 1.0 - vals / m
-    _check_condition(abs(lead) * float(np.sum(np.abs(coef * term))))
+    _check_condition(abs(lead) * float(np.abs(coef * term).sum()))
     return coef, term, vals, lead
 
 
-def _jump_pmf_chunks(lseq: LSequence, ell: int, count: int | None = None) -> Iterator[np.ndarray]:
-    """pmf chunks for n = ell, ell+1, ...: `count` values, or without end.
+def _jump_pmf_chunks(lseq: LSequence, ell: int, count: int) -> Iterator[np.ndarray]:
+    """pmf chunks for n = ell .. ell + count - 1.
 
     Each pmf value is lead * sum_i c_i term_i(n) over the product recurrence;
     far-tail rounding can take individual values a few ulps below zero, which
@@ -315,8 +315,8 @@ def _jump_pmf_chunks(lseq: LSequence, ell: int, count: int | None = None) -> Ite
     """
     coef, term, vals, lead = _jump_pmf_setup(lseq, ell)
 
-    def pmf(rows: np.ndarray) -> np.ndarray:
-        out = rows @ coef
+    def pmf(block: np.ndarray) -> np.ndarray:
+        out = np.ascontiguousarray(block.T) @ coef
         out *= lead
         return np.maximum(out, 0.0, out=out)
 
@@ -347,99 +347,22 @@ def discrete_jump_pmf_mass(
     return _mass(_jump_pmf_chunks(lseq, ell, _count(n_last, ell, "n_last")), stop_mass)
 
 
-class _PmfPrefix:
-    """The endless pmf stream of one (weight values, ell) as far as it has
-    been built, in the generator's windows of _CHUNK values, and the
-    cumulative mass at the end of each whole window: the mass before the
-    window plus the window's running sum, which is carried from piece to
-    piece, so no value depends on how the stream was grown."""
-
-    def __init__(self, pieces: Iterator[np.ndarray]) -> None:
-        self.pieces = pieces
-        self.pmf: list[np.ndarray] = []
-        self.mass: list[float] = []  # one per whole window
-        self.rows = 0
-        self.run = 0.0  # running sum of the window being grown
-
-    @property
-    def floats(self) -> int:
-        return self.rows + len(self.mass)
-
-    def grow(self, rows: int) -> int:
-        """Build at least `rows` values; returns the floats this added."""
-        before = self.floats
-        while self.rows < rows:
-            pmf = next(self.pieces)
-            run = pmf.copy()
-            run[0] += self.run
-            self.run = float(np.cumsum(run, out=run)[-1])
-            if self.rows % _CHUNK:  # the last window is still growing
-                self.pmf[-1] = np.concatenate((self.pmf[-1], pmf))
-            else:
-                self.pmf.append(pmf)
-            self.rows += pmf.size
-            if self.rows % _CHUNK == 0:
-                self.mass.append((self.mass[-1] if self.mass else 0.0) + self.run)
-                self.run = 0.0
-        return self.floats - before
-
-
-class _PrefixCache(OrderedDict):
-    """Least-recently-used memo of _PmfPrefix entries, with a running count
-    of the floats they hold."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.floats = 0
-
-    def clear(self) -> None:
-        super().clear()
-        self.floats = 0
-
-
-# Memo of materialized pmf prefixes keyed by (weight values, ell).  The tail
-# evaluator is typically called for many horizons of one frozen sequence, and
-# the pmf stream is identical across those calls; only the geometric weights
-# change.  Results are bit-identical with or without a cache hit.  Past the
-# budget of floats held (pmf and window masses), the least recently used
-# entries go.
-_PMF_PREFIX_CACHE = _PrefixCache()
-_PMF_PREFIX_CACHE_LOCK = threading.Lock()
-_PMF_PREFIX_CACHE_MAX_FLOATS = 12_000_000
-
-
-def _jump_pmf_window(
-    lseq: LSequence, ell: int, n0: int, n_hi: int
-) -> tuple[np.ndarray, float | None]:
-    """The pmf of the window of the pmf stream that starts at decision
-    n0 = ell + j*_CHUNK, built at least to n_hi, and the cumulative mass
-    through its end (None while the window is not whole); memoized."""
-    key = (lseq.values, ell)
-    cache = _PMF_PREFIX_CACHE
-    with _PMF_PREFIX_CACHE_LOCK:
-        entry = cache.get(key)
-        if entry is None:  # a refusal raises here, before the entry exists
-            entry = cache[key] = _PmfPrefix(_jump_pmf_chunks(lseq, ell))
-        cache.move_to_end(key)
-        cache.floats += entry.grow(n_hi - ell + 1)
-        while len(cache) > 1 and cache.floats > _PMF_PREFIX_CACHE_MAX_FLOATS:
-            cache.floats -= cache.popitem(last=False)[1].floats
-        j = (n0 - ell) // _CHUNK
-        return entry.pmf[j], entry.mass[j] if j < len(entry.mass) else None
-
-
 def mecke_jump_tail(
     lseq: LSequence, ell: int, t: float, policy: TruncationPolicy | None = None
 ) -> float:
     """P(at least ell jumps by time t | frozen weight sequence).
 
-    Evaluates sum_n a^n * discrete_jump_pmf(n) with a = 1 - exp(-rate * t),
-    truncated once the remaining mass provably drops below the policy's
-    tail bound.  Two valid bounds are combined: the geometric envelope
-    a^(N+1)/(1-a) and the sharper a^(N+1) * (1 - partial pmf mass); without
-    the second, horizons with rate*t around 10 would need tens of millions
-    of terms.  When a rounds to 1 (rate*t above about 37) neither bound can
-    close the series, and it raises TruncationFailure at once.
+    The series sum_n a^n * discrete_jump_pmf(n), a = 1 - exp(-rate * t), summed
+    per weight column: the pmf is lead * sum_i c_i T_i(n) over the columns
+    T_i of the product recurrence, so each piece of the recurrence adds
+    sum_n a^n T_i(n) and sum_n T_i(n) to two sums per column, and the columns
+    are combined with lead * c_i.  After every piece the series stops once
+    the rest, at most a^(N+1) * (1 - mass through N), is below the policy's
+    tail bound, or raises TruncationFailure past its max_terms; the
+    geometric envelope a^(N+1)/(1-a) only decides whether any term is
+    needed.  Nothing is memoized: a repeat call sums the same pieces again.
+    When a rounds to 1 (rate*t above about 37) no bound can close the
+    series, and it raises TruncationFailure at once.
     """
     t = float(_times(t))
     if not 1 <= ell <= len(lseq):
@@ -457,28 +380,28 @@ def mecke_jump_tail(
         )
     log_a = math.log(a)
     # geometric envelope: a^(N+1)/(1-a) < tail_bound
-    n_geo = math.ceil((math.log(policy.tail_bound) + math.log1p(-a)) / log_a) - 1
-    if n_geo < ell:  # the whole series is already below the tail bound
-        return 0.0
-    total = 0.0
-    n0 = ell
-    while True:  # one window of the pmf stream at a time
-        n1 = min(n0 + _CHUNK, n_geo + 1)
-        pmf, mass = _jump_pmf_window(lseq, ell, n0, n1 - 1)
-        ns = np.arange(n0, n1, dtype=float)
-        # einsum, not a BLAS dot, so the sum does not depend on the thread count
-        total += float(np.einsum("i,i->", np.exp(log_a * ns), pmf[: n1 - n0]))
-        if n1 > n_geo:
+    if math.ceil((math.log(policy.tail_bound) + math.log1p(-a)) / log_a) - 1 < ell:
+        return 0.0  # the whole series is already below the tail bound
+    coef, term, vals, lead = _jump_pmf_setup(lseq, ell)
+    weighted = np.zeros(vals.size)  # sum_n a^n T_i(n), one per column
+    mass = np.zeros(vals.size)  # sum_n T_i(n)
+    n = ell
+    for block in _product_chunks(term, vals, ell, None, lambda block: block):
+        ns = np.arange(n, n + block.shape[1], dtype=float)
+        # einsum on the (columns, rows) block, not a BLAS product, so the sums
+        # do not depend on the thread count
+        weighted += np.einsum("ij,j->i", block, np.exp(log_a * ns))
+        mass += np.einsum("ij->i", block)
+        n += block.shape[1]
+        del block  # not held while the next piece is built
+        rest = 1.0 - lead * math.fsum(coef * mass)
+        if math.exp(log_a * n) * max(0.0, rest) < policy.tail_bound:
             break
-        # the window is whole: mass is the pmf's mass through n1 - 1
-        if math.exp(log_a * n1) * max(0.0, 1.0 - mass) < policy.tail_bound:
-            break
-        if n1 - ell >= policy.max_terms:
+        if n - ell >= policy.max_terms:
             raise TruncationFailure(
                 f"needed more than max_terms={policy.max_terms} terms for t={t!r}"
             )
-        n0 = n1
-    return min(total, 1.0)
+    return min(max(lead * math.fsum(coef * weighted), 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -310,13 +310,21 @@ def _uniform_cell(measure: LineMeasureSpec) -> Callable:
 
 
 def _uniform_slot(measure: LineMeasureSpec, window: ConvexPolygon) -> Callable:
-    """Mecke selector: one of the n quasi-cells picked uniformly, one window line."""
+    """Mecke selector: one of the n quasi-cells picked uniformly, one window
+    line.  A degenerate split draws the decision (slot and line) again, as
+    the batched stepper does; past MAX_REJECTION_ITERATIONS draws it raises
+    SamplerStall."""
 
     def pick(slots: list, rng: np.random.Generator) -> tuple:
-        idx = int(rng.integers(len(slots)))
-        line = sample_hitting_line(measure, window, rng)
-        parts = _cut(slots[idx], line)
-        return idx, line, parts.negative_part, parts.positive_part
+        for _ in range(MAX_REJECTION_ITERATIONS):
+            idx = int(rng.integers(len(slots)))
+            line = sample_hitting_line(measure, window, rng)
+            try:
+                parts = _cut(slots[idx], line)
+            except DegenerateSplit:
+                continue
+            return idx, line, parts.negative_part, parts.positive_part
+        raise SamplerStall("degenerate splits exceeded the iteration budget")
 
     return pick
 

@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import stitlab
+from stitlab import cli
 from stitlab.cli import (
     SIMULATE,
     TABLE,
@@ -547,3 +553,112 @@ class TestUsageErrors:
     def test_unknown_model(self, tmp_path):
         assert run(["simulate", "--model", "nope", "--jumps", "1",
                     "--out", str(tmp_path / "x")]) == 2
+
+
+# the work each command does after its --out is checked, and argv that would run it
+OUT_COMMANDS = {
+    "simulate": ("processes.stit_simulate",
+                 ["simulate", "--model", "stit", "--jumps", "3000", "--seed", "1"]),
+    "render": ("read_trace", ["render", "t.jsonl"]),
+    "table": ("dist.stit_jump_cdf", ["table", "stit-cdf", "--L", "1,1.5", "--t", "1"]),
+    "verify": ("stats.run_identity_suite", ["verify", "--suite", "identities"]),
+}
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+    @pytest.mark.parametrize("out", ["missing/x.out", "dir", "dir/"])
+    def test_unwritable_out_exits_2_before_any_work(self, command, out, tmp_path, monkeypatch,
+                                                   capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the work ran before --out was checked")
+
+        work, argv = OUT_COMMANDS[command]
+        module, _, name = work.rpartition(".")
+        monkeypatch.setattr(getattr(cli, module) if module else cli, name, no_work)
+        (tmp_path / "dir").mkdir()
+        assert run(argv + ["--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir"]
+
+    @pytest.mark.parametrize("command", ["render", "table", "verify"])
+    def test_empty_out_exits_2(self, command, capsys):
+        assert run(OUT_COMMANDS[command][1] + ["--out", ""]) == 2
+        assert capsys.readouterr().err == "error: --out must be a nonempty file path, got ''\n"
+
+    @pytest.mark.parametrize("out", ["missing/rep.json", "rep\0.json", 5])
+    def test_config_out_is_checked_too(self, out, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out": str(tmp_path / out) if isinstance(out, str) else out}))
+        assert run(["verify", "--suite", "identities", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg.json"]
+
+
+# argv pieces for the output-contract fuzz: valid and invalid values of each
+# input (by dest), kept small so that no valid combination runs long
+FUZZ_VALUES = {
+    "L": ["1,1.5", "1,1.5,2.2", "1,1.4,2.1,2.9", ",".join(str(1 + 0.5 * i) for i in range(17)),
+          "1,abc", "", "1,0.5"],
+    "rate": ["1", "2.5", "0", "nan"],
+    "t": ["0.5", "0:2:0.5", "1,2", "40", "-1", "abc"],
+    "n": ["3", "1", "0"],
+    "k": ["0:3", "2", "3:1"],
+    "Lk": ["1.5", "2.2", "nan"],
+    "l": ["1:3", "2", "x"],
+    "ell": ["2", "3", "99"],
+    "n_grid": ["2:5", "4", "5:2"],
+    "seed": ["0", "5", "-1"],
+    "seeds": ["0:1", "1:0", "x"],
+    "window": ["triangle"],
+    "mutate": ["wrong-rate"],
+}
+FUZZ_OUTS = ["", "missing", "dir", "file", "file", "file", None, None, None]
+
+
+@st.composite
+def _table_or_verify_argv(draw):
+    """A table law or the identities suite with a few of the inputs it takes,
+    sometimes one it does not take, and an --out of each kind."""
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(sorted(TABLE.entries)))
+        argv, entry = ["table", name], TABLE.entries[name]
+    else:
+        argv, entry = ["verify", "--suite", "identities"], VERIFY.entries["identities"]
+    takes = entry.takes.split() + (["seed", "seeds"] if argv[0] == "verify" else [])
+    needs = [group.split("|")[0] for group in entry.needs.split()]
+    flags = needs + draw(st.lists(st.sampled_from(sorted({*takes} - {*needs})), unique=True))
+    if draw(st.integers(0, 4)) == 0:
+        flags.append(draw(st.sampled_from(sorted(FUZZ_VALUES.keys() - {*takes}))))
+    for flag in flags:
+        argv += [_option(flag), draw(st.sampled_from(FUZZ_VALUES[flag]))]
+    return argv, draw(st.sampled_from(FUZZ_OUTS))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=_table_or_verify_argv())
+def test_output_contract_fuzz(case):
+    """Any table or identities argv exits 0, 2 or 3 without a traceback; an
+    unwritable --out exits 2, and exit 2 writes no file."""
+    argv, out = case
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "dir").mkdir()
+        paths = {"": "", "missing": str(root / "missing" / "x"), "dir": str(root / "dir"),
+                 "file": str(root / "x")}
+        full = argv if out is None else argv + ["--out", paths[out]]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(full)
+        assert code in (0, 2, 3), (full, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if out in ("", "missing", "dir"):
+            assert code == 2, (full, err.getvalue())
+        written = sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+        if code == 0 and out == "file":
+            assert written == ["dir", "x"]
+        else:
+            assert written == ["dir"], (full, code)

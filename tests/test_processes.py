@@ -82,7 +82,7 @@ class TestCowanEl:
         final_state(trace).validate(unit_square)
 
 
-@pytest.mark.parametrize("simulate", [stit_simulate, cowan_el_simulate])
+@pytest.mark.parametrize("simulate", [stit_simulate, cowan_el_simulate, mecke_discrete_simulate])
 def test_unsplittable_cell_stalls_instead_of_hanging(simulate, unit_square, monkeypatch):
     def degenerate(cell, line):
         raise DegenerateSplit("no split")
@@ -91,6 +91,28 @@ def test_unsplittable_cell_stalls_instead_of_hanging(simulate, unit_square, monk
     monkeypatch.setattr(processes, "MAX_REJECTION_ITERATIONS", 50)
     with pytest.raises(SamplerStall):
         simulate(unit_square, ISO, np.random.default_rng(0), max_jumps=3)
+
+
+@pytest.mark.parametrize("model", ["mecke-discrete", "mecke-continuous"])
+def test_mecke_redraws_a_degenerate_decision(model, unit_square, monkeypatch):
+    calls, real_split = [], processes.split
+
+    def fifth_degenerate(cell, line):
+        calls.append(line)
+        if len(calls) == 5:
+            raise DegenerateSplit("forced")
+        return real_split(cell, line)
+
+    monkeypatch.setattr(processes, "split", fifth_degenerate)
+    rng = np.random.default_rng(3)
+    if model == "mecke-discrete":
+        trace = mecke_discrete_simulate(unit_square, ISO, rng, max_decisions=40)
+        assert len(trace.events) == 40
+    else:
+        state, trace = mecke_continuous_simulate(unit_square, ISO, 1.0, rng)
+        assert state.decision_count == len(trace.events)
+    assert len(calls) > 5
+    final_state(trace).validate(unit_square)
 
 
 @pytest.mark.parametrize("simulate", [stit_simulate, cowan_el_simulate])

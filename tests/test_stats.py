@@ -202,13 +202,16 @@ class TestReports:
 # SHA-256 of the JSON of a run's reports, recorded when the unconditional and
 # the selection checks moved to batched draws (the other three reports kept
 # their earlier values field for field); the same under
-# OPENBLAS_NUM_THREADS=1 and =2.
+# OPENBLAS_NUM_THREADS=1 and =2.  Re-recorded with the identity digest when
+# mecke_jump_tail moved to per-column sums: only the tail-vs-cdf statistics
+# and the conditional-jump-counts statistic and p-value moved (that one by
+# 2.3e-14 relative), and no pass/fail outcome changed.
 GOLDEN_SUITE_DIGESTS = {
-    None: "1c28902fe7b61593a7de45e669a019fa73028f83372a9b1c4e5b57f646572e44",
-    "poisson-clock": "36a289365b7f8f36a54b2f4be7d19eacb131286b35192c433bf2e4807d93da76",
-    "wrong-rate": "3def8fd717e5bb6eaf3d4abd8bc7900f7fe390e4c741eb56a00b2d675e1b5092",
+    None: "6970877a90989a323d19a0588d475447f9049a3015dded79f05472f2de6b2e3c",
+    "poisson-clock": "117e7dd4b6363db023e339123fda429f5088d234c7057816848d507abf971c0b",
+    "wrong-rate": "892adab2158faad904b8f0330478c8d7609600b3d7bb62fd2bdfce60823b9842",
 }
-GOLDEN_IDENTITY_DIGEST = "800e096054eb324373fdcee176be091cb8ad55785bf882fc9d30e93735bd54e8"
+GOLDEN_IDENTITY_DIGEST = "4ae61c96f724b70a3c0a8fad3e734f595d22fe4b2a429e708a343165183fac9c"
 
 
 def _report_digest(reports) -> str:
