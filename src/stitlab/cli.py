@@ -385,7 +385,7 @@ def _jump_time_rows(get: Callable, fn: Callable, column: str) -> tuple:
     """A law of the time of jump --ell; the STIT laws take no --ell and give jump len(L)."""
     lseq = _weight_sequence(get, _rate(get))
     ell, grid = get("ell", len(lseq)), parse_float_grid(get("t", "0:1:0.1"))
-    return ["t", column], grid, [float(fn(lseq, ell, t)) for t in grid]
+    return ["t", column], grid, fn(lseq, ell, grid)
 
 
 def _jump_rows(get: Callable) -> tuple:
@@ -404,12 +404,12 @@ def _waiting_rows(get: Callable) -> tuple:
 def _cowan_pmf_rows(get: Callable) -> tuple:
     rate, t = _rate(get), _number("t", get("t"), float)
     grid = parse_int_grid(get("k", "0:10"))
-    return ["k", "pmf"], grid, [dist.nu_pmf(rate, t, k) for k in grid]
+    return ["k", "pmf"], grid, dist.nu_pmf(rate, t, grid)
 
 
 def _cowan_cdf_rows(get: Callable) -> tuple:
     rate, grid = _rate(get), parse_float_grid(get("t", "0:1:0.1"))
-    return ["t", "cdf"], grid, [dist.cowan_sum_cdf(rate, get("n"), t) for t in grid]
+    return ["t", "cdf"], grid, dist.cowan_sum_cdf(rate, get("n"), grid)
 
 
 TABLE = Command("distribution", {

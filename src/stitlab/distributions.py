@@ -7,17 +7,19 @@ Conventions used throughout:
 * Every gamma-function ratio whose arguments may be negative is expanded as
   a finite product of (m - value) factors; the gamma function itself is
   never evaluated.
-* The continuous law's alternating sum uses fully compensated summation
-  (math.fsum) at a scalar time and a matrix product at an array of times.
-  Each discrete law is one pmf stream, the product recurrence reduced by a
-  matrix product with round-off negatives clipped to 0; point values,
-  sequences and masses read it.  The jump tail reads the recurrence itself:
-  it sums each weight column once, weighted and unweighted, combines the
-  columns once, and tests its truncation bound after every piece; nothing
-  is memoized between calls.  Conditioning is
-  measured on the probability scale: the sum of term magnitudes bounds the
-  absolute rounding error via the machine epsilon, and evaluation refuses
-  to proceed (IllConditioned) once that bound can exceed ~1e-8.
+* Every law of a time takes a scalar or an array of times and evaluates a
+  scalar as a grid of one, so a value is the same, bit for bit, alone or in
+  any grid; the jump-time laws sum each time's terms by an einsum row, not
+  by BLAS.  Each discrete law is one pmf stream, the product recurrence
+  reduced by a matrix product with round-off negatives clipped to 0; point
+  values, sequences and masses read it.  The jump tail reads the recurrence
+  itself, in one pass for every time of a grid: it sums each weight column
+  once, and once per time weighted, combines the columns once, and tests
+  each time's truncation bound after every piece; nothing is memoized
+  between calls.  Conditioning is measured on the probability scale: the
+  sum of term magnitudes bounds the absolute rounding error via the machine
+  epsilon, and evaluation refuses to proceed (IllConditioned) once that
+  bound can exceed ~1e-8.
 """
 
 from __future__ import annotations
@@ -93,21 +95,29 @@ def _stit_coefficients(lseq: LSequence, n: int) -> np.ndarray:
     return coef
 
 
-def _jump_time_sum(lseq: LSequence, n: int, t, density: bool):
+def _jump_time_sum(lseq: LSequence, n: int, t, density: bool, top: float):
     """The n-th jump time's CDF, 1 + sign * sum_i c_i exp(-rate * v_i * t), or
-    with `density` its derivative, unclamped; a scalar `t` is summed with
-    math.fsum, an array `t` by a matrix product."""
+    with `density` its derivative; values within 1e-9 outside [0, top] are
+    clamped onto it.  A scalar `t` is a grid of one (and gives a float)."""
     coef = _stit_coefficients(lseq, n)
     vals = np.asarray(lseq.values[:n], dtype=float)
     t_arr = _times(t)
     sign = -1.0 if n % 2 else 1.0
     if density:  # d/dt multiplies each term by -rate * v_i
         sign, coef = -sign, lseq.rate * vals * coef
-    if t_arr.ndim == 0:
-        terms = sign * coef * np.exp(-lseq.rate * vals * float(t_arr))
-        return math.fsum(terms) if density else math.fsum([1.0, *terms])
-    out = sign * (np.exp(-lseq.rate * np.multiply.outer(t_arr, vals)) @ coef)
-    return out if density else 1.0 + out
+    terms = np.exp(-lseq.rate * np.multiply.outer(t_arr.ravel(), vals))
+    out = sign * np.einsum("ij,j->i", terms, coef)
+    if not density:
+        out += 1.0
+    out[(out > -1e-9) & (out < 0.0)] = 0.0  # round-off past either end
+    out[(out > top) & (out < top + 1e-9)] = top
+    return _as_given(out, t_arr)
+
+
+def _as_given(values: np.ndarray, like: np.ndarray):
+    """Flat `values` in the shape of the argument `like`: a float for a 0-d
+    argument, else an array."""
+    return float(values[0]) if like.ndim == 0 else values.reshape(like.shape)
 
 
 def stit_jump_cdf(lseq: LSequence, n: int, t):
@@ -116,22 +126,12 @@ def stit_jump_cdf(lseq: LSequence, n: int, t):
     Accepts a scalar or array `t`; values within 1e-9 of [0, 1] are clamped
     onto the boundary.
     """
-    return _clamp(_jump_time_sum(lseq, n, t, density=False))
+    return _jump_time_sum(lseq, n, t, density=False, top=1.0)
 
 
 def stit_jump_pdf(lseq: LSequence, n: int, t):
     """Density of the n-th jump time; nonnegative, integrates to one."""
-    return _clamp(_jump_time_sum(lseq, n, t, density=True), math.inf)
-
-
-def _clamp(x, top: float = 1.0):
-    """Round-off clamp of a float, or in place of an array: values in
-    (-1e-9, 0) become 0 and values in (top, top + 1e-9) become top."""
-    if np.ndim(x) == 0:
-        return 0.0 if -1e-9 < x < 0.0 else top if top < x < top + 1e-9 else x
-    x[(x > -1e-9) & (x < 0.0)] = 0.0
-    x[(x > top) & (x < top + 1e-9)] = top
-    return x
+    return _jump_time_sum(lseq, n, t, density=True, top=math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -347,61 +347,67 @@ def discrete_jump_pmf_mass(
     return _mass(_jump_pmf_chunks(lseq, ell, _count(n_last, ell, "n_last")), stop_mass)
 
 
-def mecke_jump_tail(
-    lseq: LSequence, ell: int, t: float, policy: TruncationPolicy | None = None
-) -> float:
-    """P(at least ell jumps by time t | frozen weight sequence).
+def mecke_jump_tail(lseq: LSequence, ell: int, t, policy: TruncationPolicy | None = None):
+    """P(at least ell jumps by time t | frozen weight sequence); `t` is a
+    scalar (a float back) or an array (an array back).
 
     The series sum_n a^n * discrete_jump_pmf(n), a = 1 - exp(-rate * t), summed
     per weight column: the pmf is lead * sum_i c_i T_i(n) over the columns
     T_i of the product recurrence, so each piece of the recurrence adds
-    sum_n a^n T_i(n) and sum_n T_i(n) to two sums per column, and the columns
-    are combined with lead * c_i.  After every piece the series stops once
-    the rest, at most a^(N+1) * (1 - mass through N), is below the policy's
-    tail bound, or raises TruncationFailure past its max_terms; the
-    geometric envelope a^(N+1)/(1-a) only decides whether any term is
-    needed.  Nothing is memoized: a repeat call sums the same pieces again.
-    When a rounds to 1 (rate*t above about 37) no bound can close the
-    series, and it raises TruncationFailure at once.
+    sum_n T_i(n) to one sum per column and sum_n a^n T_i(n) to one per column
+    and time; the columns are combined with lead * c_i.  One pass serves
+    every time: after each piece a time closes once its rest, at most
+    a^(N+1) * (1 - mass through N), is below the policy's tail bound, and
+    while a time is open the pass raises TruncationFailure past max_terms.
+    So a time's value is the same, bit for bit, alone or in any grid, and a
+    grid raises exactly when its largest time would.  The geometric envelope
+    a^(N+1)/(1-a) only decides whether a time needs any term.  Nothing is
+    memoized.  When a rounds to 1 (rate*t above about 37) no bound can close
+    the series, and it raises TruncationFailure at once.
     """
-    t = float(_times(t))
+    t_arr = _times(t)
     if not 1 <= ell <= len(lseq):
         raise DomainError(f"ell={ell} outside 1..{len(lseq)}")
     policy = policy if policy is not None else TruncationPolicy()
-    a = -math.expm1(-lseq.rate * t)
-    if a <= 0.0:
-        return 0.0
+    times = t_arr.ravel().tolist()
+    a = [-math.expm1(-lseq.rate * x) for x in times]  # math, not numpy: as each time alone
     if ell == 1:  # the first jump happens at the first decision, always
-        return a
-    if a == 1.0:
-        raise TruncationFailure(
-            f"rate*t={lseq.rate * t!r}: 1 - exp(-rate*t) rounds to 1, so the series has no "
-            "geometric decay to truncate"
-        )
-    log_a = math.log(a)
-    # geometric envelope: a^(N+1)/(1-a) < tail_bound
-    if math.ceil((math.log(policy.tail_bound) + math.log1p(-a)) / log_a) - 1 < ell:
-        return 0.0  # the whole series is already below the tail bound
-    coef, term, vals, lead = _jump_pmf_setup(lseq, ell)
-    weighted = np.zeros(vals.size)  # sum_n a^n T_i(n), one per column
-    mass = np.zeros(vals.size)  # sum_n T_i(n)
-    n = ell
-    for block in _product_chunks(term, vals, ell, None, lambda block: block):
-        ns = np.arange(n, n + block.shape[1], dtype=float)
-        # einsum on the (columns, rows) block, not a BLAS product, so the sums
-        # do not depend on the thread count
-        weighted += np.einsum("ij,j->i", block, np.exp(log_a * ns))
-        mass += np.einsum("ij->i", block)
-        n += block.shape[1]
-        del block  # not held while the next piece is built
-        rest = 1.0 - lead * math.fsum(coef * mass)
-        if math.exp(log_a * n) * max(0.0, rest) < policy.tail_bound:
-            break
-        if n - ell >= policy.max_terms:
+        return _as_given(np.array(a), t_arr)
+    log_a = {}  # of each time whose series the envelope does not close
+    for i, a_i in enumerate(a):
+        if a_i == 1.0:
             raise TruncationFailure(
-                f"needed more than max_terms={policy.max_terms} terms for t={t!r}"
+                f"rate*t={lseq.rate * times[i]!r}: 1 - exp(-rate*t) rounds to 1, so the series "
+                "has no geometric decay to truncate"
             )
-    return min(max(lead * math.fsum(coef * weighted), 0.0), 1.0)
+        # geometric envelope: a^(N+1)/(1-a) < tail_bound from N = ell on
+        if a_i > 0.0 and (math.log(policy.tail_bound) + math.log1p(-a_i)) / math.log(a_i) > ell:
+            log_a[i] = math.log(a_i)
+    out = np.zeros(len(times))
+    if log_a:
+        coef, term, vals, lead = _jump_pmf_setup(lseq, ell)
+        weighted = {i: np.zeros(vals.size) for i in log_a}  # sum_n a^n T_i(n), per time
+        mass = np.zeros(vals.size)  # sum_n T_i(n)
+        n, open_ = ell, list(log_a)
+        for block in _product_chunks(term, vals, ell, None, lambda block: block):
+            ns = np.arange(n, n + block.shape[1], dtype=float)
+            # einsum on the (columns, rows) block, not a BLAS product, so the
+            # sums do not depend on the thread count
+            for i in open_:
+                weighted[i] += np.einsum("ij,j->i", block, np.exp(log_a[i] * ns))
+            mass += np.einsum("ij->i", block)
+            n += block.shape[1]
+            del block  # not held while the next piece is built
+            rest = max(0.0, 1.0 - lead * math.fsum(coef * mass))
+            open_ = [i for i in open_ if math.exp(log_a[i] * n) * rest >= policy.tail_bound]
+            if not open_:
+                break
+            if n - ell >= policy.max_terms:
+                raise TruncationFailure(f"needed more than max_terms={policy.max_terms} terms "
+                                        f"for t={max(times[i] for i in open_)!r}")
+        for i, sums in weighted.items():
+            out[i] = min(max(lead * math.fsum(coef * sums), 0.0), 1.0)
+    return _as_given(out, t_arr)
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +424,8 @@ def nu_pmf(rate: float, t: float, k) -> float | np.ndarray:
         raise DomainError("k must be nonnegative")
     p = math.exp(-rate * t)
     a = -math.expm1(-rate * t)
-    out = p * np.power(a, k_arr, dtype=float)
-    return float(out) if out.ndim == 0 else out
+    # a 0-d k would take numpy's scalar power, which can differ in the last bit
+    return _as_given(p * np.power(a, k_arr.ravel(), dtype=float), k_arr)
 
 
 def cowan_sum_cdf(rate: float, n: int, t) -> float | np.ndarray:
@@ -429,8 +435,7 @@ def cowan_sum_cdf(rate: float, n: int, t) -> float | np.ndarray:
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     t_arr = _times(t)
-    out = np.power(-np.expm1(-rate * t_arr), n)
-    return float(out) if out.ndim == 0 else out
+    return _as_given(np.power(-np.expm1(-rate * t_arr.ravel()), n), t_arr)
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,8 @@ from .line_measure import (
 )
 
 L_MIN_RELATIVE_GAP = 1e-9
-# mecke_continuous_simulate refuses horizons whose expected decision count,
-# expm1(rate * t), is larger than this.
+# check_expected_decisions refuses horizons at which the equally-likely clock
+# expects more events than this, expm1(rate * t).
 MAX_EXPECTED_DECISIONS = 10**6
 
 
@@ -334,6 +334,18 @@ def _equally_likely(window_weight: float) -> Callable:
     return lambda n: n * window_weight
 
 
+def check_expected_decisions(window_weight: float, t: float) -> None:
+    """Refuse, with DomainError, a horizon t at which the equally-likely clock
+    expects more than MAX_EXPECTED_DECISIONS events, expm1(W(window) * t): a
+    run to it would spin for hours instead."""
+    rate_t = window_weight * t
+    if rate_t > math.log1p(MAX_EXPECTED_DECISIONS):  # expm1 overflows past rate * t ~ 710
+        raise DomainError(
+            f"rate * t = {rate_t:.6g} expects more than MAX_EXPECTED_DECISIONS = "
+            f"{MAX_EXPECTED_DECISIONS} events of the equally-likely clock (expm1(rate * t))"
+        )
+
+
 # ---------------------------------------------------------------------------
 # the simulators
 
@@ -364,10 +376,17 @@ def cowan_el_simulate(
     max_jumps: int | None = None,
     seed: int | None = None,
 ) -> ProcessTrace:
-    """Equally-likely continuous model: Exp(k * rate) waits, uniform cell choice."""
+    """Equally-likely continuous model: Exp(k * rate) waits, uniform cell choice.
+
+    Every event is a jump; without `max_jumps`, a `max_time` past the
+    expected-work budget is refused (check_expected_decisions).
+    """
+    rate = hitting_measure(measure, window)
+    if max_jumps is None and max_time is not None:
+        check_expected_decisions(rate, max_time)
     events = _grow(
-        [window], _uniform_cell(measure), _equally_likely(hitting_measure(measure, window)),
-        rng, max_time=max_time, max_jumps=max_jumps,
+        [window], _uniform_cell(measure), _equally_likely(rate), rng,
+        max_time=max_time, max_jumps=max_jumps,
     )
     return ProcessTrace(window, measure, tuple(events), ModelTag.COWAN_EL, seed)
 
@@ -426,15 +445,10 @@ def mecke_continuous_simulate(
     Exp(n * rate) wait, so the decision count by time t is geometric and the
     trajectory for a smaller horizon is a prefix of the same run.  The
     expected decision count is expm1(rate * t); past MAX_EXPECTED_DECISIONS
-    the run is refused with DomainError instead of spinning for hours.
+    the run is refused (check_expected_decisions).
     """
     rate = hitting_measure(measure, window)
-    rate_t = rate * t
-    if rate_t > math.log1p(MAX_EXPECTED_DECISIONS):  # expm1 overflows past rate * t ~ 710
-        raise DomainError(
-            f"rate * t = {rate_t:.6g} expects more than MAX_EXPECTED_DECISIONS = "
-            f"{MAX_EXPECTED_DECISIONS} decisions (expm1(rate * t))"
-        )
+    check_expected_decisions(rate, t)
     slots = [window]
     events = _grow(
         slots, _uniform_slot(measure, window), _equally_likely(rate), rng, max_time=t

@@ -40,7 +40,8 @@ from .errors import DegenerateBins, DomainError, LCollision, StitlabError, TooFe
 from .geometry import ConvexPolygon
 from .line_measure import LineMeasureSpec, hitting_measure
 from .processes import LSequence, final_state, l_sequence, mecke_discrete_simulate, replica_rng
-from .processes import _equally_likely  # the clock of the Cowan and Mecke-continuous models
+# the clock of the Cowan and Mecke-continuous models, and its expected-work budget
+from .processes import _equally_likely, check_expected_decisions
 
 MUTATIONS = (None, "poisson-clock", "wrong-rate")
 WRONG_RATE_FACTOR = 1.2
@@ -124,14 +125,13 @@ def format_pass_rates(runs: Sequence[Sequence[VerificationReport]], note: str = 
 
 
 def ks_test(samples: Iterable[float], cdf: Callable) -> tuple[float, float]:
-    """One-sample Kolmogorov-Smirnov statistic and asymptotic p-value."""
+    """One-sample Kolmogorov-Smirnov statistic and asymptotic p-value; `cdf`
+    takes the sorted sample as one array."""
     x = np.sort(np.asarray(list(samples), dtype=float))
     n = x.size
     if n < 10:
         raise TooFewSamples(f"need >= 10 samples, got {n}")
     f = np.asarray(cdf(x), dtype=float)
-    if f.shape != x.shape:
-        f = np.array([float(cdf(v)) for v in x])
     d_plus = float(np.max(np.arange(1, n + 1) / n - f))
     d_minus = float(np.max(f - np.arange(0, n) / n))
     d = max(d_plus, d_minus)
@@ -257,6 +257,27 @@ def simulate_cowan_counts(
     return _clock_counts(_equally_likely(rate), t, n_replicas, rng)
 
 
+def _decision_chain(
+    lseq: LSequence, last: np.ndarray, cap: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """The conditional decision chain of each replica over decisions
+    1..last[r], until it has `cap` jumps: decision n jumps with probability
+    values[j]/n, j the jumps so far.  Each replica's jump count, and the
+    decision of its cap-th jump (-1 when it has none)."""
+    vals = np.asarray(lseq.values, dtype=float)
+    jumps = np.zeros(last.size, dtype=np.int64)
+    at = np.full(last.size, -1, dtype=np.int64)
+    active = np.arange(last.size)
+    for n in range(1, int(last.max(initial=0)) + 1):
+        active = active[(last[active] >= n) & (jumps[active] < cap)]
+        if not active.size:
+            break
+        hit = active[rng.random(active.size) < vals[jumps[active]] / n]
+        jumps[hit] += 1
+        at[hit[jumps[hit] == cap]] = n
+    return jumps, at
+
+
 def simulate_conditional_jump_decisions(
     lseq: LSequence,
     ell: int,
@@ -265,49 +286,18 @@ def simulate_conditional_jump_decisions(
     *,
     max_decisions: int = 10**4,
 ) -> np.ndarray:
-    """Decision index of the ell-th jump per replica; -1 when censored.
-
-    The conditional decision chain succeeds at decision n with probability
-    values[j]/n where j is the number of jumps so far.
-    """
+    """Decision index of the ell-th jump per replica; -1 when censored."""
     if not 1 <= ell <= len(lseq):
         raise DomainError(f"ell={ell} outside 1..{len(lseq)}")
-    vals = np.asarray(lseq.values, dtype=float)
-    jumps = np.zeros(n_replicas, dtype=np.int64)
-    out = np.full(n_replicas, -1, dtype=np.int64)
-    active = np.arange(n_replicas)
-    for n in range(1, max_decisions + 1):
-        u = rng.random(active.size)
-        hit = u < vals[jumps[active]] / n
-        idx = active[hit]
-        jumps[idx] += 1
-        done = jumps[idx] == ell
-        out[idx[done]] = n
-        active = active[jumps[active] < ell]
-        if not active.size:
-            break
-    return out
+    return _decision_chain(lseq, np.full(n_replicas, max_decisions), ell, rng)[1]
 
 
 def simulate_conditional_mecke_counts(
     lseq: LSequence, t: float, n_replicas: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Jumps among the geometric number of decisions by time t, capped at len(lseq)."""
-    cap = len(lseq)
-    vals = np.asarray(lseq.values, dtype=float)
-    p_zero = math.exp(-lseq.rate * t)
-    decisions = rng.geometric(p_zero, size=n_replicas).astype(np.int64) - 1
-    jumps = np.zeros(n_replicas, dtype=np.int64)
-    horizon = int(decisions.max(initial=0))
-    active = np.arange(n_replicas)
-    for n in range(1, horizon + 1):
-        active = active[(decisions[active] >= n) & (jumps[active] < cap)]
-        if not active.size:
-            break
-        u = rng.random(active.size)
-        hit = u < vals[jumps[active]] / n
-        jumps[active[hit]] += 1
-    return jumps
+    decisions = rng.geometric(math.exp(-lseq.rate * t), size=n_replicas).astype(np.int64) - 1
+    return _decision_chain(lseq, decisions, len(lseq), rng)[0]
 
 
 def simulate_conditional_stit_counts(
@@ -357,6 +347,9 @@ class EquivalenceConfig:
             raise DomainError(f"unknown mutation {self.mutation!r}; options: {MUTATIONS}")
         if any(t < 0.0 for t in self.time_grid):
             raise DomainError("time grid must be nonnegative")
+        check_expected_decisions(
+            hitting_measure(self.measure, self.window), max(self.time_grid, default=0.0)
+        )
 
 
 def _frozen_sequences(config: EquivalenceConfig) -> list[LSequence]:
@@ -376,45 +369,37 @@ def _frozen_sequences(config: EquivalenceConfig) -> list[LSequence]:
     return out
 
 
-def _capped_count_pmf(lseq: LSequence, t: float, tail: Callable) -> list[float]:
-    """pmf of min(jump count by t, len(lseq)) from a tail evaluator P(count >= j)."""
-    ell = len(lseq)
-    upper = [1.0] + [float(tail(lseq, j, t)) for j in range(1, ell + 1)]
-    pmf = [upper[j] - upper[j + 1] for j in range(ell)]
-    pmf.append(upper[ell])
-    return pmf
+def _capped_count_pmfs(lseq: LSequence, times: Sequence[float], tail: Callable) -> np.ndarray:
+    """pmf of min(jump count by t, len(lseq)) at each t of `times`, one row
+    per time, from a tail evaluator P(count >= j) over a time grid."""
+    tails = [tail(lseq, j, times) for j in range(1, len(lseq) + 1)]
+    upper = np.array([np.ones(len(times)), *tails])  # P(count >= j), j = 0..len(lseq)
+    return np.vstack([upper[:-1] - upper[1:], upper[-1:]]).T
 
 
 def _check_conditional(config: EquivalenceConfig) -> VerificationReport:
-    sequences = _frozen_sequences(config)
+    """Capped jump counts of STIT and of Mecke on each frozen sequence, against
+    their pmfs and against each other."""
+    laws = (stit_jump_cdf, mecke_jump_tail)
+    simulators = (simulate_conditional_stit_counts, simulate_conditional_mecke_counts)
     worst_p = 1.0
     n_total = 0
-    for s_idx, lseq in enumerate(sequences):
+    for s_idx, lseq in enumerate(_frozen_sequences(config)):
+        tables = [_capped_count_pmfs(lseq, config.time_grid, law) for law in laws]
         for t_idx, t in enumerate(config.time_grid):
             if -math.expm1(-lseq.rate * t) <= 0.0:
                 continue  # no jumps can have happened; trivially consistent
             rng = replica_rng(config.seed, 2, s_idx, t_idx)
-            stit_counts = simulate_conditional_stit_counts(
-                lseq, t, config.conditional_replicas, rng
-            )
-            mecke_counts = simulate_conditional_mecke_counts(
-                lseq, t, config.conditional_replicas, rng
-            )
+            hists = [counts_from_values(simulate(lseq, t, config.conditional_replicas, rng))
+                     for simulate in simulators]  # STIT's draws, then Mecke's
             n_total += 2 * config.conditional_replicas
-            pmf_s = _capped_count_pmf(lseq, t, stit_jump_cdf)
-            pmf_m = _capped_count_pmf(lseq, t, mecke_jump_tail)
-            for counts, pmf in (
-                (counts_from_values(stit_counts), pmf_s),
-                (counts_from_values(mecke_counts), pmf_m),
-            ):
+            for hist, table in zip(hists, tables):
+                pmf = table[t_idx]
                 _, p, _ = chi_square_gof(
-                    counts, lambda k: pmf[k] if 0 <= k < len(pmf) else 0.0, support_lo=0
+                    hist, lambda k: pmf[k] if 0 <= k < len(pmf) else 0.0, support_lo=0
                 )
                 worst_p = min(worst_p, p)
-            _, p2 = two_sample_chi_square(
-                counts_from_values(stit_counts), counts_from_values(mecke_counts)
-            )
-            worst_p = min(worst_p, p2)
+            worst_p = min(worst_p, two_sample_chi_square(*hists)[1])
     return _p_report("conditional-jump-counts", worst_p, n_total, config.seed)
 
 
@@ -492,10 +477,9 @@ def _tail_cdf_residual(
     for _ in range(sequences):
         lseq = random_l_sequence(rng, int(rng.integers(2, 7)), rate)
         for ell in range(1, len(lseq) + 1):
-            for t in times:
-                lhs = mecke_jump_tail(lseq, ell, t)
-                worst = max(worst, abs(lhs - stit_jump_cdf(lseq, ell, t)))
-                count += 1
+            gap = mecke_jump_tail(lseq, ell, times) - stit_jump_cdf(lseq, ell, times)
+            worst = max(worst, float(np.abs(gap).max(initial=0.0)))
+            count += len(times)
     return worst, count
 
 
@@ -618,9 +602,9 @@ def run_identity_suite(seed: int = 0, *, instances: int = 200) -> list[Verificat
     worst = 0.0  # P(N_t >= n) from the count pmf against the clock-sum CDF
     for rate in (0.5, 1.0, 4.0):
         for t in (0.0, 0.3, 1.0):
+            pmf = nu_pmf(rate, t, range(19))
             for n in range(1, 20):
-                at_least_n = 1.0 - math.fsum(nu_pmf(rate, t, k) for k in range(n))
-                worst = max(worst, abs(at_least_n - cowan_sum_cdf(rate, n, t)))
+                worst = max(worst, abs(1.0 - math.fsum(pmf[:n]) - cowan_sum_cdf(rate, n, t)))
     reports.append(_residual_report("count-pmf-match", worst, 1e-12, 171, seed))
 
     return reports

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import stitlab
 from stitlab import cli
+from stitlab import distributions as dist
 from stitlab.cli import (
     SIMULATE,
     TABLE,
@@ -175,6 +176,13 @@ class TestSimulate:
         # t * W(unit square) = 4e-300: the chance of a first jump by t
         assert err[0].endswith("is 4e-300")
 
+    def test_cowan_el_with_a_jump_cap_runs_past_the_expected_work_budget(self, tmp_path):
+        # W * t = 20 expects 4.9e8 events: refused without --jumps (TestUsageErrors)
+        out = tmp_path / "t.jsonl"
+        assert run(["simulate", "--model", "cowan-el", "--t", "5", "--jumps", "100",
+                    "--out", str(out)]) == 0
+        assert read_trace(out).jump_count == 100
+
     def test_run_with_a_jump_does_not_warn(self, tmp_path, capsys):
         code = run(["simulate", "--model", "stit", "--t", "1", "--out", str(tmp_path / "t.jsonl")])
         assert code == 0
@@ -293,6 +301,41 @@ class TestTable:
             xs = parse_int_grid(spec)
             assert [int(x) for x, _ in rows] == xs
             assert [float(v) for _, v in rows] == [point(x) for x in xs]
+
+    @pytest.mark.parametrize(
+        "name, point",
+        [
+            ("stit-cdf", lambda lseq, t: dist.stit_jump_cdf(lseq, 3, t)),
+            ("stit-pdf", lambda lseq, t: dist.stit_jump_pdf(lseq, 3, t)),
+            ("mecke-tail", lambda lseq, t: dist.mecke_jump_tail(lseq, 2, t)),
+            ("cowan-cdf", lambda lseq, t: dist.cowan_sum_cdf(2.0, 3, t)),
+        ],
+    )
+    def test_time_rows_equal_point_values(self, name, point, capsys):
+        from stitlab.processes import LSequence
+
+        lseq = LSequence((1.0, 1.5, 2.2), rate=2.0)
+        flags = {"cowan-cdf": ["--n", "3"], "mecke-tail": ["--L", "1,1.5,2.2", "--ell", "2"]}
+        argv = flags.get(name, ["--L", "1,1.5,2.2"])
+        for spec in ("0:3:0.125", "2.5,0,0.3,0.3"):
+            assert run(["table", name, *argv, "--rate", "2", "--t", spec]) == 0
+            rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+            ts = parse_float_grid(spec)
+            assert [float(v) for _, v in rows] == [point(lseq, t) for t in ts]
+        assert run(["table", "cowan-pmf", "--rate", "2", "--t", "0.7", "--k", "0:200"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [float(v) for _, v in rows] == [dist.nu_pmf(2.0, 0.7, k) for k in range(201)]
+
+    def test_tail_table_builds_the_recurrence_once(self, monkeypatch, capsys):
+        calls = []
+        build = dist._product_chunks
+        monkeypatch.setattr(
+            dist, "_product_chunks", lambda *a, **kw: calls.append(1) or build(*a, **kw)
+        )
+        assert run(["table", "mecke-tail", "--L", "1,1.5,2.2", "--ell", "3",
+                    "--t", "0.1:2.5:0.1"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 25
+        assert len(calls) == 1
 
     def test_pmf_table_builds_the_recurrence_once(self, monkeypatch, capsys):
         from stitlab import distributions
@@ -477,6 +520,8 @@ class TestUsageErrors:
             ["simulate", "--model", "stit", "--t", "inf", "--jumps", "3"],
             ["simulate", "--model", "mecke-continuous", "--t", "-1"],
             ["simulate", "--model", "mecke-continuous", "--t", "5"],
+            ["simulate", "--model", "cowan-el", "--t", "5"],
+            ["verify", "--suite", "equivalence", "--t-grid", "10", "--replicas", "20"],
             ["table", "stit-cdf", "--L", "1,abc"],
             ["table", "stit-cdf", "--L", "1,0.5"],
             ["table", "jump-pmf", "--L", "1,1.5", "--ell", "2", "--rate", "0"],
@@ -532,7 +577,8 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "config",
         [{"replicas": 0}, {"time_grid": [0.2, -1.0]}, {"time_grid": 0.5}, {"mutate": "bogus"},
-         {"suite": "identities"}, {"seeds": "1:2"}, {"t_grid": "0.2"}, {"model": "stit"}],
+         {"suite": "identities"}, {"seeds": "1:2"}, {"t_grid": "0.2"}, {"model": "stit"},
+         {"time_grid": [0.2, 10.0], "replicas": 20}],
     )
     def test_bad_verify_config_exits_2(self, config, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -662,3 +708,86 @@ def test_output_contract_fuzz(case):
             assert written == ["dir", "x"]
         else:
             assert written == ["dir"], (full, code)
+
+
+# argv pieces for the simulate and render fuzz.  Stop values are small, and
+# --t lies on both sides of the expected-work guard (W * t = log1p(10**6):
+# t = 3.45 on the unit square under iso:1); STIT, which the guard does not
+# cover, is asked for t <= 5 only (about 100 cells under iso:1)
+RUN_FUZZ_VALUES = {
+    "t": ["0", "0.4", "1", "5", "40", "-1", "nan"],
+    "jumps": ["0", "3", "12", "-2"],
+    "decisions": ["0", "5", "40", "-1"],
+    "window": ["unit-square", "triangle", "[[0,0],[1,0]]"],
+    "measure": ["iso:1", "iso:2", "dirs:0:1,1.5:2", "iso:1e-320", "iso:x"],
+    "seed": ["0", "7", "-1"],
+    "at": ["0", "2", "0.5", "-1", "nan", "inf"],
+}
+RENDER_TRACES = ["trace", "trace", "empty", "malformed", "missing", "dir"]
+RUN_OUTS = ["file", "file", "file", "file", "file", "", "missing", "dir", None]
+
+
+@st.composite
+def _simulate_or_render_argv(draw):
+    """A model with one flag of each of its needs and a few more inputs,
+    sometimes one it does not take, or a render of a trace of each kind; and
+    an --out of each kind."""
+    if draw(st.booleans()):
+        argv = ["render", "@" + draw(st.sampled_from(RENDER_TRACES))]
+        if draw(st.booleans()):
+            argv += ["--at", draw(st.sampled_from(RUN_FUZZ_VALUES["at"]))]
+        return argv, draw(st.sampled_from(RUN_OUTS))
+    name = draw(st.sampled_from(sorted(SIMULATE.entries)))
+    entry = SIMULATE.entries[name]
+    takes = [*entry.takes.split(), "window", "measure", "seed"]
+    flags = [draw(st.sampled_from(group.split("|"))) for group in entry.needs.split()]
+    flags = [f for f in flags if f != "out"]
+    flags += draw(st.lists(st.sampled_from(sorted({*takes} - {*flags})), unique=True))
+    if draw(st.integers(0, 4)) == 0:
+        flags.append(draw(st.sampled_from(sorted({"t", "jumps", "decisions"} - {*takes}))))
+    argv = ["simulate", "--model", name]
+    for flag in flags:
+        values = RUN_FUZZ_VALUES[flag]
+        if name == "stit" and flag == "t":
+            values = [v for v in values if v != "40"]
+        argv += [_option(flag), draw(st.sampled_from(values))]
+    return argv, draw(st.sampled_from(RUN_OUTS))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=_simulate_or_render_argv())
+def test_run_contract_fuzz(case):
+    """Any simulate or render argv exits 0, 2 or 3 without a traceback; exit 2
+    prints one error line and writes no file."""
+    argv, out = case
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "dir").mkdir()
+        traces = {"trace": root / "in.jsonl", "empty": root / "empty.jsonl",
+                  "malformed": root / "bad.jsonl", "missing": root / "nope.jsonl",
+                  "dir": root / "dir"}
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["simulate", "--model", "mecke-discrete", "--decisions", "12",
+                         "--out", str(traces["trace"])]) == 0
+        traces["empty"].write_text("")
+        traces["malformed"].write_text("{\n")
+        before = sorted(p.name for p in root.rglob("*"))
+        paths = {"": "", "missing": str(root / "missing" / "x"), "dir": str(root / "dir"),
+                 "file": str(root / "x")}
+        full = [str(traces[a[1:]]) if a.startswith("@") else a for a in argv]
+        full = full if out is None else full + ["--out", paths[out]]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(full)
+        assert code in (0, 2, 3), (full, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if out in ("", "missing", "dir"):
+            assert code == 2, (full, err.getvalue())
+        if code == 2:  # one error line; argparse puts its usage before it
+            lines = [line for line in err.getvalue().splitlines()
+                     if not line.startswith(("usage: ", " "))]
+            assert len(lines) == 1 and "error: " in lines[0], (full, err.getvalue())
+        written = sorted(p.name for p in root.rglob("*"))
+        expected = sorted(before + ["x"]) if code == 0 and out == "file" else before
+        assert written == expected, (full, code)

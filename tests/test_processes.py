@@ -296,6 +296,14 @@ class TestMeckeContinuous:
         with pytest.raises(DomainError):
             mecke_continuous_simulate(unit_square, ISO, budget_t * 1.001, rng)
 
+    def test_cowan_el_refuses_the_same_budget_without_a_jump_cap(self, unit_square):
+        rng = np.random.default_rng(23)
+        with pytest.raises(DomainError, match="MAX_EXPECTED_DECISIONS"):
+            cowan_el_simulate(unit_square, ISO, rng, max_time=5.0)
+        assert rng.random() == np.random.default_rng(23).random()
+        trace = cowan_el_simulate(unit_square, ISO, rng, max_time=5.0, max_jumps=7)
+        assert trace.jump_count == 7
+
 
 class TestLSequence:
     def test_bare_window(self, unit_square):

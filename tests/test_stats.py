@@ -205,13 +205,16 @@ class TestReports:
 # OPENBLAS_NUM_THREADS=1 and =2.  Re-recorded with the identity digest when
 # mecke_jump_tail moved to per-column sums: only the tail-vs-cdf statistics
 # and the conditional-jump-counts statistic and p-value moved (that one by
-# 2.3e-14 relative), and no pass/fail outcome changed.
+# 2.3e-14 relative), and no pass/fail outcome changed.  The identity digest
+# was re-recorded again when the jump-time CDF lost its math.fsum branch for
+# a scalar time: only the tail-vs-cdf statistic moved, 6.300515664747763e-12
+# to 6.303235711158095e-12; the suite digests did not move.
 GOLDEN_SUITE_DIGESTS = {
     None: "6970877a90989a323d19a0588d475447f9049a3015dded79f05472f2de6b2e3c",
     "poisson-clock": "117e7dd4b6363db023e339123fda429f5088d234c7057816848d507abf971c0b",
     "wrong-rate": "892adab2158faad904b8f0330478c8d7609600b3d7bb62fd2bdfce60823b9842",
 }
-GOLDEN_IDENTITY_DIGEST = "4ae61c96f724b70a3c0a8fad3e734f595d22fe4b2a429e708a343165183fac9c"
+GOLDEN_IDENTITY_DIGEST = "97f240b06fbd25615bb7acf08f240d250670dcfed8b4869baa6fe053131674e6"
 
 
 def _report_digest(reports) -> str:
@@ -280,6 +283,12 @@ class TestEquivalenceSuite:
         assert by_name["unconditional-cell-counts"].p_value < 1e-4
         assert not by_name["cowan-geometric"].passed
 
+    def test_refuses_more_than_the_expected_work_budget(self, unit_square):
+        # at the largest time W * t = 4 * 10: about 2.4e17 events per replica
+        with pytest.raises(DomainError, match="MAX_EXPECTED_DECISIONS"):
+            EquivalenceConfig(window=unit_square, measure=ISO, time_grid=(0.2, 10.0))
+        EquivalenceConfig(window=unit_square, measure=ISO, time_grid=(0.2, 3.0))
+
     def test_unknown_mutation_rejected(self, unit_square):
         with pytest.raises(DomainError):
             EquivalenceConfig(window=unit_square, measure=ISO, mutation="bogus")
@@ -292,6 +301,20 @@ class TestEquivalenceSuite:
             small_config, replicas=300, conditional_replicas=400, cowan_replicas=1000,
             selection_events=500, identity_sequences=2,
         )
+
+    def test_tail_runs_once_per_sequence_and_jump(self, quick_config, monkeypatch):
+        from stitlab import stats
+
+        calls = []
+        tail = stats.mecke_jump_tail
+        monkeypatch.setattr(
+            stats, "mecke_jump_tail", lambda lseq, ell, t: calls.append(t) or tail(lseq, ell, t)
+        )
+        by_name = {r.check_name: r for r in run_equivalence_suite(quick_config)}
+        grid = quick_config.time_grid
+        pairs = by_name["tail-vs-cdf-identity"].sample_size // len(grid)
+        assert len(calls) == stats.N_CONDITIONAL_SEQUENCES * stats.CONDITIONAL_DEPTH + pairs
+        assert all(tuple(t) == grid for t in calls)
 
     def test_reproducible_reports(self, quick_config):
         first = run_equivalence_suite(quick_config)
