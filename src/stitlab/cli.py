@@ -91,10 +91,12 @@ def parse_float_grid(spec: str) -> list[float]:
     start, stop, step = values
     if step <= 0:
         raise ConfigError("grid step must be positive")
+    if stop < start:
+        raise ConfigError(f"empty float grid {spec!r}")
     count = round((stop - start) / step) + 1
     if count > MAX_GRID_POINTS:
         raise ConfigError(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
-    return [start + i * step for i in range(max(count, 1))]
+    return [start + i * step for i in range(count)]
 
 
 def parse_int_grid(spec: str) -> list[int]:
@@ -289,6 +291,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_render(args: argparse.Namespace) -> int:
     _check_out(args.out)
+    if args.at is not None and not math.isfinite(args.at):
+        raise ConfigError(f"--at must be finite, got {args.at!r}")
     trace = read_trace(args.trace)
     svg = render_svg(trace, at=args.at)
     Path(args.out).write_text(svg, encoding="utf-8")

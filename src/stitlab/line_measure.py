@@ -64,6 +64,18 @@ def hitting_measure(measure: LineMeasureSpec, poly: ConvexPolygon) -> float:
     return sum(w * width(poly, th) for th, w in measure.atoms)
 
 
+def crossing_measure(measure: LineMeasureSpec) -> float:
+    """Measure of the ordered pairs of lines that cross inside a region of unit
+    area: the double integral of |sin(theta - theta')| over both directions,
+    2 pi scale^2 for the isotropic measure and sum_i sum_j w_i w_j
+    |sin(theta_i - theta_j)| for a direction mixture."""
+    if isinstance(measure, IsotropicMeasure):
+        return 2.0 * math.pi * measure.scale**2
+    return sum(
+        wi * wj * abs(math.sin(ti - tj)) for ti, wi in measure.atoms for tj, wj in measure.atoms
+    )
+
+
 def _sample_offset_line(
     poly: ConvexPolygon, theta: float, interval: tuple[float, float], rng: np.random.Generator
 ) -> Line | None:

@@ -42,13 +42,15 @@ from .geometry import ConvexPolygon, Line, SplitResult, split
 from .line_measure import (
     MAX_REJECTION_ITERATIONS,
     LineMeasureSpec,
+    crossing_measure,
     hitting_measure,
     sample_hitting_line,
 )
 
 L_MIN_RELATIVE_GAP = 1e-9
 # check_expected_decisions refuses horizons at which the equally-likely clock
-# expects more events than this, expm1(rate * t).
+# expects more events than this, expm1(rate * t); stit_simulate refuses those
+# at which STIT expects more jumps (stit_mean_jumps).
 MAX_EXPECTED_DECISIONS = 10**6
 
 
@@ -346,6 +348,16 @@ def check_expected_decisions(window_weight: float, t: float) -> None:
         )
 
 
+def stit_mean_jumps(window: ConvexPolygon, measure: LineMeasureSpec, t: float) -> float:
+    """E N_t - 1, the mean jump count of STIT in `window` by time t:
+    t * W(window) + (t^2 / 2) * area(window) * crossing_measure(measure), the
+    mean line count plus the mean crossing count of a Poisson line process
+    of intensity t * measure in the window (1 + 4t + pi t^2 cells on the unit
+    square under iso:1).  It follows from d/dt E N_t = E sum_c W(c)."""
+    crossings = 0.5 * t * t * window.area * crossing_measure(measure)
+    return t * hitting_measure(measure, window) + crossings
+
+
 # ---------------------------------------------------------------------------
 # the simulators
 
@@ -359,7 +371,18 @@ def stit_simulate(
     max_jumps: int | None = None,
     seed: int | None = None,
 ) -> ProcessTrace:
-    """Global-clock STIT run; stops at `max_time` or after `max_jumps` jumps."""
+    """Global-clock STIT run; stops at `max_time` or after `max_jumps` jumps.
+
+    Without `max_jumps`, a `max_time` at which STIT expects more than
+    MAX_EXPECTED_DECISIONS jumps (stit_mean_jumps) is refused with DomainError.
+    """
+    if max_jumps is None and max_time is not None:
+        expected = stit_mean_jumps(window, measure, max_time)
+        if expected > MAX_EXPECTED_DECISIONS:
+            raise DomainError(
+                f"t = {max_time:.6g} expects {expected:.3g} STIT jumps, more than "
+                f"MAX_EXPECTED_DECISIONS = {MAX_EXPECTED_DECISIONS}"
+            )
     by_weight = _ByWeight(measure, window)
     events = _grow(
         [window], by_weight, by_weight.rate, rng, max_time=max_time, max_jumps=max_jumps

@@ -8,6 +8,8 @@ identity, and the selection probabilities of the discrete process.  Each
 check draws from its own child stream of the seed, so every report is
 reproducible from (seed, config).  The unconditional check runs its
 replicas of both processes on the batched geometry of `stitlab.batch`.
+SciPy is imported only by the three p-values (`ks_test`, `chi_square_gof`,
+`two_sample_chi_square`), at their call, so importing stitlab loads none of it.
 
 Negative controls are built in: a mutated clock (`poisson-clock` or
 `wrong-rate`) must make the stochastic checks fail, so the harness cannot
@@ -21,7 +23,6 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import special
 
 from . import batch
 from .distributions import (
@@ -135,7 +136,9 @@ def ks_test(samples: Iterable[float], cdf: Callable) -> tuple[float, float]:
     d_plus = float(np.max(np.arange(1, n + 1) / n - f))
     d_minus = float(np.max(f - np.arange(0, n) / n))
     d = max(d_plus, d_minus)
-    return d, float(special.kolmogorov(math.sqrt(n) * d))
+    from scipy.special import kolmogorov  # SciPy is loaded at the first p-value
+
+    return d, float(kolmogorov(math.sqrt(n) * d))
 
 
 def counts_from_values(values: Iterable[int]) -> dict[int, int]:
@@ -191,7 +194,9 @@ def chi_square_gof(
         raise DegenerateBins(f"only {len(merged)} bin(s) after merging")
     stat = math.fsum((o - e) ** 2 / e for o, e in merged)
     dof = len(merged) - 1
-    return stat, float(special.chdtrc(dof, stat)), dof
+    from scipy.special import chdtrc  # SciPy is loaded at the first p-value
+
+    return stat, float(chdtrc(dof, stat)), dof
 
 
 def two_sample_chi_square(
@@ -222,7 +227,9 @@ def two_sample_chi_square(
         e_b = n_b * col / total
         stat += (o_a - e_a) ** 2 / e_a + (o_b - e_b) ** 2 / e_b
     dof = len(merged) - 1
-    return stat, float(special.chdtrc(dof, stat))
+    from scipy.special import chdtrc  # SciPy is loaded at the first p-value
+
+    return stat, float(chdtrc(dof, stat))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from stitlab import batch
 from stitlab.errors import DegenerateSplit
 from stitlab.geometry import ConvexPolygon, Line, split
 from stitlab.line_measure import DirectionMixture, IsotropicMeasure, hitting_measure
-from stitlab.processes import _equally_likely, _grow, _uniform_slot, stit_simulate
+from stitlab.processes import _equally_likely, _grow, _uniform_slot, stit_mean_jumps, stit_simulate
 from stitlab.stats import counts_from_values, two_sample_chi_square
 
 from conftest import random_convex_polygon
@@ -152,13 +152,18 @@ def test_batched_counts_match_scalar(window, measure, mecke):
 
 
 @pytest.mark.parametrize("mecke", [False, True], ids=["stit", "mecke"])
-def test_mean_cell_count_matches_closed_form(mecke):
-    # E N_t = 1 + t * W(window) + pi * t^2 * area(window) for iso:1 (the
-    # edge length intensity of STIT at time t is pi * t)
+@pytest.mark.parametrize(
+    "window, measure", [(UNIT_SQUARE, ISO), (TRIANGLE, DIRS)], ids=["square-iso", "triangle-dirs"]
+)
+def test_mean_cell_count_matches_closed_form(window, measure, mecke):
+    # E N_t = 1 + stit_mean_jumps, which is 1 + 4t + pi t^2 on the unit square
+    # under iso:1 (the edge length intensity of STIT at time t is pi * t)
     grid = (0.5, 1.0)
-    for t, hist in zip(grid, _batched_counts(UNIT_SQUARE, ISO, 73, 10_000, mecke, grid)):
+    for t, hist in zip(grid, _batched_counts(window, measure, 73, 10_000, mecke, grid)):
         values = np.repeat(list(hist), list(hist.values()))
-        expected = 1.0 + 4.0 * t + math.pi * t * t
+        expected = 1.0 + stit_mean_jumps(window, measure, t)
+        if measure is ISO:
+            assert expected == pytest.approx(1.0 + 4.0 * t + math.pi * t * t, rel=1e-14)
         z = (values.mean() - expected) / math.sqrt(values.var(ddof=1) / values.size)
         assert abs(z) <= 4.0, (t, values.mean(), expected)
 

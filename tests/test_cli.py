@@ -9,7 +9,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import stitlab
@@ -36,14 +36,48 @@ def run(args):
     return main(list(args))
 
 
-def test_cli_import_does_not_load_scipy_stats():
+# Run in a fresh interpreter: which SciPy modules each step leaves loaded.
+# Only a p-value (the equivalence suite) may load SciPy.
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+from stitlab.cli import main
+
+def step(name, *argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(list(argv)) if argv else 0
+    loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    print(json.dumps([name, code, loaded]))
+
+tmp = sys.argv[1]
+step("import")
+for model, stop in [("stit", "--jumps"), ("mecke-discrete", "--decisions"),
+                    ("mecke-continuous", "--t"), ("cowan-el", "--jumps")]:
+    step(model, "simulate", "--model", model, stop, "1" if stop == "--t" else "6",
+         "--out", tmp + "/trace.jsonl")
+step("render", "render", tmp + "/trace.jsonl", "--out", tmp + "/trace.svg", "--at", "0.5")
+step("stit-cdf", "table", "stit-cdf", "--L", "1,1.5", "--t", "0:1:0.5")
+step("mecke-tail", "table", "mecke-tail", "--L", "1,1.5", "--ell", "2", "--t", "0.5")
+step("cowan-pmf", "table", "cowan-pmf", "--t", "1", "--k", "0:3")
+step("jump-pmf", "table", "jump-pmf", "--L", "1,1.5", "--ell", "2")
+step("identities", "verify", "--suite", "identities", "--seed", "3")
+step("equivalence", "verify", "--suite", "equivalence", "--seed", "7",
+     "--replicas", "20", "--t-grid", "0.2")
+"""
+
+
+def test_only_a_p_value_loads_scipy(tmp_path):
     src = str(Path(stitlab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    code = "import sys, stitlab.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    out = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    steps = [json.loads(line) for line in out.stdout.splitlines()]
+    assert [name for name, _, _ in steps][-1] == "equivalence" and len(steps) == 12
+    for name, code, loaded in steps[:-1]:
+        assert (name, code, loaded) == (name, 0, [])
+    _, code, loaded = steps[-1]
+    assert code == 0 and "scipy.special" in loaded
 
 
 def test_public_names_resolve_once():
@@ -72,6 +106,10 @@ class TestParsers:
 
     def test_grids(self):
         assert len(parse_float_grid("0:2:0.1")) == 21
+        assert parse_float_grid("1:1:0.5") == [1.0]
+        assert parse_float_grid("1:1.2:0.5") == [1.0]
+        with pytest.raises(ConfigError, match="empty float grid"):
+            parse_float_grid("5:1:0.5")
         assert parse_float_grid("0.5,1.5") == [0.5, 1.5]
         assert parse_int_grid("0:10") == list(range(11))
         assert parse_int_grid("3") == [3]
@@ -223,6 +261,12 @@ class TestRender:
         svg = tmp_path / "t.svg"
         run(["render", str(trace_file), "--out", str(svg), "--at", str(cutoff)])
         assert svg.read_text().count("<line") == 5
+
+    def test_negative_time_draws_the_bare_window(self, tmp_path):
+        trace_file = self._simulate(tmp_path, 5)
+        svg = tmp_path / "t.svg"
+        assert run(["render", str(trace_file), "--out", str(svg), "--at=-1"]) == 0
+        assert svg.read_text().count("<polygon") == 1 and "<line" not in svg.read_text()
 
     def test_rejected_decisions_draw_no_chord(self, tmp_path):
         trace_file = tmp_path / "m.jsonl"
@@ -533,6 +577,14 @@ class TestUsageErrors:
             ["table", "stit-cdf", "--L", "1,1.5", "--t", "nan"],
             ["table", "stit-cdf", "--L", "1,1.5", "--t", "abc"],
             ["table", "stit-cdf", "--L", "1,1.5", "--t", "0:1e9:1e-9"],
+            ["table", "stit-cdf", "--L", "1,1.5", "--t", "5:1:0.5"],
+            ["table", "cowan-cdf", "--n", "2", "--t", "1:0.9:0.5"],
+            ["verify", "--suite", "equivalence", "--replicas", "5", "--t-grid", "1:0.5:0.1"],
+            ["simulate", "--model", "stit", "--t", "1000"],
+            ["simulate", "--model", "stit", "--t", "300", "--measure", "iso:2"],
+            ["render", "@trace", "--at", "nan"],
+            ["render", "@trace", "--at", "inf"],
+            ["render", "@trace", "--at=-inf"],
             ["table", "cowan-pmf", "--rate", "inf", "--t", "1", "--k", "0:2"],
             ["table", "stit-cdf", "--L", "1,1.5", "--rate", "inf", "--t", "1"],
             ["table", "cowan-cdf", "--rate", "inf", "--n", "2", "--t", "1"],
@@ -569,6 +621,13 @@ class TestUsageErrors:
     def test_bad_input_exits_2_with_one_line(self, argv, tmp_path, capsys):
         if argv[0] == "simulate":
             argv = argv + ["--out", str(tmp_path / "x.jsonl")]
+        if argv[0] == "render":  # a trace with 5 jumps, all drawn when --at is ignored
+            trace = tmp_path / "in.jsonl"
+            assert run(["simulate", "--model", "stit", "--jumps", "5", "--seed", "1",
+                        "--out", str(trace)]) == 0
+            capsys.readouterr()
+            argv = [str(trace) if a == "@trace" else a for a in argv]
+            argv += ["--out", str(tmp_path / "x.jsonl")]
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -711,11 +770,13 @@ def test_output_contract_fuzz(case):
 
 
 # argv pieces for the simulate and render fuzz.  Stop values are small, and
-# --t lies on both sides of the expected-work guard (W * t = log1p(10**6):
-# t = 3.45 on the unit square under iso:1); STIT, which the guard does not
-# cover, is asked for t <= 5 only (about 100 cells under iso:1)
+# --t lies on both sides of the expected-work guards: for the equally-likely
+# clock W * t = log1p(10**6), t = 3.45 on the unit square under iso:1; for
+# STIT 10**6 expected jumps, t = 564 there.  STIT is asked for t <= 5 (about
+# 100 cells under iso:1) or t = 2000, past its guard for every window and
+# measure here
 RUN_FUZZ_VALUES = {
-    "t": ["0", "0.4", "1", "5", "40", "-1", "nan"],
+    "t": ["0", "0.4", "1", "5", "40", "2000", "-1", "nan"],
     "jumps": ["0", "3", "12", "-2"],
     "decisions": ["0", "5", "40", "-1"],
     "window": ["unit-square", "triangle", "[[0,0],[1,0]]"],
@@ -757,6 +818,9 @@ def _simulate_or_render_argv(draw):
 @settings(max_examples=150, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=_simulate_or_render_argv())
+@example(case=(["simulate", "--model", "stit", "--t", "2000"], "file"))
+@example(case=(["simulate", "--model", "stit", "--t", "2000", "--window", "triangle",
+                "--measure", "dirs:0:1,1.5:2"], "file"))
 def test_run_contract_fuzz(case):
     """Any simulate or render argv exits 0, 2 or 3 without a traceback; exit 2
     prints one error line and writes no file."""

@@ -28,6 +28,7 @@ from stitlab.processes import (
     mecke_discrete_simulate,
     mecke_discrete_step,
     replica_rng,
+    stit_mean_jumps,
     stit_simulate,
 )
 from stitlab.stats import chi_square_gof, counts_from_values, ks_test
@@ -72,6 +73,38 @@ class TestStitSimulate:
         ]
         _, p = ks_test(samples, lambda t: -np.expm1(-4.0 * np.asarray(t)))
         assert p > 0.01
+
+
+    def test_mean_jumps_closed_form(self, unit_square):
+        for t in (0.5, 1.0, 1000.0):  # E N_t = 1 + 4t + pi t^2 under iso:1
+            expected = 4.0 * t + math.pi * t * t
+            assert stit_mean_jumps(unit_square, ISO, t) == pytest.approx(expected, rel=1e-14)
+        # axis-parallel lines: (1 + h)(1 + v) cells, h and v independent Poisson(t)
+        axes = DirectionMixture(((0.0, 1.0), (math.pi / 2, 1.0)))
+        assert stit_mean_jumps(unit_square, axes, 3.0) == pytest.approx(2.0 * 3.0 + 3.0**2)
+        # atoms of weight 1 and 2, pi/6 apart: crossing_measure = 2 * 1 * 2 * sin(pi/6)
+        # = 2, so (t^2 / 2) * area * 2 = 4 crossings in the unit square by t = 2
+        pair = DirectionMixture(((0.0, 1.0), (math.pi / 6, 2.0)))
+        expected = 2.0 * hitting_measure(pair, unit_square) + 4.0
+        assert stit_mean_jumps(unit_square, pair, 2.0) == pytest.approx(expected)
+        assert stit_mean_jumps(unit_square, IsotropicMeasure(2.0), 1.0) == pytest.approx(
+            8.0 + 4.0 * math.pi
+        )
+
+    def test_refuses_more_than_the_expected_work_budget(self, unit_square, monkeypatch):
+        # 1 + 4t + pi t^2 is about 3.1e6 cells at t = 1000: refused, no draw made
+        rng = np.random.default_rng(24)
+        with pytest.raises(DomainError, match="MAX_EXPECTED_DECISIONS"):
+            stit_simulate(unit_square, ISO, rng, max_time=1000.0)
+        assert rng.random() == np.random.default_rng(24).random()
+        assert stit_simulate(unit_square, ISO, rng, max_time=1000.0, max_jumps=5).jump_count == 5
+        # on both sides of a lowered budget: 4t + pi t^2 = 200 at t = budget_t
+        monkeypatch.setattr(processes, "MAX_EXPECTED_DECISIONS", 200)
+        budget_t = (math.sqrt(16.0 + 800.0 * math.pi) - 4.0) / (2.0 * math.pi)
+        trace = stit_simulate(unit_square, ISO, rng, max_time=0.999 * budget_t)
+        assert trace.jump_count > 100
+        with pytest.raises(DomainError, match="MAX_EXPECTED_DECISIONS = 200"):
+            stit_simulate(unit_square, ISO, rng, max_time=1.001 * budget_t)
 
 
 class TestCowanEl:
