@@ -12,8 +12,8 @@ tolerance EPS_GEOM scaled by the polygon diameter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import combinations, starmap
+from typing import NamedTuple
 
 from .errors import DegenerateSplit, GeometryError
 
@@ -21,28 +21,39 @@ EPS_GEOM = 1e-9
 
 Point = tuple[float, float]
 
+# records are tuples: their constructors fill every field in one call
+_tuple_new = tuple.__new__
 
-@dataclass(frozen=True)
-class Line:
-    """An undirected line in canonical (theta, offset) form, theta in [0, pi)."""
 
+class _LineFields(NamedTuple):
     theta: float
     offset: float
 
-    def __post_init__(self) -> None:
-        th = float(self.theta)
-        p = float(self.offset)
-        k = math.floor(th / math.pi)
-        th -= k * math.pi
-        if th >= math.pi:  # guard rounding at the upper edge
-            th -= math.pi
-            k += 1
-        if th < 0.0:
-            th = 0.0
-        if k % 2:
-            p = -p
-        object.__setattr__(self, "theta", th + 0.0)
-        object.__setattr__(self, "offset", p + 0.0)
+
+class Line(_LineFields):
+    """An undirected line in canonical (theta, offset) form, theta in [0, pi).
+
+    (theta + k*pi, (-1)^k * offset) is the same line for every integer k;
+    construction picks the k that puts theta in [0, pi), so a theta already
+    there is the k = 0 case and is kept as it is.  Negative zeros become +0.0.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, theta: float, offset: float) -> Line:
+        th = float(theta)
+        p = float(offset)
+        if not 0.0 <= th < math.pi:
+            k = math.floor(th / math.pi)
+            th -= k * math.pi
+            if th >= math.pi:  # guard rounding at the upper edge
+                th -= math.pi
+                k += 1
+            if th < 0.0:
+                th = 0.0
+            if k % 2:
+                p = -p
+        return _tuple_new(cls, (th + 0.0, p + 0.0))
 
     @property
     def normal(self) -> Point:
@@ -75,20 +86,27 @@ def _measure_ring(verts: tuple[Point, ...]) -> tuple[float, float, float]:
     return area2, perim, min_cross
 
 
-@dataclass(frozen=True)
-class ConvexPolygon:
-    """Closed convex polygon with CCW vertices and cached size measures."""
-
+class _PolygonFields(NamedTuple):
     vertices: tuple[Point, ...]
-    area: float = field(init=False, compare=False)
-    perimeter: float = field(init=False, compare=False)
-    diameter: float = field(init=False, compare=False)
+    area: float
+    perimeter: float
+    diameter: float
 
-    def __post_init__(self) -> None:
-        verts = tuple((float(x), float(y)) for x, y in self.vertices)
+
+class ConvexPolygon(_PolygonFields):
+    """Closed convex polygon with CCW vertices and cached size measures,
+    built from its vertices alone: ConvexPolygon(vertices)."""
+
+    __slots__ = ()
+
+    def __new__(cls, vertices) -> ConvexPolygon:
+        verts = tuple((float(x), float(y)) for x, y in vertices)
         if len(verts) < 3:
             raise GeometryError(f"polygon needs >= 3 vertices, got {len(verts)}")
-        self._finish(verts, *_measure_ring(verts))
+        return cls._from_ring(verts, *_measure_ring(verts))
+
+    def __getnewargs__(self) -> tuple:  # copy and pickle rebuild from the vertices
+        return (self.vertices,)
 
     @classmethod
     def _from_ring(
@@ -96,14 +114,6 @@ class ConvexPolygon:
     ) -> ConvexPolygon:
         """A polygon from a ring of float pairs that `_measure_ring` has
         already measured (split children); validated like any other."""
-        poly = object.__new__(cls)
-        poly._finish(verts, area2, perim, min_cross)
-        return poly
-
-    def _finish(
-        self, verts: tuple[Point, ...], area2: float, perim: float, min_cross: float
-    ) -> None:
-        """Validate a measured ring, then set the fields."""
         diam = max(starmap(math.dist, combinations(verts, 2)))
         if diam <= 0.0:
             raise GeometryError("all vertices coincide")
@@ -113,8 +123,7 @@ class ConvexPolygon:
         area = 0.5 * area2
         if area <= eps_cross:
             raise GeometryError("polygon area is not positive")
-        # the dataclass is frozen: write the fields straight into the instance dict
-        self.__dict__.update(vertices=verts, area=area, perimeter=perim, diameter=diam)
+        return _tuple_new(cls, (verts, area, perim, diam))
 
     def contains_point(self, point: Point, slack: float = 0.0) -> bool:
         """True if `point` lies in the closed polygon (within `slack`)."""
@@ -129,8 +138,7 @@ class ConvexPolygon:
         return True
 
 
-@dataclass(frozen=True)
-class SplitResult:
+class SplitResult(NamedTuple):
     """Outcome of cutting a polygon by a line.
 
     `positive_part` is the closed side whose open half-plane contains the
@@ -255,11 +263,7 @@ def split(poly: ConvexPolygon, line: Line) -> SplitResult:
     lo, hi = min(dist), max(dist)
     if lo > -eps or hi < eps:
         whole_positive = (hi >= eps) == plus_is_positive
-        return SplitResult(
-            positive_part=poly if whole_positive else None,
-            negative_part=None if whole_positive else poly,
-            chord_length=0.0,
-        )
+        return SplitResult(poly, None, 0.0) if whole_positive else SplitResult(None, poly, 0.0)
 
     verts = poly.vertices
     m = len(verts)
@@ -293,11 +297,7 @@ def split(poly: ConvexPolygon, line: Line) -> SplitResult:
         raise DegenerateSplit("both split parts degenerate")
     if up_poly is None or low_poly is None:
         whole_positive = (low_poly is None) == plus_is_positive
-        return SplitResult(
-            positive_part=poly if whole_positive else None,
-            negative_part=None if whole_positive else poly,
-            chord_length=0.0,
-        )
+        return SplitResult(poly, None, 0.0) if whole_positive else SplitResult(None, poly, 0.0)
 
     chord_len, ends = _span(cross, line)
     if chord_len <= eps:

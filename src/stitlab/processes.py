@@ -33,7 +33,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -52,6 +52,10 @@ L_MIN_RELATIVE_GAP = 1e-9
 # expects more events than this, expm1(rate * t); stit_simulate refuses those
 # at which STIT expects more jumps (stit_mean_jumps).
 MAX_EXPECTED_DECISIONS = 10**6
+# stats.EquivalenceConfig refuses a Cowan check whose replicas race the
+# equally-likely clock through more events than this in total,
+# cowan_replicas * expm1(rate * t) at the largest t of its grid.
+MAX_EXPECTED_CLOCK_EVENTS = 10**8
 
 
 class ModelTag(enum.Enum):
@@ -61,8 +65,7 @@ class ModelTag(enum.Enum):
     COWAN_EL = "CowanEL"
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One decision/jump: `time` is a real time for continuous models and a
     1-based decision index for the discrete model."""
 
@@ -156,7 +159,7 @@ def _apply_split(slots: list, idx: int, far, origin) -> None:
     slots.append(origin)
 
 
-_NO_PARTS = SplitResult(positive_part=None, negative_part=None, chord_length=0.0)
+_NO_PARTS = SplitResult(None, None, 0.0)
 
 
 def _cut(cell: ConvexPolygon | None, line: Line) -> SplitResult:
@@ -190,27 +193,31 @@ def _grow(
         raise DomainError("a stopping rule is required")
     if max_time is not None and not 0.0 <= max_time < math.inf:
         raise DomainError(f"time must be finite and nonnegative, got {max_time!r}")
+    inf = math.inf
+    time_cap = inf if max_time is None else max_time
+    jump_cap = inf if max_jumps is None else max_jumps
+    slot_cap = inf if max_decisions is None else max_decisions
+    exponential, isfinite, apply_split = rng.exponential, math.isfinite, _apply_split
     events: list[TraceEvent] = []
+    record = events.append
     t = 0.0
-    while (max_jumps is None or jumps < max_jumps) and (
-        max_decisions is None or len(slots) <= max_decisions
-    ):
+    while jumps < jump_cap and len(slots) <= slot_cap:
         if clock is None:
             t = len(slots)
         else:
             rate = clock(len(slots))
-            if not 0.0 < rate < math.inf:
+            if not 0.0 < rate < inf:
                 raise DomainError(f"clock rate must be finite and positive, got {rate!r}")
-            t += rng.exponential(1.0 / rate)
-            if max_time is not None and t > max_time:
+            t += exponential(1.0 / rate)
+            if t > time_cap:
                 break
-            if not math.isfinite(t):
+            if not isfinite(t):
                 raise DomainError(f"event time is not finite ({t!r}) at rate {rate!r}")
         idx, line, far, origin = pick(slots, rng)
-        _apply_split(slots, idx, far, origin)
+        apply_split(slots, idx, far, origin)
         jump = far is not None and origin is not None
         jumps += jump
-        events.append(TraceEvent(time=t, cell_index=idx, line=line, jump=jump))
+        record(TraceEvent(t, idx, line, jump))
     return events
 
 

@@ -8,6 +8,9 @@ renders can be diffed in CI.
 
 from __future__ import annotations
 
+import math
+
+from .errors import DomainError
 from .processes import ProcessTrace, _replay_splits
 
 _MARGIN_FRACTION = 0.05
@@ -21,7 +24,10 @@ def chord_segments(
     trace: ProcessTrace, at: float | None = None
 ) -> list[tuple[tuple[float, float], tuple[float, float]]]:
     """Chord endpoints of every jump event with time/index <= `at`, as the
-    replayed split found them."""
+    replayed split found them.  A non-finite `at` raises DomainError; a
+    negative one gives no chord."""
+    if at is not None and not math.isfinite(at):
+        raise DomainError(f"at must be finite, got {at!r}")
     segments = []
     for event, _, parts, _ in _replay_splits(trace):
         if at is not None and event.time > at:
@@ -52,10 +58,10 @@ def render_svg(trace: ProcessTrace, at: float | None = None) -> str:
     ]
     points = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in window.vertices)
     lines.append(f'<polygon points="{points}"/>')
-    for (ax, ay), (bx, by) in chord_segments(trace, at):
-        lines.append(
-            f'<line x1="{_fmt(ax)}" y1="{_fmt(ay)}" x2="{_fmt(bx)}" y2="{_fmt(by)}"/>'
-        )
+    lines.extend(
+        '<line x1="%.6f" y1="%.6f" x2="%.6f" y2="%.6f"/>' % (ax, ay, bx, by)  # as _fmt
+        for (ax, ay), (bx, by) in chord_segments(trace, at)
+    )
     lines.append("</g>")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -42,7 +42,7 @@ from .geometry import ConvexPolygon
 from .line_measure import LineMeasureSpec, hitting_measure
 from .processes import LSequence, final_state, l_sequence, mecke_discrete_simulate, replica_rng
 # the clock of the Cowan and Mecke-continuous models, and its expected-work budget
-from .processes import _equally_likely, check_expected_decisions
+from .processes import MAX_EXPECTED_CLOCK_EVENTS, _equally_likely, check_expected_decisions
 
 MUTATIONS = (None, "poisson-clock", "wrong-rate")
 WRONG_RATE_FACTOR = 1.2
@@ -354,9 +354,16 @@ class EquivalenceConfig:
             raise DomainError(f"unknown mutation {self.mutation!r}; options: {MUTATIONS}")
         if any(t < 0.0 for t in self.time_grid):
             raise DomainError("time grid must be nonnegative")
-        check_expected_decisions(
-            hitting_measure(self.measure, self.window), max(self.time_grid, default=0.0)
-        )
+        rate = hitting_measure(self.measure, self.window)
+        t_max = max(self.time_grid, default=0.0)
+        check_expected_decisions(rate, t_max)
+        events = self.cowan_replicas * math.expm1(rate * t_max)
+        if events > MAX_EXPECTED_CLOCK_EVENTS:
+            raise DomainError(
+                f"the Cowan check expects {events:.3g} clock events at t = {t_max:.6g} "
+                f"({self.cowan_replicas} replicas), more than MAX_EXPECTED_CLOCK_EVENTS = "
+                f"{MAX_EXPECTED_CLOCK_EVENTS}"
+            )
 
 
 def _frozen_sequences(config: EquivalenceConfig) -> list[LSequence]:

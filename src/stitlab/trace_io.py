@@ -12,8 +12,9 @@ the real time "t".
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import ConfigError, GeometryError
 from .geometry import ConvexPolygon, Line
@@ -30,16 +31,22 @@ def polygon_from_json(obj: dict) -> ConvexPolygon:
     return ConvexPolygon(tuple((float(x), float(y)) for x, y in obj["vertices"]))
 
 
-def _event_to_json(event: TraceEvent, discrete: bool) -> dict:
-    record: dict = {}
-    if discrete:
-        record["n"] = int(event.time)
-    else:
-        record["t"] = float(event.time)
-    record["cell"] = event.cell_index
-    record["line"] = {"theta": event.line.theta, "p": event.line.offset}
-    record["jump"] = event.jump
-    return record
+def _event_lines(events: Sequence[TraceEvent], discrete: bool) -> Iterator[str]:
+    """One JSON line per event, formatted straight from the record.  `%r` of
+    an int or of a finite float is the text json.dumps writes; an event with
+    a non-finite float has its numbers written by json.dumps, as NaN,
+    Infinity or -Infinity."""
+    key, number = ("n", int) if discrete else ("t", float)
+    fast = '{"' + key + '": %r, "cell": %d, "line": {"theta": %r, "p": %r}, "jump": %s}'
+    exact = fast.replace("%r", "%s")
+    dumps, isfinite = json.dumps, math.isfinite
+    for time, cell, (theta, p), jump in events:
+        time = number(time)
+        flag = "true" if jump else "false"
+        if isfinite(theta + p) and (discrete or isfinite(time)):
+            yield fast % (time, cell, theta, p, flag)
+        else:
+            yield exact % (dumps(time), cell, dumps(theta), dumps(p), flag)
 
 
 def trace_to_lines(trace: ProcessTrace) -> list[str]:
@@ -49,9 +56,8 @@ def trace_to_lines(trace: ProcessTrace) -> list[str]:
         "model_tag": trace.model_tag.value,
         "seed": trace.seed,
     }
-    discrete = trace.model_tag is ModelTag.MECKE_DISCRETE
     lines = [json.dumps(header)]
-    lines.extend(json.dumps(_event_to_json(e, discrete)) for e in trace.events)
+    lines.extend(_event_lines(trace.events, trace.model_tag is ModelTag.MECKE_DISCRETE))
     return lines
 
 
@@ -59,32 +65,41 @@ def write_trace(trace: ProcessTrace, path: str | Path) -> None:
     Path(path).write_text("\n".join(trace_to_lines(trace)) + "\n", encoding="utf-8")
 
 
+def _problem(exc: Exception) -> str:
+    if isinstance(exc, json.JSONDecodeError):  # its own text counts lines of one record
+        return f"{exc.msg} at column {exc.colno}"
+    if isinstance(exc, KeyError):
+        return f"missing key {exc}"
+    return str(exc)
+
+
 def read_trace(path: str | Path) -> ProcessTrace:
+    """The trace in `path`; blank lines are skipped, and ConfigError names the
+    1-based line of a record it cannot read."""
     text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    records = ((n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip())
+    lineno, first = next(records, (0, None))
+    if first is None:
         raise ConfigError(f"trace file {path} is empty")
+    decode = json.JSONDecoder().decode  # json.loads without its per-call checks
     try:
-        header = json.loads(lines[0])
+        header = decode(first)
         window = polygon_from_json(header["window"])
         measure = measure_from_json(header["measure"])
         tag = ModelTag(header["model_tag"])
         seed = header.get("seed")
-        discrete = tag is ModelTag.MECKE_DISCRETE
+        time_key, number = ("n", int) if tag is ModelTag.MECKE_DISCRETE else ("t", float)
         events = []
-        for ln in lines[1:]:
-            rec = json.loads(ln)
-            time = int(rec["n"]) if discrete else float(rec["t"])
-            events.append(
-                TraceEvent(
-                    time=time,
-                    cell_index=int(rec["cell"]),
-                    line=Line(float(rec["line"]["theta"]), float(rec["line"]["p"])),
-                    jump=bool(rec["jump"]),
-                )
-            )
-    except (KeyError, ValueError, TypeError, GeometryError) as exc:
-        raise ConfigError(f"malformed trace file {path}: {exc}") from exc
+        record = events.append
+        for lineno, ln in records:
+            rec = decode(ln)
+            line = rec["line"]
+            record(TraceEvent(
+                number(rec[time_key]), int(rec["cell"]), Line(line["theta"], line["p"]),
+                bool(rec["jump"]),
+            ))
+    except (KeyError, ValueError, TypeError, OverflowError, GeometryError) as exc:
+        raise ConfigError(f"malformed trace file {path}, line {lineno}: {_problem(exc)}") from exc
     return ProcessTrace(window, measure, tuple(events), tag, seed)
 
 

@@ -566,6 +566,7 @@ class TestUsageErrors:
             ["simulate", "--model", "mecke-continuous", "--t", "5"],
             ["simulate", "--model", "cowan-el", "--t", "5"],
             ["verify", "--suite", "equivalence", "--t-grid", "10", "--replicas", "20"],
+            ["verify", "--suite", "equivalence", "--t-grid", "3", "--replicas", "20"],
             ["table", "stit-cdf", "--L", "1,abc"],
             ["table", "stit-cdf", "--L", "1,0.5"],
             ["table", "jump-pmf", "--L", "1,1.5", "--ell", "2", "--rate", "0"],

@@ -21,6 +21,19 @@ from conftest import horizontal_line_at, random_convex_polygon, vertical_line_at
 
 
 class TestConvexPolygon:
+    def test_record_is_immutable_copyable_and_compares_by_value(self, unit_square):
+        import copy
+        import pickle
+
+        with pytest.raises(AttributeError):
+            unit_square.area = 2.0
+        assert not hasattr(unit_square, "__dict__")
+        same = ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+        assert same == unit_square and hash(same) == hash(unit_square)
+        assert copy.deepcopy(unit_square) == unit_square
+        assert pickle.loads(pickle.dumps(unit_square)) == unit_square
+        assert ConvexPolygon(((0.0, 0.0), (2.0, 0.0), (0.0, 1.0))) != unit_square
+
     def test_cached_measures_match_recomputation(self, unit_square):
         xs = [v[0] for v in unit_square.vertices]
         ys = [v[1] for v in unit_square.vertices]
@@ -142,7 +155,61 @@ class TestSplitProperties:
             assert result.chord_ends is None
 
 
+def reference_canonical(theta: float, offset: float) -> tuple[float, float]:
+    """The canonical (theta, offset) of a line, by the rule Line applied in
+    every case before it returned at once for a theta already in [0, pi)."""
+    th = float(theta)
+    p = float(offset)
+    k = math.floor(th / math.pi)
+    th -= k * math.pi
+    if th >= math.pi:
+        th -= math.pi
+        k += 1
+    if th < 0.0:
+        th = 0.0
+    if k % 2:
+        p = -p
+    return th + 0.0, p + 0.0
+
+
+@st.composite
+def raw_thetas(draw) -> float:
+    """Any finite theta, with weight on multiples of pi and their neighbours."""
+    k = draw(st.integers(-40, 40))
+    near = k * math.pi
+    for _ in range(draw(st.integers(0, 3))):
+        near = math.nextafter(near, draw(st.sampled_from([math.inf, -math.inf])))
+    return draw(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(-20.0, 20.0),
+        st.just(near),
+        st.sampled_from([0.0, -0.0, math.pi, -math.pi, math.nextafter(math.pi, 0.0),
+                         math.nextafter(0.0, -1.0), 5e-324, -5e-324, 1e300, -1e300]),
+    ))
+
+
 class TestLine:
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(raw_thetas(), st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([0.0, -0.0, 5e-324])
+    ))
+    def test_canonical_form_matches_the_reference_rule(self, theta, offset):
+        line = Line(theta, offset)
+        want = reference_canonical(theta, offset)
+        assert (repr(line.theta), repr(line.offset)) == tuple(map(repr, want))  # -0.0 != 0.0
+        if abs(theta) < 1e16:  # past about pi * 2**53 the rounding of k * pi exceeds pi
+            assert 0.0 <= line.theta < math.pi
+            assert Line(line.theta, line.offset) == line
+        assert type(line.theta) is float and type(line.offset) is float
+
+    def test_record_is_immutable_and_compares_by_value(self):
+        line = Line(math.pi + 0.5, 0.25)
+        with pytest.raises(AttributeError):
+            line.theta = 0.0
+        assert not hasattr(line, "__dict__")
+        assert line == Line(0.5, -0.25) and hash(line) == hash(Line(0.5, -0.25))
+        assert line != Line(0.5, 0.25)
+
     def test_canonical_theta_range(self):
         rng = np.random.default_rng(2)
         for _ in range(500):

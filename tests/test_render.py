@@ -6,7 +6,8 @@ import pytest
 from stitlab.geometry import ConvexPolygon
 from stitlab.line_measure import DirectionMixture, IsotropicMeasure
 from stitlab.processes import mecke_discrete_simulate, stit_simulate
-from stitlab.render import render_svg
+from stitlab.errors import DomainError
+from stitlab.render import chord_segments, render_svg
 
 UNIT_SQUARE = ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
 MEASURES = {
@@ -43,3 +44,19 @@ def test_golden_svg_digests(case):
         )
         h.update(render_svg(trace, at=at).encode())
     assert h.hexdigest() == GOLDEN_SVGS[case]
+
+
+@pytest.mark.parametrize("at", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_at_is_refused(at):
+    trace = stit_simulate(UNIT_SQUARE, MEASURES["iso"], np.random.default_rng(1), max_jumps=5)
+    with pytest.raises(DomainError, match="at must be finite"):
+        chord_segments(trace, at=at)
+    with pytest.raises(DomainError, match="at must be finite"):
+        render_svg(trace, at=at)
+
+
+def test_negative_at_draws_the_bare_window():
+    trace = stit_simulate(UNIT_SQUARE, MEASURES["iso"], np.random.default_rng(1), max_jumps=5)
+    assert chord_segments(trace, at=-1.0) == []
+    assert "<line " not in render_svg(trace, at=-1.0)
+    assert len(chord_segments(trace)) == 5

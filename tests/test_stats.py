@@ -287,7 +287,13 @@ class TestEquivalenceSuite:
         # at the largest time W * t = 4 * 10: about 2.4e17 events per replica
         with pytest.raises(DomainError, match="MAX_EXPECTED_DECISIONS"):
             EquivalenceConfig(window=unit_square, measure=ISO, time_grid=(0.2, 10.0))
-        EquivalenceConfig(window=unit_square, measure=ISO, time_grid=(0.2, 3.0))
+        # W * t = 12 passes the per-replica bound (expm1(12) ~ 1.6e5 events), but the
+        # Cowan check's 100 000 default replicas would race 1.6e10 events in total
+        with pytest.raises(DomainError, match="MAX_EXPECTED_CLOCK_EVENTS"):
+            EquivalenceConfig(window=unit_square, measure=ISO, time_grid=(0.2, 3.0))
+        EquivalenceConfig(window=unit_square, measure=ISO, time_grid=(0.2, 3.0), cowan_replicas=600)
+        # the library default: 100 000 replicas at W * t = 4, about 5.4e6 events
+        EquivalenceConfig(window=unit_square, measure=ISO)
 
     def test_unknown_mutation_rejected(self, unit_square):
         with pytest.raises(DomainError):
