@@ -257,10 +257,8 @@ SIMULATE = Command("model", {
     "stit": Entry(lambda *a, **kw: processes.stit_simulate(*a, **kw), "t jumps", "t|jumps out"),
     "mecke-discrete": Entry(lambda *a, **kw: processes.mecke_discrete_simulate(*a, **kw),
                             "decisions jumps", "decisions|jumps out"),
-    "mecke-continuous": Entry(
-        lambda w, m, rng, *, max_time, seed:
-            processes.mecke_continuous_simulate(w, m, max_time, rng, seed=seed)[1],
-        "t", "t out"),
+    "mecke-continuous": Entry(lambda *a, **kw: processes.mecke_continuous_simulate(*a, **kw),
+                              "t", "t out"),
     "cowan-el": Entry(lambda *a, **kw: processes.cowan_el_simulate(*a, **kw),
                       "t jumps", "t|jumps out"),
 }, common="window measure seed out config")

@@ -53,6 +53,12 @@ class Line(_LineFields):
                 th = 0.0
             if k % 2:
                 p = -p
+            if th >= math.pi:  # past |theta| ~ pi * 2**53, k * pi rounds by more than pi
+                # theta % 2pi is an exact fmod, plus 2pi (one rounding, maybe onto
+                # 2pi) for a negative theta; each pi step is exact and flips the offset
+                th, p = float(theta) % (2.0 * math.pi), float(offset)
+                while th >= math.pi:
+                    th, p = th - math.pi, -p
         return _tuple_new(cls, (th + 0.0, p + 0.0))
 
     @property

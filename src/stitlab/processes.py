@@ -20,6 +20,9 @@ The cell selectors redraw until the line splits the cell, so every STIT and
 Cowan event is a jump.  The negative controls in `stats` are two more clocks
 for the Mecke selector.  Each event draws in the order clock, selection, line.
 
+Every simulator takes `(window, measure, rng, *, <stop keywords>, seed=None)`
+and returns a `ProcessTrace`; `replay` rebuilds any state from it.
+
 The normalized hitting-weight sequence (values[k-1] = sum of cell weights
 just before the k-th jump, divided by the window weight; `l_sequence`) is
 the sufficient statistic for every conditional jump-time law.  Given a
@@ -48,9 +51,9 @@ from .line_measure import (
 )
 
 L_MIN_RELATIVE_GAP = 1e-9
-# check_expected_decisions refuses horizons at which the equally-likely clock
-# expects more events than this, expm1(rate * t); stit_simulate refuses those
-# at which STIT expects more jumps (stit_mean_jumps).
+# A timed run without a jump cap is refused (_check_expected_work) at a
+# horizon where it expects more events than this: expm1(rate * t) decisions of
+# the equally-likely clock, or stit_mean_jumps jumps of STIT.
 MAX_EXPECTED_DECISIONS = 10**6
 # stats.EquivalenceConfig refuses a Cowan check whose replicas race the
 # equally-likely clock through more events than this in total,
@@ -177,14 +180,12 @@ def _grow(
     max_time: float | None = None,
     max_jumps: int | None = None,
     max_decisions: int | None = None,
-    jumps: int = 0,
 ) -> list[TraceEvent]:
     """Run the split process on `slots`, in place, until a stop rule fires.
 
     `pick(slots, rng)` returns (slot index, line, far part, origin part);
     `clock(len(slots))` is the rate of the next event, or `clock` is None and
-    event n is the n-th decision (n = len(slots) before it).
-    `jumps` is the jump count the slots already carry.  A clock rate that is
+    event n is the n-th decision (n = len(slots) before it).  A clock rate that is
     not finite and positive, or an event time that is not finite, raises
     DomainError before the event is recorded (hitting weights can underflow
     or overflow for extreme measure scales).
@@ -200,7 +201,7 @@ def _grow(
     exponential, isfinite, apply_split = rng.exponential, math.isfinite, _apply_split
     events: list[TraceEvent] = []
     record = events.append
-    t = 0.0
+    t, jumps = 0.0, 0
     while jumps < jump_cap and len(slots) <= slot_cap:
         if clock is None:
             t = len(slots)
@@ -343,16 +344,15 @@ def _equally_likely(window_weight: float) -> Callable:
     return lambda n: n * window_weight
 
 
-def check_expected_decisions(window_weight: float, t: float) -> None:
-    """Refuse, with DomainError, a horizon t at which the equally-likely clock
-    expects more than MAX_EXPECTED_DECISIONS events, expm1(W(window) * t): a
-    run to it would spin for hours instead."""
-    rate_t = window_weight * t
-    if rate_t > math.log1p(MAX_EXPECTED_DECISIONS):  # expm1 overflows past rate * t ~ 710
-        raise DomainError(
-            f"rate * t = {rate_t:.6g} expects more than MAX_EXPECTED_DECISIONS = "
-            f"{MAX_EXPECTED_DECISIONS} events of the equally-likely clock (expm1(rate * t))"
-        )
+def _check_expected_work(rate_t: float, budget: str, what: str, copies: int = 1) -> None:
+    """Refuse, with DomainError, `copies` runs of the equally-likely clock to
+    W(window) * t = rate_t when their copies * expm1(rate_t) expected events
+    pass the budget named `budget` (STIT passes log1p of its mean jump count):
+    they would spin for hours.  Compared in log1p space, as expm1 overflows
+    past rate_t ~ 710; a NaN, or no copies, passes for the caller's own checks."""
+    limit = globals()[budget]
+    if copies > 0 and rate_t > math.log1p(limit / copies):
+        raise DomainError(f"{what} expects more than {budget} = {limit} events")
 
 
 def stit_mean_jumps(window: ConvexPolygon, measure: LineMeasureSpec, t: float) -> float:
@@ -383,13 +383,10 @@ def stit_simulate(
     Without `max_jumps`, a `max_time` at which STIT expects more than
     MAX_EXPECTED_DECISIONS jumps (stit_mean_jumps) is refused with DomainError.
     """
-    if max_jumps is None and max_time is not None:
-        expected = stit_mean_jumps(window, measure, max_time)
-        if expected > MAX_EXPECTED_DECISIONS:
-            raise DomainError(
-                f"t = {max_time:.6g} expects {expected:.3g} STIT jumps, more than "
-                f"MAX_EXPECTED_DECISIONS = {MAX_EXPECTED_DECISIONS}"
-            )
+    if max_jumps is None and max_time is not None and max_time > 0.0:
+        jumps = stit_mean_jumps(window, measure, max_time)
+        what = f"t = {max_time:.6g} ({jumps:.3g} STIT jumps)"
+        _check_expected_work(math.log1p(jumps), "MAX_EXPECTED_DECISIONS", what)
     by_weight = _ByWeight(measure, window)
     events = _grow(
         [window], by_weight, by_weight.rate, rng, max_time=max_time, max_jumps=max_jumps
@@ -408,12 +405,13 @@ def cowan_el_simulate(
 ) -> ProcessTrace:
     """Equally-likely continuous model: Exp(k * rate) waits, uniform cell choice.
 
-    Every event is a jump; without `max_jumps`, a `max_time` past the
-    expected-work budget is refused (check_expected_decisions).
+    Every event is a jump; without `max_jumps`, a `max_time` at which the
+    clock expects more than MAX_EXPECTED_DECISIONS events is refused.
     """
     rate = hitting_measure(measure, window)
     if max_jumps is None and max_time is not None:
-        check_expected_decisions(rate, max_time)
+        rate_t = rate * max_time
+        _check_expected_work(rate_t, "MAX_EXPECTED_DECISIONS", f"rate * t = {rate_t:.6g}")
     events = _grow(
         [window], _uniform_cell(measure), _equally_likely(rate), rng,
         max_time=max_time, max_jumps=max_jumps,
@@ -445,18 +443,12 @@ def mecke_discrete_simulate(
     *,
     max_decisions: int | None = None,
     max_jumps: int | None = None,
-    initial_state: QuasiCellState | None = None,
     seed: int | None = None,
 ) -> ProcessTrace:
-    """Run decisions until the stop rule; events carry 1-based decision indices.
-
-    With `initial_state` the trace records only the continuation; such a
-    trace cannot be replayed standalone (replay assumes a bare window).
-    """
-    state = initial_state if initial_state is not None else initial_quasi_state(window)
+    """Run decisions until the stop rule; events carry 1-based decision indices."""
     events = _grow(
-        list(state.quasi_cells), _uniform_slot(measure, window), None, rng,
-        max_decisions=max_decisions, max_jumps=max_jumps, jumps=state.jump_count,
+        [window], _uniform_slot(measure, window), None, rng,
+        max_decisions=max_decisions, max_jumps=max_jumps,
     )
     return ProcessTrace(window, measure, tuple(events), ModelTag.MECKE_DISCRETE, seed)
 
@@ -464,27 +456,27 @@ def mecke_discrete_simulate(
 def mecke_continuous_simulate(
     window: ConvexPolygon,
     measure: LineMeasureSpec,
-    t: float,
     rng: np.random.Generator,
     *,
+    max_time: float | None = None,
     seed: int | None = None,
-) -> tuple[QuasiCellState, ProcessTrace]:
-    """Discrete Mecke process driven by the equally-likely clock up to time t.
+) -> ProcessTrace:
+    """Discrete Mecke process driven by the equally-likely clock up to `max_time`.
 
     With n quasi-cells extant the next decision arrives after an
     Exp(n * rate) wait, so the decision count by time t is geometric and the
     trajectory for a smaller horizon is a prefix of the same run.  The
     expected decision count is expm1(rate * t); past MAX_EXPECTED_DECISIONS
-    the run is refused (check_expected_decisions).
+    the run is refused with DomainError.  `final_state` gives the quasi-cells.
     """
     rate = hitting_measure(measure, window)
-    check_expected_decisions(rate, t)
-    slots = [window]
+    if max_time is not None:
+        rate_t = rate * max_time
+        _check_expected_work(rate_t, "MAX_EXPECTED_DECISIONS", f"rate * t = {rate_t:.6g}")
     events = _grow(
-        slots, _uniform_slot(measure, window), _equally_likely(rate), rng, max_time=t
+        [window], _uniform_slot(measure, window), _equally_likely(rate), rng, max_time=max_time
     )
-    trace = ProcessTrace(window, measure, tuple(events), ModelTag.MECKE_CONTINUOUS, seed)
-    return QuasiCellState(tuple(slots), len(events), trace.jump_count), trace
+    return ProcessTrace(window, measure, tuple(events), ModelTag.MECKE_CONTINUOUS, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -493,21 +485,13 @@ def mecke_continuous_simulate(
 
 def replay(
     trace: ProcessTrace,
-) -> Iterator[tuple[TraceEvent, ConvexPolygon | None, list[ConvexPolygon | None]]]:
-    """Yield (event, split target before the event, slots after the event).
+) -> Iterator[tuple[TraceEvent, ConvexPolygon | None, SplitResult, list[ConvexPolygon | None]]]:
+    """Yield (event, split target before the event, its `SplitResult`, slots
+    after the event); an empty slot has no parts.
 
     Slots are updated as in the simulators (`_apply_split`).  The yielded
     slot list is live; copy it if it must survive the iteration.
     """
-    for event, target, _, slots in _replay_splits(trace):
-        yield event, target, slots
-
-
-def _replay_splits(
-    trace: ProcessTrace,
-) -> Iterator[tuple[TraceEvent, ConvexPolygon | None, SplitResult, list[ConvexPolygon | None]]]:
-    """`replay` that also yields each event's `SplitResult` (no parts for an
-    empty slot)."""
     slots: list[ConvexPolygon | None] = [trace.window]
     for event in trace.events:
         target = slots[event.cell_index]
@@ -518,7 +502,7 @@ def _replay_splits(
 
 def final_state(trace: ProcessTrace) -> QuasiCellState:
     slots: list[ConvexPolygon | None] = [trace.window]
-    for _, _, slots in replay(trace):
+    for *_, slots in replay(trace):
         pass
     return QuasiCellState(
         quasi_cells=tuple(slots),
@@ -531,7 +515,7 @@ def l_sequence(trace: ProcessTrace) -> LSequence:
     """Normalized hitting-weight sequence of the trace's cell configurations."""
     rate = hitting_measure(trace.measure, trace.window)
     values = [1.0]
-    for event, _, slots in replay(trace):
+    for event, _, _, slots in replay(trace):
         if not event.jump:
             continue
         total = sum(hitting_measure(trace.measure, c) for c in slots if c is not None)

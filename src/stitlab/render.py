@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .processes import ProcessTrace, _replay_splits
+from .processes import ProcessTrace, replay
 
 _MARGIN_FRACTION = 0.05
 
@@ -29,7 +29,7 @@ def chord_segments(
     if at is not None and not math.isfinite(at):
         raise DomainError(f"at must be finite, got {at!r}")
     segments = []
-    for event, _, parts, _ in _replay_splits(trace):
+    for event, _, parts, _ in replay(trace):
         if at is not None and event.time > at:
             break
         if event.jump and parts.chord_ends is not None:

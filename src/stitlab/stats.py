@@ -42,7 +42,7 @@ from .geometry import ConvexPolygon
 from .line_measure import LineMeasureSpec, hitting_measure
 from .processes import LSequence, final_state, l_sequence, mecke_discrete_simulate, replica_rng
 # the clock of the Cowan and Mecke-continuous models, and its expected-work budget
-from .processes import MAX_EXPECTED_CLOCK_EVENTS, _equally_likely, check_expected_decisions
+from .processes import _check_expected_work, _equally_likely
 
 MUTATIONS = (None, "poisson-clock", "wrong-rate")
 WRONG_RATE_FACTOR = 1.2
@@ -352,18 +352,17 @@ class EquivalenceConfig:
     def __post_init__(self) -> None:
         if self.mutation not in MUTATIONS:
             raise DomainError(f"unknown mutation {self.mutation!r}; options: {MUTATIONS}")
-        if any(t < 0.0 for t in self.time_grid):
-            raise DomainError("time grid must be nonnegative")
-        rate = hitting_measure(self.measure, self.window)
-        t_max = max(self.time_grid, default=0.0)
-        check_expected_decisions(rate, t_max)
-        events = self.cowan_replicas * math.expm1(rate * t_max)
-        if events > MAX_EXPECTED_CLOCK_EVENTS:
+        if not self.time_grid or not all(0.0 <= t < math.inf for t in self.time_grid):
             raise DomainError(
-                f"the Cowan check expects {events:.3g} clock events at t = {t_max:.6g} "
-                f"({self.cowan_replicas} replicas), more than MAX_EXPECTED_CLOCK_EVENTS = "
-                f"{MAX_EXPECTED_CLOCK_EVENTS}"
+                f"time grid must be nonempty, finite and nonnegative, got {self.time_grid!r}"
             )
+        t_max = max(self.time_grid)
+        rate_t = hitting_measure(self.measure, self.window) * t_max
+        clock = f"the equally-likely clock to t = {t_max:.6g} (rate * t = {rate_t:.6g})"
+        _check_expected_work(rate_t, "MAX_EXPECTED_DECISIONS", clock)
+        replicas = self.cowan_replicas
+        cowan = f"the Cowan check, {replicas} replicas of {clock},"
+        _check_expected_work(rate_t, "MAX_EXPECTED_CLOCK_EVENTS", cowan, copies=replicas)
 
 
 def _frozen_sequences(config: EquivalenceConfig) -> list[LSequence]:

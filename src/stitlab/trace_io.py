@@ -94,9 +94,11 @@ def read_trace(path: str | Path) -> ProcessTrace:
         for lineno, ln in records:
             rec = decode(ln)
             line = rec["line"]
+            cell = int(rec["cell"])
+            if not 0 <= cell <= len(events):  # event i splits one of the i + 1 slots
+                raise ValueError(f"cell {cell} outside the slots 0..{len(events)}")
             record(TraceEvent(
-                number(rec[time_key]), int(rec["cell"]), Line(line["theta"], line["p"]),
-                bool(rec["jump"]),
+                number(rec[time_key]), cell, Line(line["theta"], line["p"]), bool(rec["jump"]),
             ))
     except (KeyError, ValueError, TypeError, OverflowError, GeometryError) as exc:
         raise ConfigError(f"malformed trace file {path}, line {lineno}: {_problem(exc)}") from exc

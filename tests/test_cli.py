@@ -785,7 +785,7 @@ RUN_FUZZ_VALUES = {
     "seed": ["0", "7", "-1"],
     "at": ["0", "2", "0.5", "-1", "nan", "inf"],
 }
-RENDER_TRACES = ["trace", "trace", "empty", "malformed", "missing", "dir"]
+RENDER_TRACES = ["trace", "trace", "empty", "malformed", "bad-cell", "missing", "dir"]
 RUN_OUTS = ["file", "file", "file", "file", "file", "", "missing", "dir", None]
 
 
@@ -822,6 +822,7 @@ def _simulate_or_render_argv(draw):
 @example(case=(["simulate", "--model", "stit", "--t", "2000"], "file"))
 @example(case=(["simulate", "--model", "stit", "--t", "2000", "--window", "triangle",
                 "--measure", "dirs:0:1,1.5:2"], "file"))
+@example(case=(["render", "@bad-cell"], "file"))
 def test_run_contract_fuzz(case):
     """Any simulate or render argv exits 0, 2 or 3 without a traceback; exit 2
     prints one error line and writes no file."""
@@ -830,13 +831,18 @@ def test_run_contract_fuzz(case):
         root = Path(tmp)
         (root / "dir").mkdir()
         traces = {"trace": root / "in.jsonl", "empty": root / "empty.jsonl",
-                  "malformed": root / "bad.jsonl", "missing": root / "nope.jsonl",
-                  "dir": root / "dir"}
+                  "malformed": root / "bad.jsonl", "bad-cell": root / "cell.jsonl",
+                  "missing": root / "nope.jsonl", "dir": root / "dir"}
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["simulate", "--model", "mecke-discrete", "--decisions", "12",
                          "--out", str(traces["trace"])]) == 0
+            assert main(["simulate", "--model", "stit", "--jumps", "3",
+                         "--out", str(traces["bad-cell"])]) == 0
         traces["empty"].write_text("")
         traces["malformed"].write_text("{\n")
+        lines = traces["bad-cell"].read_text().splitlines()
+        lines[3] = json.dumps({**json.loads(lines[3]), "cell": 7})  # three slots, 0..2
+        traces["bad-cell"].write_text("\n".join(lines) + "\n")
         before = sorted(p.name for p in root.rglob("*"))
         paths = {"": "", "missing": str(root / "missing" / "x"), "dir": str(root / "dir"),
                  "file": str(root / "x")}

@@ -142,8 +142,7 @@ def test_mecke_redraws_a_degenerate_decision(model, unit_square, monkeypatch):
         trace = mecke_discrete_simulate(unit_square, ISO, rng, max_decisions=40)
         assert len(trace.events) == 40
     else:
-        state, trace = mecke_continuous_simulate(unit_square, ISO, 1.0, rng)
-        assert state.decision_count == len(trace.events)
+        trace = mecke_continuous_simulate(unit_square, ISO, rng, max_time=1.0)
     assert len(calls) > 5
     final_state(trace).validate(unit_square)
 
@@ -271,10 +270,12 @@ class TestMeckeDiscreteSimulate:
         waits = []
         for r in range(20_000):
             fresh = replica_rng(1000, r)
-            t = mecke_discrete_simulate(
-                unit_square, ISO, fresh, max_jumps=saved.jump_count + 1, initial_state=saved
-            )
-            waits.append(len(t.events))
+            state, event = mecke_discrete_step(saved, ISO, unit_square, fresh)
+            wait = 1
+            while not event.jump:
+                state, event = mecke_discrete_step(state, ISO, unit_square, fresh)
+                wait += 1
+            waits.append(wait)
         pmf = lambda w: discrete_waiting_pmf(n0, k, l_k, w) if w >= 1 else 0.0
         _, p, _ = chi_square_gof(counts_from_values(waits), pmf, support_lo=1)
         assert p > 0.001
@@ -282,7 +283,8 @@ class TestMeckeDiscreteSimulate:
 
 class TestMeckeContinuous:
     def test_zero_time_is_bare_window(self, unit_square):
-        state, trace = mecke_continuous_simulate(unit_square, ISO, 0.0, np.random.default_rng(19))
+        trace = mecke_continuous_simulate(unit_square, ISO, np.random.default_rng(19), max_time=0.0)
+        state = final_state(trace)
         assert state.decision_count == 0
         assert state.cells == (unit_square,)
         assert trace.events == ()
@@ -294,8 +296,8 @@ class TestMeckeContinuous:
         n = 20_000
         decisions = []
         for _ in range(n):
-            state, _ = mecke_continuous_simulate(unit_square, ISO, t, rng)
-            decisions.append(state.decision_count)
+            trace = mecke_continuous_simulate(unit_square, ISO, rng, max_time=t)
+            decisions.append(len(trace.events))
         p0 = math.exp(-rate * t)
         pmf = lambda k: p0 * (1.0 - p0) ** k if k >= 0 else 0.0
         _, p, _ = chi_square_gof(counts_from_values(decisions), pmf, support_lo=0)
@@ -304,30 +306,29 @@ class TestMeckeContinuous:
     def test_prefix_property(self, unit_square):
         # one run restricted to a smaller horizon is a prefix of the longer run
         for seed in range(20):
-            _, short = mecke_continuous_simulate(
-                unit_square, ISO, 0.4, np.random.default_rng(seed)
+            short = mecke_continuous_simulate(
+                unit_square, ISO, np.random.default_rng(seed), max_time=0.4
             )
-            _, long = mecke_continuous_simulate(
-                unit_square, ISO, 1.0, np.random.default_rng(seed)
+            long = mecke_continuous_simulate(
+                unit_square, ISO, np.random.default_rng(seed), max_time=1.0
             )
             assert long.events[: len(short.events)] == short.events
             assert all(e.time > 0.4 for e in long.events[len(short.events):])
 
     def test_state_matches_trace(self, unit_square):
-        state, trace = mecke_continuous_simulate(unit_square, ISO, 0.8, np.random.default_rng(21))
-        assert state.decision_count == len(trace.events)
-        assert state.jump_count == trace.jump_count
-        state.validate(unit_square)
+        trace = mecke_continuous_simulate(unit_square, ISO, np.random.default_rng(21), max_time=0.8)
+        assert trace.model_tag is ModelTag.MECKE_CONTINUOUS
+        final_state(trace).validate(unit_square)
 
     def test_refuses_more_than_the_expected_work_budget(self, unit_square):
         # rate * t = 4 * 5 means about 4.9e8 expected decisions: refused, no draw made
         rng = np.random.default_rng(22)
         with pytest.raises(DomainError, match="MAX_EXPECTED_DECISIONS"):
-            mecke_continuous_simulate(unit_square, ISO, 5.0, rng)
+            mecke_continuous_simulate(unit_square, ISO, rng, max_time=5.0)
         assert rng.random() == np.random.default_rng(22).random()
         budget_t = math.log1p(processes.MAX_EXPECTED_DECISIONS) / hitting_measure(ISO, unit_square)
         with pytest.raises(DomainError):
-            mecke_continuous_simulate(unit_square, ISO, budget_t * 1.001, rng)
+            mecke_continuous_simulate(unit_square, ISO, rng, max_time=budget_t * 1.001)
 
     def test_cowan_el_refuses_the_same_budget_without_a_jump_cap(self, unit_square):
         rng = np.random.default_rng(23)
@@ -475,13 +476,13 @@ GOLDEN_TRACES = {
         "d284f83920284a925294f718dbc613750fd788fefcbcc22a4b6afa94e10e642f",
     ("cowan-el", "max_time", 1.0, "unit-square", "iso"):
         "cbb00a12feb5430ce19d863bae01c0e8ef4cdb5f270ee9a142ca7a50b9209583",
-    ("mecke-continuous", "t", 0.8, "triangle", "dirs"):
+    ("mecke-continuous", "max_time", 0.8, "triangle", "dirs"):
         "a2bf2fb23d73b3ff2215dc75f7eaef2627c89dfd2975dffc9d76e9f204d07ae9",
-    ("mecke-continuous", "t", 0.8, "triangle", "iso"):
+    ("mecke-continuous", "max_time", 0.8, "triangle", "iso"):
         "415e043dc30100570ac3fbb9e2d3bd59b4a6f71661086f45d82471d71a7e5a3e",
-    ("mecke-continuous", "t", 0.8, "unit-square", "dirs"):
+    ("mecke-continuous", "max_time", 0.8, "unit-square", "dirs"):
         "5e83f65486f45c412ab550ba9b74d086244b8dbbcba5b1a5f72dae7ecfa233df",
-    ("mecke-continuous", "t", 0.8, "unit-square", "iso"):
+    ("mecke-continuous", "max_time", 0.8, "unit-square", "iso"):
         "e9e654b61782c1d99eee05b350d4c7fcedabe418d240e66ea564627773117811",
     ("mecke-discrete", "max_decisions", 60, "triangle", "dirs"):
         "66bcd9b43213be78a96fb2f22651e5690cf66f639e88901f780ca5a13e17d550",
@@ -519,15 +520,13 @@ GOLDEN_TRACES = {
 
 
 def _golden_trace(model, stop, value, window, measure, seed):
-    rng = np.random.default_rng(seed)
-    if model == "mecke-continuous":
-        return mecke_continuous_simulate(window, measure, value, rng, seed=seed)[1]
     simulate = {
         "stit": stit_simulate,
         "cowan-el": cowan_el_simulate,
         "mecke-discrete": mecke_discrete_simulate,
+        "mecke-continuous": mecke_continuous_simulate,
     }[model]
-    return simulate(window, measure, rng, seed=seed, **{stop: value})
+    return simulate(window, measure, np.random.default_rng(seed), seed=seed, **{stop: value})
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_TRACES), ids=lambda c: "-".join(map(str, c)))

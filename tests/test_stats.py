@@ -295,6 +295,11 @@ class TestEquivalenceSuite:
         # the library default: 100 000 replicas at W * t = 4, about 5.4e6 events
         EquivalenceConfig(window=unit_square, measure=ISO)
 
+    @pytest.mark.parametrize("grid", [(), (math.nan,), (0.2, math.inf)])
+    def test_refuses_an_empty_or_non_finite_time_grid(self, unit_square, grid):
+        with pytest.raises(DomainError, match="time grid"):
+            EquivalenceConfig(window=unit_square, measure=ISO, time_grid=grid)
+
     def test_unknown_mutation_rejected(self, unit_square):
         with pytest.raises(DomainError):
             EquivalenceConfig(window=unit_square, measure=ISO, mutation="bogus")

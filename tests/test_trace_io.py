@@ -110,7 +110,7 @@ def _simulated(model: str, window: ConvexPolygon, measure, seed: int, size: int)
         return cowan_el_simulate(window, measure, rng, max_jumps=size, seed=seed)
     if model == "mecke-discrete":
         return mecke_discrete_simulate(window, measure, rng, max_decisions=size, seed=seed)
-    return mecke_continuous_simulate(window, measure, 0.05 * size, rng, seed=seed)[1]
+    return mecke_continuous_simulate(window, measure, rng, max_time=0.05 * size, seed=seed)
 
 
 class TestRoundTrip:
@@ -167,6 +167,15 @@ class TestMalformedRecords:
     def test_bad_header_is_line_one(self, tmp_path, lines):
         lines[0] = lines[0].replace('"model_tag"', '"tag"')
         with pytest.raises(ConfigError, match=r"line 1: missing key 'model_tag'"):
+            self._read(tmp_path, lines)
+
+    @pytest.mark.parametrize("cell", [3, 7, -1])
+    def test_cell_outside_the_slots_is_named(self, tmp_path, lines, cell):
+        # before the third event there are three slots, 0..2
+        rec = json.loads(lines[3])
+        rec["cell"] = cell
+        lines[3] = json.dumps(rec)
+        with pytest.raises(ConfigError, match=rf"line 4: cell {cell} outside the slots 0\.\.2"):
             self._read(tmp_path, lines)
 
     def test_infinite_theta_is_a_config_error(self, tmp_path, lines):
