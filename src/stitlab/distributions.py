@@ -12,14 +12,13 @@ Conventions used throughout:
   any grid; the jump-time laws sum each time's terms by an einsum row, not
   by BLAS.  Each discrete law is one pmf stream, the product recurrence
   reduced by a matrix product with round-off negatives clipped to 0; point
-  values, sequences and masses read it.  The jump tail reads the recurrence
-  itself, in one pass for every time of a grid: it sums each weight column
-  once, and once per time weighted, combines the columns once, and tests
-  each time's truncation bound after every piece; nothing is memoized
-  between calls.  Conditioning is measured on the probability scale: the
-  sum of term magnitudes bounds the absolute rounding error via the machine
-  epsilon, and evaluation refuses to proceed (IllConditioned) once that
-  bound can exceed ~1e-8.
+  values, sequences and masses read it.  The jump tail does not read the
+  recurrence: Mecke's series over it has a finite closed form, ell - 1
+  weight columns of ell exponential terms each, and nothing is truncated.
+  Nothing is memoized between calls.  Conditioning is measured on the
+  probability scale: the sum of term magnitudes bounds the absolute
+  rounding error via the machine epsilon, and evaluation refuses to proceed
+  (IllConditioned) once that bound can exceed ~1e-8.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import DomainError, IllConditioned, TruncationFailure
+from .errors import DomainError, IllConditioned
 from .processes import LSequence
 
 # Fixed precision limits of the alternating sums: the longest sequence the
@@ -45,7 +44,11 @@ _ROW_BLOCK = 64  # divides _CHUNK
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Stopping rule for infinite series: absolute tail bound + term budget."""
+    """Stopping rule for an infinite series: absolute tail bound + term budget.
+
+    No evaluator truncates a series: mecke_jump_tail sums its series in
+    closed form and accepts a policy without using it.  A policy is still
+    validated when it is made."""
 
     tail_bound: float = 1e-10
     max_terms: int = 10**7
@@ -139,48 +142,37 @@ def stit_jump_pdf(lseq: LSequence, n: int, t):
 
 
 def _product_chunks(
-    term: np.ndarray, vals: np.ndarray, m0: int, count: int | None, reduce: Callable
+    term: np.ndarray, vals: np.ndarray, m0: int, count: int, reduce: Callable
 ) -> Iterator[np.ndarray]:
-    """Yield the rows term(m) = term(m-1) * (m-1-v)/m for m = m0, m0+1, ...,
-    one column per value v in `vals`, from term(m0) = `term`, in pieces:
-    `count` rows in all, or without end when count is None.
+    """Yield the rows term(m) = term(m-1) * (m-1-v)/m for m = m0 .. m0+count-1,
+    one column per value v in `vals`, from term(m0) = `term`, in pieces.
 
     The rows fall into fixed windows of _CHUNK rows from m0 + j*_CHUNK: a
     window's rows are its first row times the running product of the ratios
-    since it.  With a count, each piece is the rest of a window.  Without
-    one, a piece has as many rows as were built before it (at least
-    _ROW_BLOCK), so the first window grows 64, 64, 128, ... rows at a time and
-    later ones come whole; a piece picks up the window's running product
-    where the last one left it, so every row is bit-identical to a one-piece
-    build.  Pieces are built in whole blocks of _ROW_BLOCK rows, then cut to
-    the count: a matrix product rounds its last rows differently when their
-    number is not a whole number of the BLAS kernel's blocks.  So no value
-    depends on how many were asked for (without a count no piece is cut).
-    The product runs in place over contiguous memory, in a (columns, rows)
-    array, which is passed as built through `reduce`; the rows past the count
-    are cut from the last axis of what it returns.  At most a window of rows
-    is held at a time.
+    since it, and each piece is the rest of a window.  Pieces are built in
+    whole blocks of _ROW_BLOCK rows, then cut to the count: a matrix product
+    rounds its last rows differently when their number is not a whole number
+    of the BLAS kernel's blocks.  So no value depends on how many were asked
+    for.  The product runs in place over contiguous memory, in a (columns,
+    rows) array, which is passed as built through `reduce`; the rows past the
+    count are cut from the last axis of what it returns.  At most a window of
+    rows is held at a time.
     """
     col = vals[:, None]
     done = 0
-    while count is None or done < count:
-        at = done % _CHUNK
-        size = min(_CHUNK - at, max(_ROW_BLOCK, done) if count is None else count - done)
+    while done < count:
+        size = min(_CHUNK, count - done)
         built = -(-size // _ROW_BLOCK) * _ROW_BLOCK
         ms = np.arange(m0 + done - 1, m0 + done - 1 + built, dtype=float)  # m - 1
         prod = ms - col
         ms += 1.0
         prod /= ms
         del ms
-        if at == 0:  # the window's first row is its seed
-            prod[:, 0] = 1.0
-        else:
-            prod[:, 0] *= carry
+        prod[:, 0] = 1.0  # the window's first row is its seed
         prod.cumprod(axis=1, out=prod)
-        carry = prod[:, size - 1].copy()
         prod *= term[:, None]
         done += size
-        if done % _CHUNK == 0:  # seed of the next window
+        if size == _CHUNK:  # seed of the next window
             m_last = float(m0 + done - 1)
             term = prod[:, size - 1] * ((m_last - vals) / (m_last + 1.0))
         out = reduce(prod)[..., :size]
@@ -351,62 +343,48 @@ def mecke_jump_tail(lseq: LSequence, ell: int, t, policy: TruncationPolicy | Non
     """P(at least ell jumps by time t | frozen weight sequence); `t` is a
     scalar (a float back) or an array (an array back).
 
-    The series sum_n a^n * discrete_jump_pmf(n), a = 1 - exp(-rate * t), summed
-    per weight column: the pmf is lead * sum_i c_i T_i(n) over the columns
-    T_i of the product recurrence, so each piece of the recurrence adds
-    sum_n T_i(n) to one sum per column and sum_n a^n T_i(n) to one per column
-    and time; the columns are combined with lead * c_i.  One pass serves
-    every time: after each piece a time closes once its rest, at most
-    a^(N+1) * (1 - mass through N), is below the policy's tail bound, and
-    while a time is open the pass raises TruncationFailure past max_terms.
-    So a time's value is the same, bit for bit, alone or in any grid, and a
-    grid raises exactly when its largest time would.  The geometric envelope
-    a^(N+1)/(1-a) only decides whether a time needs any term.  Nothing is
-    memoized.  When a rounds to 1 (rate*t above about 37) no bound can close
-    the series, and it raises TruncationFailure at once.
+    Mecke's series sum_n a^n * discrete_jump_pmf(n), a = 1 - q and
+    q = exp(-rate * t), in closed form.  The pmf is lead * sum_i c_i T_i(n)
+    over the weight columns of the product recurrence (`_jump_pmf_setup`),
+    and each column is a^ell T_i(ell) 2F1(1, ell - v_i; ell + 1; a), which
+    Euler's transformation turns into a finite sum of ell exponentials:
+        sum_{n>=ell} a^n T_i(n)
+          = ell T_i(ell) sum_{k<ell} C(ell-1, k) (-1)^k (q^v_i - q^k)/(k - v_i).
+    Each term is computed as q^min(v_i, k) * -expm1(-rate*t*gap)/gap with
+    gap = |v_i - k|, which has no overflow at any rate*t, t = inf included.
+    A term with gap 0 (v_i = k, an integer below ell) is left at 0: its
+    column's seed T_i(ell) holds the factor 1 - v_i/k = 0.  The tail is
+    lead * sum_i c_i times the column sums, one einsum row per time, so a
+    time's value is the same, bit for bit, alone or in any grid.
+
+    The binomial sum cancels.  Its condition, the sum of the magnitudes of
+    the terms of the tail, is checked at every time of the grid; past
+    CONDITION_LIMIT the call raises IllConditioned, so a grid raises exactly
+    when one of its times would.  Values are clipped to [0, 1].  Nothing is
+    truncated: `policy` is accepted for callers that pass one and has no
+    effect, and no TruncationFailure is raised.  Nothing is memoized.
     """
     t_arr = _times(t)
     if not 1 <= ell <= len(lseq):
         raise DomainError(f"ell={ell} outside 1..{len(lseq)}")
-    policy = policy if policy is not None else TruncationPolicy()
-    times = t_arr.ravel().tolist()
-    a = [-math.expm1(-lseq.rate * x) for x in times]  # math, not numpy: as each time alone
+    times = t_arr.ravel()
     if ell == 1:  # the first jump happens at the first decision, always
-        return _as_given(np.array(a), t_arr)
-    log_a = {}  # of each time whose series the envelope does not close
-    for i, a_i in enumerate(a):
-        if a_i == 1.0:
-            raise TruncationFailure(
-                f"rate*t={lseq.rate * times[i]!r}: 1 - exp(-rate*t) rounds to 1, so the series "
-                "has no geometric decay to truncate"
-            )
-        # geometric envelope: a^(N+1)/(1-a) < tail_bound from N = ell on
-        if a_i > 0.0 and (math.log(policy.tail_bound) + math.log1p(-a_i)) / math.log(a_i) > ell:
-            log_a[i] = math.log(a_i)
-    out = np.zeros(len(times))
-    if log_a:
-        coef, term, vals, lead = _jump_pmf_setup(lseq, ell)
-        weighted = {i: np.zeros(vals.size) for i in log_a}  # sum_n a^n T_i(n), per time
-        mass = np.zeros(vals.size)  # sum_n T_i(n)
-        n, open_ = ell, list(log_a)
-        for block in _product_chunks(term, vals, ell, None, lambda block: block):
-            ns = np.arange(n, n + block.shape[1], dtype=float)
-            # einsum on the (columns, rows) block, not a BLAS product, so the
-            # sums do not depend on the thread count
-            for i in open_:
-                weighted[i] += np.einsum("ij,j->i", block, np.exp(log_a[i] * ns))
-            mass += np.einsum("ij->i", block)
-            n += block.shape[1]
-            del block  # not held while the next piece is built
-            rest = max(0.0, 1.0 - lead * math.fsum(coef * mass))
-            open_ = [i for i in open_ if math.exp(log_a[i] * n) * rest >= policy.tail_bound]
-            if not open_:
-                break
-            if n - ell >= policy.max_terms:
-                raise TruncationFailure(f"needed more than max_terms={policy.max_terms} terms "
-                                        f"for t={max(times[i] for i in open_)!r}")
-        for i, sums in weighted.items():
-            out[i] = min(max(lead * math.fsum(coef * sums), 0.0), 1.0)
+        # math, not numpy: as each time alone
+        return _as_given(np.array([-math.expm1(-lseq.rate * x) for x in times.tolist()]), t_arr)
+    coef, term, vals, lead = _jump_pmf_setup(lseq, ell)
+    ks = np.arange(ell, dtype=float)
+    weights = (lead * ell) * np.multiply.outer(coef * term, [
+        math.comb(ell - 1, k) * (-1.0) ** k for k in range(ell)
+    ])
+    rt = np.minimum(lseq.rate * times, np.finfo(float).max)  # t = inf as the largest float
+    gap = np.abs(np.subtract.outer(vals, ks))
+    with np.errstate(over="ignore"):  # rate*t*gap past the largest float: expm1 gives -1
+        terms = -np.expm1(-np.multiply.outer(rt, gap))
+        np.divide(terms, gap, out=terms, where=gap > 0.0)
+        terms *= np.exp(-np.multiply.outer(rt, np.minimum.outer(vals, ks)))
+    rows = terms.reshape(times.size, weights.size)
+    _check_condition(float(np.einsum("ij,j->i", rows, np.abs(weights.ravel())).max(initial=0.0)))
+    out = np.clip(np.einsum("ij,j->i", rows, weights.ravel()), 0.0, 1.0)
     return _as_given(out, t_arr)
 
 

@@ -30,7 +30,10 @@ class IllConditioned(StitlabError):
 
 
 class TruncationFailure(StitlabError):
-    """Infinite-sum truncation could not reach the tail bound within budget."""
+    """Infinite-sum truncation could not reach the tail bound within budget.
+
+    No evaluator truncates a series now; the class stays for callers that
+    catch it."""
 
 
 class TooFewSamples(StitlabError, ValueError):

@@ -384,9 +384,14 @@ def _frozen_sequences(config: EquivalenceConfig) -> list[LSequence]:
 
 def _capped_count_pmfs(lseq: LSequence, times: Sequence[float], tail: Callable) -> np.ndarray:
     """pmf of min(jump count by t, len(lseq)) at each t of `times`, one row
-    per time, from a tail evaluator P(count >= j) over a time grid."""
+    per time, from a tail evaluator P(count >= j) over a time grid.
+
+    Round-off can leave a tail a few ulps of its condition above the one
+    before it; the tails are held non-increasing in j, which clips each
+    difference at 0 and keeps every row summing to 1."""
     tails = [tail(lseq, j, times) for j in range(1, len(lseq) + 1)]
-    upper = np.array([np.ones(len(times)), *tails])  # P(count >= j), j = 0..len(lseq)
+    # P(count >= j), j = 0..len(lseq)
+    upper = np.minimum.accumulate(np.array([np.ones(len(times)), *tails]), axis=0)
     return np.vstack([upper[:-1] - upper[1:], upper[-1:]]).T
 
 

@@ -57,6 +57,7 @@ for model, stop in [("stit", "--jumps"), ("mecke-discrete", "--decisions"),
 step("render", "render", tmp + "/trace.jsonl", "--out", tmp + "/trace.svg", "--at", "0.5")
 step("stit-cdf", "table", "stit-cdf", "--L", "1,1.5", "--t", "0:1:0.5")
 step("mecke-tail", "table", "mecke-tail", "--L", "1,1.5", "--ell", "2", "--t", "0.5")
+step("mecke-tail-far", "table", "mecke-tail", "--L", "1,1.5", "--ell", "2", "--t", "40")
 step("cowan-pmf", "table", "cowan-pmf", "--t", "1", "--k", "0:3")
 step("jump-pmf", "table", "jump-pmf", "--L", "1,1.5", "--ell", "2")
 step("identities", "verify", "--suite", "identities", "--seed", "3")
@@ -73,7 +74,7 @@ def test_only_a_p_value_loads_scipy(tmp_path):
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     steps = [json.loads(line) for line in out.stdout.splitlines()]
-    assert [name for name, _, _ in steps][-1] == "equivalence" and len(steps) == 12
+    assert [name for name, _, _ in steps][-1] == "equivalence" and len(steps) == 13
     for name, code, loaded in steps[:-1]:
         assert (name, code, loaded) == (name, 0, [])
     _, code, loaded = steps[-1]
@@ -370,7 +371,8 @@ class TestTable:
         rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
         assert [float(v) for _, v in rows] == [dist.nu_pmf(2.0, 0.7, k) for k in range(201)]
 
-    def test_tail_table_builds_the_recurrence_once(self, monkeypatch, capsys):
+    def test_tail_table_builds_no_recurrence(self, monkeypatch, capsys):
+        # the tail is a finite sum over the weights, not a sum over decisions
         calls = []
         build = dist._product_chunks
         monkeypatch.setattr(
@@ -379,7 +381,7 @@ class TestTable:
         assert run(["table", "mecke-tail", "--L", "1,1.5,2.2", "--ell", "3",
                     "--t", "0.1:2.5:0.1"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + 25
-        assert len(calls) == 1
+        assert calls == []
 
     def test_pmf_table_builds_the_recurrence_once(self, monkeypatch, capsys):
         from stitlab import distributions
@@ -396,7 +398,6 @@ class TestTable:
         assert len(calls) == 2
 
     def test_mecke_tail_runs_under_the_default_policy(self, capsys):
-        # between 1.3 and 1.5 million terms: past the old default budget of 10**6
         argv = ["--L", "1,1.05", "--rate", "4", "--t", "3"]
         assert run(["table", "mecke-tail", "--ell", "2", *argv]) == 0
         tail = float(capsys.readouterr().out.splitlines()[1].split(",")[1])
@@ -651,10 +652,17 @@ class TestUsageErrors:
         values = ",".join(str(1.0 + 0.5 * i) for i in range(17))
         assert run(["table", "stit-cdf", "--L", values, "--t", "1"]) == 3
         assert capsys.readouterr().err.startswith("runtime error: ")
-        # rate * t = 40: 1 - exp(-rate * t) rounds to 1, and the tail series cannot close
-        assert run(["table", "mecke-tail", "--L", "1,1.5,2.2", "--ell", "2", "--t", "40"]) == 3
+        past_ell_max = ",".join(str(1.0 + 0.5 * i) for i in range(14))
+        assert run(["table", "mecke-tail", "--L", past_ell_max, "--ell", "14", "--t", "1"]) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("runtime error: ")
+        # rate * t = 40: 1 - exp(-rate * t) rounds to 1; the tail's closed form needs no decay
+        argv = ["--L", "1,1.5,2.2", "--t", "40"]
+        assert run(["table", "mecke-tail", "--ell", "3", *argv]) == 0
+        tail = float(capsys.readouterr().out.splitlines()[1].split(",")[1])
+        assert run(["table", "stit-cdf", *argv]) == 0
+        cdf = float(capsys.readouterr().out.splitlines()[1].split(",")[1])
+        assert tail == pytest.approx(cdf, rel=0.0, abs=1e-13)
 
     def test_unknown_model(self, tmp_path):
         assert run(["simulate", "--model", "nope", "--jumps", "1",

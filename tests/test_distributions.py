@@ -28,7 +28,7 @@ from stitlab.distributions import (
     stit_jump_cdf,
     stit_jump_pdf,
 )
-from stitlab.errors import DomainError, IllConditioned, TruncationFailure
+from stitlab.errors import DomainError, IllConditioned
 from stitlab.processes import LSequence
 from stitlab.stats import ks_test, random_l_sequence
 
@@ -200,6 +200,29 @@ class TestDiscreteWaitingPmf:
             mass = discrete_waiting_pmf_mass(n, k, l_k, 10**8, stop_mass=1.0 - 1e-8)
             assert mass >= 1.0 - 1e-8
 
+    @staticmethod
+    def _beta_geometric_gap(shift: float) -> float:
+        """Largest |1 - mass through M - P(wait > M)| with the beta-geometric
+        tail Gamma(n)Gamma(n-L+M)/(Gamma(n-L)Gamma(n+M)) evaluated at L + shift."""
+        gap = 0.0
+        for n in (2, 4, 6, 9):
+            for l_k in (1.5, 1.9, 2.7, 3.3):
+                k = max(2, math.ceil(l_k))
+                if k > n:
+                    continue
+                lw = l_k + shift
+                for max_wait in (1, 2, 10, 1000, 10**5):
+                    tail = math.exp(math.lgamma(n) + math.lgamma(n - lw + max_wait)
+                                    - math.lgamma(n - lw) - math.lgamma(n + max_wait))
+                    mass = discrete_waiting_pmf_mass(n, k, l_k, max_wait)
+                    gap = max(gap, abs(1.0 - mass - tail))
+        return gap
+
+    def test_beta_geometric_tail(self):
+        # P(wait > M) = prod_{m=n}^{n+M-1} (1 - L/m) = (n-L)_M/(n)_M
+        assert self._beta_geometric_gap(0.0) <= 1e-12
+        assert self._beta_geometric_gap(1e-6) > 1e-12  # a mutant weight fails it
+
 
 class TestDiscreteJumpPmf:
     def test_second_jump_closed_form(self):
@@ -319,11 +342,24 @@ class TestMeckeJumpTail:
                         stit_jump_cdf(lseq, ell, t), abs=1e-6
                     )
 
-    def test_truncation_failure(self):
+    def test_any_valid_policy_gives_the_same_value(self):
+        # the tail is a finite sum: a policy is accepted and changes nothing
         lseq = LSequence((1.0, 1.05), rate=4.0)
-        policy = TruncationPolicy(tail_bound=1e-10, max_terms=10)
-        with pytest.raises(TruncationFailure):
-            mecke_jump_tail(lseq, 2, 3.0, policy)
+        times = np.array([0.001, 0.2, 3.0, 10.0, 175.0])  # rate * t up to 700
+        value = mecke_jump_tail(lseq, 2, times)
+        assert value.tolist() == [mecke_jump_tail(lseq, 2, t) for t in times]
+        for policy in (None, TruncationPolicy(), TruncationPolicy(tail_bound=1e-10, max_terms=10),
+                       TruncationPolicy(tail_bound=1e-15, max_terms=10**9)):
+            assert mecke_jump_tail(lseq, 2, times, policy).tolist() == value.tolist()
+            assert mecke_jump_tail(lseq, 2, 3.0, policy) == value[2]
+
+    def test_integer_weight_values_have_no_pole(self):
+        # a weight value equal to an integer k < ell zeroes (k - v_i) in a term
+        lseq = LSequence((1.0, 2.0, 3.0, 3.5, 5.0), rate=1.0)
+        times = np.array([1e-3, 0.1, 0.9, 3.0, 12.0, 50.0])
+        for ell in range(2, len(lseq) + 1):
+            tail = mecke_jump_tail(lseq, ell, times)
+            assert np.abs(tail - stit_jump_cdf(lseq, ell, times)).max() <= 1e-13
 
     def test_refusal_leaves_no_cache_entry(self):
         long_seq = LSequence(tuple(1.0 + 0.2 * k for k in range(13)), rate=1.0)
@@ -336,18 +372,25 @@ class TestMeckeJumpTail:
         with pytest.raises(DomainError):
             TruncationPolicy(max_terms=5)
 
-    def test_geometric_weight_of_one_refuses_at_once(self):
-        # rate * t = 40: 1 - exp(-40) rounds to 1, and no bound can close the series
+    def test_far_horizon_equals_the_cdf(self):
+        # at rate * t = 40, 80 and 700, 1 - exp(-rate * t) rounds to 1 and the
+        # series has no geometric decay; the closed form needs none
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            lseq = random_l_sequence(rng, int(rng.integers(2, 9)), float(rng.uniform(0.5, 4.0)))
+            times = np.array([40.0, 80.0, 700.0]) / lseq.rate
+            for ell in range(1, len(lseq) + 1):
+                tail = mecke_jump_tail(lseq, ell, times)
+                assert np.abs(tail - stit_jump_cdf(lseq, ell, times)).max() <= 1e-13
         lseq = LSequence((1.0, 1.5, 2.2), rate=4.0)
-        with pytest.raises(TruncationFailure, match="rounds to 1"):
-            mecke_jump_tail(lseq, 2, 10.0)
         assert mecke_jump_tail(lseq, 1, 10.0) == 1.0  # no series behind the first jump
+        assert mecke_jump_tail(lseq, 3, [math.inf, 1e300]).tolist() == [1.0, 1.0]
 
 
 def _grid_cases():
     """(lseq, ell, times) over random sequences and the special cases: t = 0,
-    ell = 1, times below the geometric envelope (the tail is 0 without a
-    term), unsorted grids with repeats, and a far horizon rate*t = 12."""
+    ell = 1, a time of 1e-12 (a tail of about 1e-24), unsorted grids with
+    repeats, and a far horizon rate*t = 12."""
     rng = np.random.default_rng(61)
     cases = []
     for _ in range(12):
@@ -359,7 +402,7 @@ def _grid_cases():
 
 class TestGridEqualsPoint:
     """A point is a grid of one: every grid value equals its point call bit
-    for bit, and a grid raises exactly when its largest time would."""
+    for bit, and a grid raises exactly when one of its times would."""
 
     @pytest.mark.parametrize("law", [stit_jump_cdf, stit_jump_pdf, mecke_jump_tail])
     def test_grid_values_equal_point_values(self, law):
@@ -374,45 +417,38 @@ class TestGridEqualsPoint:
 
     def test_tail_special_cases(self):
         times = np.array([0.0, 1e-12, 0.7])
-        assert mecke_jump_tail(L_THREE, 2, times)[:2].tolist() == [0.0, 0.0]
+        tail = mecke_jump_tail(L_THREE, 2, times)
+        assert tail[0] == 0.0
+        assert tail[1] == pytest.approx(7.5e-25, rel=0.0, abs=1e-15)  # a^2 * pmf(2)
         first = mecke_jump_tail(LSequence((1.0,), rate=2.0), 1, times)
         assert first.tolist() == [-math.expm1(-2.0 * t) for t in times]
         assert mecke_jump_tail(L_THREE, 2, np.array([])).shape == (0,)
 
-    def test_a_rounding_to_one_raises_for_the_grid(self):
-        # rate * t = 40: 1 - exp(-40) rounds to 1
-        lseq = LSequence((1.0, 1.5, 2.2), rate=4.0)
-        assert mecke_jump_tail(lseq, 2, [0.2, 3.0]).shape == (2,)
-        with pytest.raises(TruncationFailure, match="rounds to 1"):
-            mecke_jump_tail(lseq, 2, [0.2, 10.0, 3.0])
-        assert mecke_jump_tail(lseq, 1, [0.2, 10.0]).tolist() == [-math.expm1(-0.8), 1.0]
-
-    def test_a_grid_raises_iff_its_largest_point_raises(self):
-        lseq = LSequence((1.0, 1.05), rate=4.0)
-        policy = TruncationPolicy(tail_bound=1e-10, max_terms=10)
-        times = [0.001, 0.01, 0.05, 0.2, 3.0]
+    def test_a_grid_raises_iff_one_of_its_points_raises(self):
+        # weights 0.1 apart: the set-up's condition is 4.1e5, and the tail's
+        # own terms pass CONDITION_LIMIT between rate * t of about 0.01 and 5
+        lseq = LSequence(tuple(1.0 + 0.1 * k for k in range(12)), rate=1.0)
+        times = [1e-3, 100.0, 1.0, 0.1]
 
         def raises(t) -> bool:
             try:
-                mecke_jump_tail(lseq, 2, t, policy)
-            except TruncationFailure:
+                mecke_jump_tail(lseq, 12, t)
+            except IllConditioned:
                 return True
             return False
 
         points = [raises(t) for t in times]
-        assert points[0] is False and points[-1] is True  # both sides are exercised
+        assert points == [False, False, True, True]  # both sides are exercised
         for last in range(1, len(times) + 1):
-            grid = times[:last][::-1]
-            assert raises(np.array(grid)) is points[last - 1]
+            assert raises(np.array(times[:last][::-1])) is any(points[:last])
 
 
-class TestTailPerColumn:
-    """The tail sums the product recurrence per weight column and combines
-    the columns once, instead of summing the clipped pmf stream."""
+class TestTailOracles:
+    """The closed-form tail against two routes it does not share: a plain
+    summation of Mecke's decision law and Gauss's hypergeometric function in
+    50-digit arithmetic."""
 
     def test_equals_the_weighted_pmf_stream(self):
-        # a bound far below the pin, so both sides are the whole series
-        policy = TruncationPolicy(tail_bound=1e-15)
         rng = np.random.default_rng(41)
         for _ in range(20):
             lseq = random_l_sequence(rng, int(rng.integers(2, 9)), 1.0)
@@ -422,7 +458,7 @@ class TestTailPerColumn:
             ns = np.arange(ell, n_last + 1)
             pmf = discrete_jump_pmf_sequence(lseq, ell, n_last)
             series = math.fsum(np.power(a, ns) * pmf)
-            assert mecke_jump_tail(lseq, ell, h, policy) == pytest.approx(series, rel=0.0, abs=1e-13)
+            assert mecke_jump_tail(lseq, ell, h) == pytest.approx(series, rel=0.0, abs=1e-13)
 
     def test_far_horizon_within_twice_the_tail_bound(self):
         policy = TruncationPolicy()
@@ -434,22 +470,30 @@ class TestTailPerColumn:
             assert abs(cold - stit_jump_cdf(lseq, length, 12.0)) <= 2 * policy.tail_bound
             assert mecke_jump_tail(lseq, length, 12.0, policy) == cold  # nothing is memoized
 
-    def test_far_tail_holds_a_bounded_window(self):
-        import tracemalloc
+    def test_against_mpmath_hyp2f1(self):
+        # each weight column sums to T_i(ell) a^ell 2F1(1, ell - v_i; ell + 1; a)
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
 
-        from stitlab.distributions import _CHUNK
+        def mp_tail(values, rate, ell, t):
+            vals = [mp.mpf(repr(v)) for v in values[1:ell]]
+            a = -mp.expm1(-mp.mpf(repr(rate)) * mp.mpf(repr(float(t))))
+            total = mp.mpf(0)
+            for i, v in enumerate(vals):
+                coef = 1 / mp.fprod(v - w for j, w in enumerate(vals) if j != i)
+                seed = mp.fprod(1 - v / m for m in range(2, ell)) / ell
+                total += coef * seed * a**ell * mp.hyp2f1(1, ell - v, ell + 1, a)
+            return float((-1) ** ell * mp.fprod(vals) * total)
 
-        lseq = LSequence((1.0, 1.5, 2.2, 2.9, 3.5, 4.3, 4.9, 5.6), rate=1.0)
-        window = _CHUNK * 7 * 8  # bytes of one window of the block (seven columns)
-        mecke_jump_tail(lseq, 3, 1.0)
-        tracemalloc.start()
-        try:
-            value = mecke_jump_tail(lseq, 8, 12.0)  # about 900k terms: 14 windows
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert 0.999 < value < 1.0
-        assert peak < 2 * window
+        rng = np.random.default_rng(44)
+        for _ in range(12):
+            lseq = random_l_sequence(rng, int(rng.integers(2, 9)), float(rng.uniform(0.5, 4.0)))
+            times = np.array([0.01, 0.3, 1.0, 2.5, 6.0, 12.0]) / lseq.rate
+            for ell in range(2, len(lseq) + 1):
+                tail = mecke_jump_tail(lseq, ell, times)
+                for got, t in zip(tail, times):
+                    assert got == pytest.approx(mp_tail(lseq.values, lseq.rate, ell, t),
+                                                rel=0.0, abs=1e-12)
 
 
 class TestHighPrecisionOracles:
@@ -586,13 +630,14 @@ def test_nan_time_is_a_domain_error(t):
 # Golden values recorded before the discrete laws were rewritten onto one
 # product recurrence.  The jump pmf sequence and the hypoexponential CDF/PDF
 # keep their arithmetic and must match bit for bit.  The tail was re-recorded
-# when it moved from the clipped pmf stream to per-column sums with a bound
-# tested after every piece (it moved by at most 1e-11 absolute, inside its
-# 1e-10 tail bound; at rate*t = 0.25 and 0.5 it now equals CONV_CDF_ORACLE to
-# the last digit).  It sums without BLAS, so it is pinned to 1e-13 relative,
-# a warm call must repeat the cold one exactly and the sweep must not depend
-# on the thread count.  The scalar pmfs and the
-# masses change their arithmetic order and must match to 1e-12 relative.
+# when it moved from the truncated series to its finite closed form: it moved
+# by at most 1.8e-11 absolute, inside the series' 1e-10 tail bound, and every
+# value is now within 1.2e-14 of stit_jump_cdf (at rate*t = 0.25 it equals
+# CONV_CDF_ORACLE to the last digit, at 0.5 it is 9e-17 above).  It sums
+# without BLAS, so it is pinned to 1e-13 relative, a warm call must repeat
+# the cold one exactly and the sweep must not depend on the thread count.
+# The scalar pmfs and the masses change their arithmetic order and must
+# match to 1e-12 relative.
 # The cdfpdf digests were re-recorded when a scalar time became a grid of one
 # summed by einsum (it was math.fsum, and an array was a BLAS product): 151
 # of 756 ("three") and 464 of 1512 ("six") values moved, by at most 6.5e-16
@@ -610,25 +655,28 @@ GOLDEN_DIGESTS = {
 }
 GOLDEN_TAIL = {  # rate*t = 0.25 .. 12 (outer) by ell = 2 .. len (inner)
     "three": [
-        0.03817620836772978, 0.00643221268537223, 0.12514112634412913, 0.03882991077746657,
-        0.34262199678253263, 0.18133272598588704, 0.6935682870257082, 0.5466794078263771,
-        0.9500105876871227, 0.9145755478740292, 0.9928105630682706, 0.9871392771518839,
-        0.9990059005408194, 0.9981935357370856, 0.9998644120096888, 0.999752222684969,
-        0.999981597806298, 0.9999663025428337
+        0.03817620836772978, 0.006432212685372252, 0.12514112634412922, 0.0388299107774665,
+        0.34262199678253263, 0.181332725985887, 0.6935682870258898, 0.546679407826867,
+        0.9500105876871303, 0.9145755478740514, 0.9928105630781744, 0.9871392771518842,
+        0.9990059005409991, 0.9981935357376501, 0.9998644120153535, 0.9997522227027731,
+        0.9999815978228995, 0.9999663025572424
     ],
     "six": [
-        0.03705150716689984, 0.005863786226031914, 0.0008856913446466556,
-        0.00013526320501087446, 2.0589317634817475e-05, 0.1219002497156534,
-        0.035790156619233106, 0.01006257993659538, 0.002850366728396539, 0.0008042169948955509,
-        0.3358779964337917, 0.17037050159290934, 0.08330718990288337, 0.04082211404426381,
-        0.01990629689562717, 0.6861934652515734, 0.5282304508609003, 0.3968931388336105,
-        0.29730919293499297, 0.22154719606073733, 0.947710840792681, 0.907131069407221,
-        0.861833034751305, 0.8165859987666882, 0.7715682376960212, 0.9923831003440479,
-        0.9856604988987798, 0.9774705630749448, 0.9686150803444509, 0.9591124440940058,
-        0.9989394339491846, 0.9979590235824018, 0.9967271303683436, 0.9953580764767878,
-        0.9938506056420762, 0.9998548320991295, 0.9997182152298761, 0.9995445257761346,
-        0.9993494986595354, 0.9991326853480627, 0.9999802636330394, 0.9999615573628422,
-        0.9999376645613814, 0.9999107281832509, 0.999880670916888
+        0.037051507166899866, 0.005863786226031953, 0.0008856913446464443,
+        0.00013526320501067168, 2.0589317635266724e-05, 0.12190024971565333,
+        0.03579015661923324, 0.010062579936595206, 0.0028503667283972245,
+        0.0008042169948958566, 0.33587799643379174, 0.17037050159290934,
+        0.08330718990288366, 0.04082211404426417, 0.019906296895626507,
+        0.6861934652518195, 0.5282304508616174, 0.3968931388349909,
+        0.29730919293708746, 0.2215471960635491, 0.9477108407926915,
+        0.9071310694072563, 0.8618330347513837, 0.8165859987668261,
+        0.771568237696235, 0.9923831003440475, 0.9856604988987804,
+        0.9774705630749458, 0.9686150803444524, 0.9591124440940082,
+        0.9989394339495058, 0.9979590235835004, 0.9967271303708259,
+        0.9953580764812153, 0.9938506056490696, 0.9998548321100156,
+        0.9997182152306439, 0.9995445257778712, 0.9993494986626332,
+        0.9991326853529575, 0.9999802636509335, 0.9999615573806556,
+        0.9999376645739195, 0.9999107281959687, 0.999880670928432
     ],
 }
 GOLDEN_JUMP = {  # at n = ell, ell + 1, ell + 5, ell + 40, ell + 150 and 5000
