@@ -19,15 +19,11 @@ show each cell count at each grid time:
 * `stit_cell_counts`: STIT.  The clock rate is the replica's total cell
   weight; a cell is picked in proportion to its weight and cut by a line
   from its own hitting distribution, both redrawn until the line splits it.
-* `mecke_cell_counts`: the discrete Mecke stepper under a clock whose rate
-  depends only on the number n of quasi-cells: each decision takes a uniform
-  slot out of n and, when the slot holds a cell, one window line, which
-  makes a jump when it splits the cell.  Empty slots are not stored: with k
-  cells, slot j < k is the replica's j-th cell and any other slot is empty,
-  so each cell is picked with probability 1/n, as in
-  `processes.mecke_discrete_step`.  A step runs one replica's decisions up
-  to the next one that picks a cell; those that pick an empty slot change
-  nothing but the time.
+* `mecke_cell_counts`: the stepper of `processes.mecke_discrete_step` under
+  a `processes.Clock` of the number n of quasi-cells.  Empty slots are not
+  stored: a wait draws at once the run of decisions that pick an empty slot
+  before the next cell pick (`skip`) and the clock's time over them
+  (`Clock.span`), and the event cuts a cell picked uniformly by one window line.
 
 Memory is bounded by the block, not by the replica count.
 """
@@ -43,9 +39,9 @@ import numpy as np
 from .errors import DomainError, SamplerStall
 from .geometry import EPS_GEOM, ConvexPolygon, _dedupe_ring
 from .line_measure import MAX_REJECTION_ITERATIONS, IsotropicMeasure, LineMeasureSpec
+from .processes import Clock
 
 BLOCK = 2048  # replicas advanced together
-MECKE_RUN = 16  # decisions a Mecke wait draws at once
 
 # the outcome of a split, per row: both parts present, the cell left whole on
 # the origin side or on the far side, or DegenerateSplit
@@ -314,19 +310,26 @@ class _Replicas:
         self.count[reps] += 1
 
 
-def _waits(rate, shape: tuple, rng: np.random.Generator) -> np.ndarray:
-    """Exp(rate) waits; a rate that is not finite and positive raises DomainError."""
-    if not np.all((0.0 < rate) & (rate < math.inf)):
-        raise DomainError("clock rate must be finite and positive")
-    return rng.exponential(size=shape) / rate
+def skip(n: np.ndarray, k: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Per row, the number V of decisions that pick an empty slot before the
+    next pick of one of k cells, from n slots on: P(V >= v) = prod_{m=n}^{n+v-1}
+    (1 - k/m) = E[X^v] with X ~ Beta(n - k, k), so V = floor(log U / log X) for
+    U uniform on (0, 1], with X = H / (G + H), G ~ Gamma(k) and H ~ Gamma(n - k)
+    (V = 0 when n = k).  V is clipped so that n + V stays in int64."""
+    g, h = rng.standard_gamma(k), rng.standard_gamma(n - k)
+    with np.errstate(divide="ignore"):
+        v = rng.standard_exponential(n.shape) / np.log1p(g / h)  # log U / log X
+    return np.minimum(np.minimum(v, 2.0**62).astype(np.int64), np.iinfo(np.int64).max - n)
 
 
 class _Stit(_Replicas):
-    """STIT: every wait ends in an event."""
+    """STIT: the clock rate is the replica's total cell weight."""
 
-    def wait(self, reps: np.ndarray, t: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
+    def wait(self, reps: np.ndarray, t: np.ndarray, rng) -> np.ndarray:
         total = self.weights(reps).sum(axis=1)
-        return t + _waits(total, reps.shape, rng), np.ones(reps.size, dtype=bool)
+        if not np.all((0.0 < total) & (total < math.inf)):
+            raise DomainError("clock rate must be finite and positive")
+        return t + rng.exponential(size=reps.shape) / total
 
     def event(self, reps: np.ndarray, rng: np.random.Generator) -> None:
         for _ in range(MAX_REJECTION_ITERATIONS):
@@ -344,32 +347,25 @@ class _Stit(_Replicas):
 
 
 class _Mecke(_Replicas):
-    """The Mecke stepper.  A wait draws the next MECKE_RUN decisions of each
-    replica (times and slots) and stops at the first whose slot holds a cell;
-    the decisions before it pick empty slots and change nothing, and the draws
-    after it are dropped.  The event then cuts that cell by one window line."""
+    """The Mecke stepper: a wait ends at the next decision that picks a cell,
+    and the event cuts a cell picked uniformly by one window line."""
 
-    def __init__(self, measure, window, size, clock: Callable) -> None:
+    def __init__(self, measure, window, size, clock: Clock) -> None:
         super().__init__(measure, window, size)
         self.windows = window.take(np.zeros(size, dtype=np.int64))
         self.clock = clock
         self.slots = np.ones(size, dtype=np.int64)  # quasi-cells, empty ones included
-        self.pick = np.zeros(size, dtype=np.int64)  # the pending decision's slot
 
-    def wait(self, reps: np.ndarray, t: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
-        n = self.slots[reps, None] + np.arange(MECKE_RUN)  # slots before each decision
-        times = t[:, None] + np.cumsum(_waits(self.clock(n), n.shape, rng), axis=1)
-        slot = rng.integers(0, n)
-        full = slot < self.count[reps, None]
-        fire = full.any(axis=1)
-        f = np.where(fire, full.argmax(axis=1), MECKE_RUN - 1)
-        rows = np.arange(reps.size)
-        self.pick[reps] = slot[rows, f]
-        self.slots[reps] += f + 1
-        return times[rows, f], fire
+    def wait(self, reps: np.ndarray, t: np.ndarray, rng) -> np.ndarray:
+        n = self.slots[reps]
+        w = skip(n, self.count[reps], rng) + 1
+        if np.any(w > np.iinfo(np.int64).max - n):  # e^(rate * t) slots, rate * t past ~43
+            raise DomainError("the quasi-cell count passes the int64 range")
+        self.slots[reps] += w
+        return t + self.clock.span(n, w, rng)
 
     def event(self, reps: np.ndarray, rng: np.random.Generator) -> None:
-        slot = self.pick[reps]
+        slot = rng.integers(0, self.count[reps])
         for _ in range(MAX_REJECTION_ITERATIONS):
             if not reps.size:
                 return
@@ -400,12 +396,12 @@ def _cell_counts(make_block: Callable, grid: Sequence[float], replicas: int, rng
         seen = np.empty((size, times.size), dtype=np.int64)
         live = np.arange(size)
         while live.size:
-            t_next, fire = block.wait(live, t[live], rng)
+            t_next = block.wait(live, t[live], rng)
             r, j = np.nonzero((t[live, None] <= times) & (t_next[:, None] > times))
             seen[live[r], j] = block.count[live[r]]
             t[live] = t_next
             keep = t_next <= t_max
-            block.event(live[keep & fire], rng)
+            block.event(live[keep], rng)
             live = live[keep]
         top = int(seen.max()) + 1
         if top > hist.shape[1]:
@@ -426,10 +422,13 @@ def stit_cell_counts(
 
 def mecke_cell_counts(
     window: ConvexPolygon, measure: LineMeasureSpec, grid: Sequence[float], replicas: int,
-    rng: np.random.Generator, clock: Callable,
+    rng: np.random.Generator, clock: Clock,
 ) -> np.ndarray:
     """Cell-count histograms of `replicas` runs of the Mecke stepper at each
     grid time; the decision taken with n quasi-cells comes after an
-    Exp(clock(n)) wait (`clock` maps an array of counts to their rates)."""
+    Exp(clock(n)) wait.  A rate that is not finite and positive, or a slot
+    count past the int64 range, raises DomainError."""
+    if not 0.0 < clock.rate < math.inf:
+        raise DomainError("clock rate must be finite and positive")
     cells = Polys.of([window])
     return _cell_counts(lambda size: _Mecke(measure, cells, size, clock), grid, replicas, rng)

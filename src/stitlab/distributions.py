@@ -11,12 +11,12 @@ Conventions used throughout:
   scalar as a grid of one, so a value is the same, bit for bit, alone or in
   any grid; the jump-time laws sum each time's terms by an einsum row, not
   by BLAS.  Each discrete law is one pmf stream, the product recurrence
-  reduced by a matrix product with round-off negatives clipped to 0; point
-  values, sequences and masses read it.  The jump tail does not read the
-  recurrence: Mecke's series over it has a finite closed form, ell - 1
-  weight columns of ell exponential terms each, and nothing is truncated.
-  Nothing is memoized between calls.  Conditioning is measured on the
-  probability scale: the sum of term magnitudes bounds the absolute
+  reduced by an einsum over its columns with round-off negatives clipped
+  to 0; point values, sequences and masses read it.  The jump tail does not
+  read the recurrence: Mecke's series over it has a finite closed form,
+  ell - 1 weight columns of ell exponential terms each, and nothing is
+  truncated.  Nothing is memoized between calls.  Conditioning is measured
+  on the probability scale: the sum of term magnitudes bounds the absolute
   rounding error via the machine epsilon, and evaluation refuses to proceed
   (IllConditioned) once that bound can exceed ~1e-8.
 """
@@ -39,7 +39,6 @@ N_MAX = 15
 ELL_MAX = 12
 CONDITION_LIMIT = 1e8
 _CHUNK = 1 << 16
-_ROW_BLOCK = 64  # divides _CHUNK
 
 
 @dataclass(frozen=True)
@@ -149,21 +148,16 @@ def _product_chunks(
 
     The rows fall into fixed windows of _CHUNK rows from m0 + j*_CHUNK: a
     window's rows are its first row times the running product of the ratios
-    since it, and each piece is the rest of a window.  Pieces are built in
-    whole blocks of _ROW_BLOCK rows, then cut to the count: a matrix product
-    rounds its last rows differently when their number is not a whole number
-    of the BLAS kernel's blocks.  So no value depends on how many were asked
-    for.  The product runs in place over contiguous memory, in a (columns,
-    rows) array, which is passed as built through `reduce`; the rows past the
-    count are cut from the last axis of what it returns.  At most a window of
-    rows is held at a time.
+    since it, and each piece is the rest of a window, so no value depends on
+    how many were asked for.  The product runs in place over contiguous
+    memory, in a (columns, rows) array, which is passed as built through
+    `reduce`.  At most a window of rows is held at a time.
     """
     col = vals[:, None]
     done = 0
     while done < count:
         size = min(_CHUNK, count - done)
-        built = -(-size // _ROW_BLOCK) * _ROW_BLOCK
-        ms = np.arange(m0 + done - 1, m0 + done - 1 + built, dtype=float)  # m - 1
+        ms = np.arange(m0 + done - 1, m0 + done - 1 + size, dtype=float)  # m - 1
         prod = ms - col
         ms += 1.0
         prod /= ms
@@ -175,7 +169,7 @@ def _product_chunks(
         if size == _CHUNK:  # seed of the next window
             m_last = float(m0 + done - 1)
             term = prod[:, size - 1] * ((m_last - vals) / (m_last + 1.0))
-        out = reduce(prod)[..., :size]
+        out = reduce(prod)
         del prod
         yield out
         del out  # neither piece is held while the next one is built
@@ -308,7 +302,7 @@ def _jump_pmf_chunks(lseq: LSequence, ell: int, count: int) -> Iterator[np.ndarr
     coef, term, vals, lead = _jump_pmf_setup(lseq, ell)
 
     def pmf(block: np.ndarray) -> np.ndarray:
-        out = np.ascontiguousarray(block.T) @ coef
+        out = np.einsum("ji,j->i", block, coef)
         out *= lead
         return np.maximum(out, 0.0, out=out)
 

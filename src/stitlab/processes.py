@@ -3,8 +3,9 @@
 All four models are one split process on a list of slots (cells, or empty
 quasi-cells as None in the Mecke models): an event picks a slot and a line,
 the slot keeps the far part of the cut and the origin part is appended.  A
-*selector* picks the slot and the line, a *clock* (a rate function of the
-slot count n, shared with `stitlab.batch` and `stats`) times the next event.
+*selector* picks the slot and the line, a *clock* times the next event:
+STIT's is its selector's total weight, every other one a `Clock` of the
+slot count n (shared with `stitlab.batch` and `stats`).
 
 * STIT: a cell picked in proportion to its hitting weight W(C), cut by a
   line from its normalized hitting distribution; clock rate sum_j W(C_j).
@@ -36,6 +37,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -339,9 +341,22 @@ def _uniform_slot(measure: LineMeasureSpec, window: ConvexPolygon) -> Callable:
     return pick
 
 
-def _equally_likely(window_weight: float) -> Callable:
-    """The equally-likely clock: rate n * W(window) with n slots (n may be an array)."""
-    return lambda n: n * window_weight
+class Clock(NamedTuple):
+    """The event rate with n slots: rate * n (the equally-likely clock, with
+    rate W(window)) or, not `per_slot`, a constant rate; n may be an array."""
+
+    rate: float
+    per_slot: bool = True
+
+    def __call__(self, n):
+        return self.rate * n if self.per_slot else self.rate
+
+    def span(self, n: np.ndarray, w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Per row, the sum of w waits Exp(clock(n + j)), j < w: for rate * n,
+        -log(B) / rate with B ~ Beta(n, w), drawn as log1p(Y / X) / rate with
+        Y ~ Gamma(w) and X ~ Gamma(n); for a constant rate, Y / rate."""
+        y = rng.standard_gamma(w)
+        return (np.log1p(y / rng.standard_gamma(n)) if self.per_slot else y) / self.rate
 
 
 def _check_expected_work(rate_t: float, budget: str, what: str, copies: int = 1) -> None:
@@ -413,7 +428,7 @@ def cowan_el_simulate(
         rate_t = rate * max_time
         _check_expected_work(rate_t, "MAX_EXPECTED_DECISIONS", f"rate * t = {rate_t:.6g}")
     events = _grow(
-        [window], _uniform_cell(measure), _equally_likely(rate), rng,
+        [window], _uniform_cell(measure), Clock(rate), rng,
         max_time=max_time, max_jumps=max_jumps,
     )
     return ProcessTrace(window, measure, tuple(events), ModelTag.COWAN_EL, seed)
@@ -474,7 +489,7 @@ def mecke_continuous_simulate(
         rate_t = rate * max_time
         _check_expected_work(rate_t, "MAX_EXPECTED_DECISIONS", f"rate * t = {rate_t:.6g}")
     events = _grow(
-        [window], _uniform_slot(measure, window), _equally_likely(rate), rng, max_time=max_time
+        [window], _uniform_slot(measure, window), Clock(rate), rng, max_time=max_time
     )
     return ProcessTrace(window, measure, tuple(events), ModelTag.MECKE_CONTINUOUS, seed)
 
@@ -512,12 +527,13 @@ def final_state(trace: ProcessTrace) -> QuasiCellState:
 
 
 def l_sequence(trace: ProcessTrace) -> LSequence:
-    """Normalized hitting-weight sequence of the trace's cell configurations."""
-    rate = hitting_measure(trace.measure, trace.window)
+    """Normalized hitting-weight sequence of the trace's cell configurations,
+    a running total updated at each jump as `_ByWeight` updates its own."""
+    weight = partial(hitting_measure, trace.measure)
+    rate = total = weight(trace.window)
     values = [1.0]
-    for event, _, _, slots in replay(trace):
-        if not event.jump:
-            continue
-        total = sum(hitting_measure(trace.measure, c) for c in slots if c is not None)
-        values.append(total / rate)
+    for event, target, parts, _ in replay(trace):
+        if event.jump:
+            total += weight(parts.negative_part) + weight(parts.positive_part) - weight(target)
+            values.append(total / rate)
     return LSequence(values=tuple(values), rate=rate)

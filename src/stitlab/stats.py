@@ -41,8 +41,8 @@ from .errors import DegenerateBins, DomainError, LCollision, StitlabError, TooFe
 from .geometry import ConvexPolygon
 from .line_measure import LineMeasureSpec, hitting_measure
 from .processes import LSequence, final_state, l_sequence, mecke_discrete_simulate, replica_rng
-# the clock of the Cowan and Mecke-continuous models, and its expected-work budget
-from .processes import _check_expected_work, _equally_likely
+# the clock of the Cowan and Mecke models, and its expected-work budget
+from .processes import Clock, _check_expected_work
 
 MUTATIONS = (None, "poisson-clock", "wrong-rate")
 WRONG_RATE_FACTOR = 1.2
@@ -236,11 +236,9 @@ def two_sample_chi_square(
 # vectorized replica simulators (time/counting layer only)
 
 
-def _clock_counts(
-    clock: Callable, t: float, n_replicas: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Event counts by time t of a clock (a rate function of the slot count k,
-    1 at the start and one more per event): races of Exp(clock(k)) waits."""
+def _clock_counts(clock: Clock, t: float, n_replicas: int, rng: np.random.Generator) -> np.ndarray:
+    """Event counts by time t of a clock of the slot count k (1 at the start
+    and one more per event): races of Exp(clock(k)) waits."""
     if not clock(1) > 0.0 or t < 0.0 or n_replicas < 1:
         raise DomainError("need rate > 0, t >= 0, n_replicas >= 1")
     remaining = np.full(n_replicas, t, dtype=float)
@@ -261,7 +259,7 @@ def simulate_cowan_counts(
     rate: float, t: float, n_replicas: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Jump counts of the equally-likely clock: races of Exp(k * rate) waits."""
-    return _clock_counts(_equally_likely(rate), t, n_replicas, rng)
+    return _clock_counts(Clock(rate), t, n_replicas, rng)
 
 
 def _decision_chain(
@@ -421,14 +419,14 @@ def _check_conditional(config: EquivalenceConfig) -> VerificationReport:
     return _p_report("conditional-jump-counts", worst_p, n_total, config.seed)
 
 
-def _mecke_clock(config: EquivalenceConfig) -> Callable:
-    """Rate of the decision taken with n quasi-cells: the equally-likely clock,
-    or a deliberately wrong clock under a mutation."""
-    clock = _equally_likely(hitting_measure(config.measure, config.window))
+def _mecke_clock(config: EquivalenceConfig) -> Clock:
+    """The clock of the Mecke decisions: the equally-likely clock, or a
+    deliberately wrong clock under a mutation."""
+    rate = hitting_measure(config.measure, config.window)
     return {
-        None: clock,
-        "poisson-clock": lambda n: clock(1),  # arrivals ignore how many quasi-cells exist
-        "wrong-rate": lambda n: clock(n) * WRONG_RATE_FACTOR,
+        None: Clock(rate),
+        "poisson-clock": Clock(rate, per_slot=False),  # ignores how many quasi-cells exist
+        "wrong-rate": Clock(rate * WRONG_RATE_FACTOR),
     }[config.mutation]
 
 
@@ -510,27 +508,24 @@ def _check_identity(config: EquivalenceConfig) -> VerificationReport:
 
 
 def _check_selection(config: EquivalenceConfig) -> VerificationReport:
-    """From a frozen two-jump state with n quasi-cells, decisions (a uniform
-    slot out of n, one window line) are drawn in bulk rounds until
-    `selection_events` of them hit: the slot holds a cell and the line's offset
-    lies strictly inside that cell's support interval at the line's theta."""
+    """From a frozen two-jump state, decisions that pick one of its k cells
+    uniformly, each with one window line, are drawn in bulk rounds until
+    `selection_events` of them hit: the line's offset lies strictly inside the
+    cell's support interval at the line's theta.  A decision that picks an
+    empty slot never hits, so leaving those out keeps the law of the hits."""
     rng = replica_rng(config.seed, 6)
     trace = mecke_discrete_simulate(config.window, config.measure, rng, max_jumps=2)
-    slots = final_state(trace).quasi_cells
-    full = [i for i, c in enumerate(slots) if c is not None]
-    cell_of_slot = np.full(len(slots), -1)
-    cell_of_slot[full] = np.arange(len(full))
-    cells = batch.Polys.of([slots[i] for i in full])
-    weights = np.array([hitting_measure(config.measure, slots[i]) for i in full])
+    cells = final_state(trace).cells
+    polys = batch.Polys.of(cells)
+    weights = np.array([hitting_measure(config.measure, c) for c in cells])
     windows = batch.Polys.of([config.window]).take(np.zeros(batch.BLOCK, dtype=np.int64))
-    hits = np.zeros(len(full), dtype=np.int64)
+    hits = np.zeros(len(cells), dtype=np.int64)
     while hits.sum() < config.selection_events:
-        picked = cell_of_slot[rng.integers(0, len(slots), size=batch.BLOCK)]
-        picked = picked[picked >= 0]
-        theta, offset = batch.sample_lines(config.measure, windows.take(slice(picked.size)), rng)
-        lo, hi = batch.support_intervals(cells.verts[picked], theta)
+        picked = rng.integers(0, len(cells), size=batch.BLOCK)
+        theta, offset = batch.sample_lines(config.measure, windows, rng)
+        lo, hi = batch.support_intervals(polys.verts[picked], theta)
         hit = picked[(lo < offset) & (offset < hi)]
-        hits += np.bincount(hit[: config.selection_events - hits.sum()], minlength=len(full))
+        hits += np.bincount(hit[: config.selection_events - hits.sum()], minlength=len(cells))
     p = weights / weights.sum()
     n = config.selection_events
     worst_z = float(np.max(np.abs(hits - n * p) / np.sqrt(n * p * (1.0 - p))))

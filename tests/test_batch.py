@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stitlab import batch
-from stitlab.errors import DegenerateSplit
+from stitlab.errors import DegenerateSplit, DomainError
 from stitlab.geometry import ConvexPolygon, Line, split
 from stitlab.line_measure import DirectionMixture, IsotropicMeasure, hitting_measure
-from stitlab.processes import _equally_likely, _grow, _uniform_slot, stit_mean_jumps, stit_simulate
-from stitlab.stats import counts_from_values, two_sample_chi_square
+from stitlab.processes import Clock, _grow, _uniform_slot, stit_mean_jumps, stit_simulate
+from stitlab.stats import chi_square_gof, counts_from_values, ks_test, two_sample_chi_square
 
 from conftest import random_convex_polygon
 from test_geometry import polygons_and_lines
@@ -120,7 +120,7 @@ def _scalar_counts(window, measure, seed: int, replicas: int, mecke: bool) -> li
     for r in range(replicas):
         if mecke:
             events = _grow([window], _uniform_slot(measure, window),
-                           _equally_likely(hitting_measure(measure, window)), rng,
+                           Clock(hitting_measure(measure, window)), rng,
                            max_time=GRID[-1])
             times = [e.time for e in events if e.jump]
         else:
@@ -132,7 +132,7 @@ def _scalar_counts(window, measure, seed: int, replicas: int, mecke: bool) -> li
 def _batched_counts(window, measure, seed: int, replicas: int, mecke: bool, grid=GRID) -> list[dict]:
     rng = np.random.default_rng(seed)
     if mecke:
-        clock = _equally_likely(hitting_measure(measure, window))
+        clock = Clock(hitting_measure(measure, window))
         hist = batch.mecke_cell_counts(window, measure, grid, replicas, rng, clock)
     else:
         hist = batch.stit_cell_counts(window, measure, grid, replicas, rng)
@@ -158,7 +158,7 @@ def test_batched_counts_match_scalar(window, measure, mecke):
 def test_mean_cell_count_matches_closed_form(window, measure, mecke):
     # E N_t = 1 + stit_mean_jumps, which is 1 + 4t + pi t^2 on the unit square
     # under iso:1 (the edge length intensity of STIT at time t is pi * t)
-    grid = (0.5, 1.0)
+    grid = (0.5, 1.0, 2.0)
     for t, hist in zip(grid, _batched_counts(window, measure, 73, 10_000, mecke, grid)):
         values = np.repeat(list(hist), list(hist.values()))
         expected = 1.0 + stit_mean_jumps(window, measure, t)
@@ -166,6 +166,72 @@ def test_mean_cell_count_matches_closed_form(window, measure, mecke):
             assert expected == pytest.approx(1.0 + 4.0 * t + math.pi * t * t, rel=1e-14)
         z = (values.mean() - expected) / math.sqrt(values.var(ddof=1) / values.size)
         assert abs(z) <= 4.0, (t, values.mean(), expected)
+
+
+@pytest.mark.parametrize("clock", [Clock(math.inf), Clock(0.0), Clock(math.nan, per_slot=False)])
+def test_mecke_refuses_a_rate_that_is_not_finite_and_positive(clock):
+    with pytest.raises(DomainError, match="finite and positive"):
+        batch.mecke_cell_counts(UNIT_SQUARE, ISO, (0.5,), 10, np.random.default_rng(0), clock)
+
+
+def test_mecke_refuses_a_slot_count_past_int64():
+    # the equally-likely clock holds about e^(rate * t) slots at time t, past 2^63
+    # once rate * t passes about 44 (about 500 cells on the unit square)
+    block = batch._Mecke(ISO, batch.Polys.of([UNIT_SQUARE]), 4, Clock(4.0))
+    block.slots[:] = np.iinfo(np.int64).max - 10
+    with pytest.raises(DomainError, match="int64"):
+        block.wait(np.arange(4), np.zeros(4), np.random.default_rng(0))
+
+
+# ---------------------------------------------------------------------------
+# the draws that skip the empty slots
+
+
+def _skip_p(n: int, k: int, draws: np.ndarray) -> float:
+    """Chi-square p-value of skip draws against P(V >= v) = prod_{m=n}^{n+v-1}
+    (1 - k/m) = Gamma(n - k + v) Gamma(n) / (Gamma(n - k) Gamma(n + v)), in
+    bins whose edges grow geometrically (merged by chi_square_gof until each
+    expects five draws)."""
+    edges = np.unique(np.concatenate([[0], np.geomspace(1, 1e12, 80).astype(np.int64)]))
+
+    def survival(v: int) -> float:
+        lg = math.lgamma
+        return math.exp(lg(n - k + v) - lg(n + v) + lg(n) - lg(n - k))
+
+    mass = -np.diff([survival(int(v)) for v in edges] + [0.0])
+    counts = counts_from_values(np.searchsorted(edges, draws, side="right") - 1)
+    counts = {b: counts.get(b, 0) for b in range(mass.size)}  # every bin, drawn or not
+    return chi_square_gof(counts, lambda b: mass[b], support_lo=0)[1]
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (5, 3), (40, 2), (10**6, 7)])
+def test_skip_follows_the_product_law(n, k):
+    rng = np.random.default_rng(n + k)
+    size = 20_000
+    assert _skip_p(n, k, batch.skip(np.full(size, n), np.full(size, k), rng)) > 1e-3
+    # the law must tell one cell more apart
+    assert _skip_p(n, k, batch.skip(np.full(size, n), np.full(size, k + 1), rng)) < 1e-6
+
+
+def test_skip_is_zero_when_every_slot_holds_a_cell():
+    n = np.array([1, 2, 3, 50, 10**9])
+    assert np.all(batch.skip(n, n, np.random.default_rng(1)) == 0)
+
+
+@pytest.mark.parametrize(
+    "clock", [Clock(2.5), Clock(2.5, per_slot=False)], ids=["per-slot", "constant"]
+)
+@pytest.mark.parametrize("n, w", [(1, 1), (3, 4), (30, 12)])
+def test_clock_span_is_a_sum_of_exponential_waits(clock, n, w):
+    from scipy.stats import ks_2samp
+
+    rng = np.random.default_rng(9 + n + w)
+    size = 20_000
+    span = clock.span(np.full(size, n), np.full(size, w), rng)
+    direct = sum(rng.exponential(size=size) / clock(n + j) for j in range(w))
+    assert ks_2samp(span, direct).pvalue > 1e-3
+    if w == 1:  # a single wait: Exp(clock(n))
+        assert ks_test(span, lambda x: -np.expm1(-clock(n) * x))[1] > 1e-3
 
 
 def test_blocks_bound_peak_allocation(monkeypatch):
@@ -177,7 +243,7 @@ def test_blocks_bound_peak_allocation(monkeypatch):
         try:
             batch.stit_cell_counts(UNIT_SQUARE, ISO, (0.5,), replicas, np.random.default_rng(3))
             batch.mecke_cell_counts(
-                UNIT_SQUARE, ISO, (0.5,), replicas, np.random.default_rng(3), lambda n: 4.0 * n
+                UNIT_SQUARE, ISO, (0.5,), replicas, np.random.default_rng(3), Clock(4.0)
             )
             return tracemalloc.get_traced_memory()[1]
         finally:

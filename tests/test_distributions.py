@@ -629,13 +629,17 @@ def test_nan_time_is_a_domain_error(t):
 
 # Golden values recorded before the discrete laws were rewritten onto one
 # product recurrence.  The jump pmf sequence and the hypoexponential CDF/PDF
-# keep their arithmetic and must match bit for bit.  The tail was re-recorded
+# keep their arithmetic and must match bit for bit.  The pmf4000 digests were
+# re-recorded when the stream was reduced by an einsum over its columns (it
+# was a BLAS matrix product): 892 of 4000 ("three") and 832 ("six") values
+# moved, by at most 2.7e-16 and 3.8e-16 relative.  The tail was re-recorded
 # when it moved from the truncated series to its finite closed form: it moved
 # by at most 1.8e-11 absolute, inside the series' 1e-10 tail bound, and every
 # value is now within 1.2e-14 of stit_jump_cdf (at rate*t = 0.25 it equals
 # CONV_CDF_ORACLE to the last digit, at 0.5 it is 9e-17 above).  It sums
 # without BLAS, so it is pinned to 1e-13 relative, a warm call must repeat
-# the cold one exactly and the sweep must not depend on the thread count.
+# the cold one exactly and the sweep must not depend on the thread count;
+# neither may the pmf stream.
 # The scalar pmfs and the masses change their arithmetic order and must
 # match to 1e-12 relative.
 # The cdfpdf digests were re-recorded when a scalar time became a grid of one
@@ -648,9 +652,9 @@ GOLDEN_SEQUENCES = {
 }
 GOLDEN_T = np.concatenate([np.linspace(0.0, 6.0, 61), [40.0, 800.0]])
 GOLDEN_DIGESTS = {
-    ("three", "pmf4000"): "12d84b004661ae97b28504563498c96a3599001429404ed4308b6313b9b706b7",
+    ("three", "pmf4000"): "2ca72555fd578746dcd5d9e9c7e22e95841c8c191017136a1ddf0bf3dd58c9d8",
     ("three", "cdfpdf"): "c255e1959c5beb99624ec690640aafcf8509d37dfe0247f1a71436d3f8806234",
-    ("six", "pmf4000"): "b3e7235820e19f26475b0eb1295e8fffcab74e922433b58e1fda94022c0da769",
+    ("six", "pmf4000"): "d7b03f9d173b1afdc3d6a86db8cecbba9842bd8a84a25d9eb0b62dc382bbc302",
     ("six", "cdfpdf"): "9b9b38d5122c5d0134b1ae0c626916d10a7c618a84ea3a05bb11882389bfe5fc",
 }
 GOLDEN_TAIL = {  # rate*t = 0.25 .. 12 (outer) by ell = 2 .. len (inner)
@@ -743,8 +747,11 @@ class TestGoldenValues:
             filter(None, [src, str(Path(__file__).parent), os.environ.get("PYTHONPATH")])
         )
         code = (
-            "from test_distributions import GOLDEN_SEQUENCES, _tail_sweep\n"
-            "print([_tail_sweep(lseq) for lseq, _ in GOLDEN_SEQUENCES.values()])"
+            "from test_distributions import GOLDEN_SEQUENCES, _digest, _tail_sweep\n"
+            "from stitlab.distributions import discrete_jump_pmf_sequence\n"
+            "print([_tail_sweep(lseq) for lseq, _ in GOLDEN_SEQUENCES.values()])\n"
+            "print([_digest(discrete_jump_pmf_sequence(lseq, ell, 4000))"
+            " for lseq, ell in GOLDEN_SEQUENCES.values()])"
         )
         sweeps = []
         for threads in ("1", "2"):

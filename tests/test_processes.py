@@ -27,6 +27,7 @@ from stitlab.processes import (
     mecke_continuous_simulate,
     mecke_discrete_simulate,
     mecke_discrete_step,
+    replay,
     replica_rng,
     stit_mean_jumps,
     stit_simulate,
@@ -351,6 +352,20 @@ class TestLSequence:
         assert lseq.rate == pytest.approx(4.0)
         assert lseq.values[0] == 1.0
         assert lseq.values[1] == pytest.approx(1.5, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "measure", [ISO, DirectionMixture(((0.0, 1.0), (math.pi / 3, 0.5), (2.0, 0.8)))],
+        ids=["iso", "dirs"],
+    )
+    def test_running_total_matches_a_re_sum(self, unit_square, measure):
+        trace = stit_simulate(unit_square, measure, np.random.default_rng(24), max_jumps=1000)
+        rate = hitting_measure(measure, unit_square)
+        weights, want = [rate], [1.0]  # one weight per slot, summed again at every jump
+        for event, _, parts, _ in replay(trace):
+            weights[event.cell_index] = hitting_measure(measure, parts.negative_part)
+            weights.append(hitting_measure(measure, parts.positive_part))
+            want.append(math.fsum(weights) / rate)
+        assert l_sequence(trace).values == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_strictly_increasing_on_simulated_traces(self, unit_square):
         rng = np.random.default_rng(22)
