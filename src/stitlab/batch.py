@@ -10,7 +10,8 @@ half-plane split need no mask.  Every operation runs over the whole batch
 and applies the scalar rules of `geometry.split` and
 `line_measure.sample_hitting_line`, which stay the oracle: the same
 EPS_GEOM * diameter tolerances, the same ring order, the same dedupe,
-sliver and degeneracy tests.
+sliver and degeneracy tests, and the same float operations per row, whatever
+else the batch holds.  `split_cells` builds both sides of all cuts in one pass.
 
 The simulators advance blocks of up to BLOCK replicas of one process in
 lockstep, one event per live replica per step, and return how many replicas
@@ -30,8 +31,9 @@ Memory is bounded by the block, not by the replica count.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -73,23 +75,32 @@ class Polys:
     def __len__(self) -> int:
         return len(self.nv)
 
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        return self.verts, self.nv, self.area, self.perimeter, self.diameter
+
     def take(self, rows: np.ndarray) -> Polys:
-        return Polys(*(getattr(self, f.name)[rows] for f in fields(self)))
+        return Polys(*(a[rows] for a in self.arrays()))
 
     def widened(self, width: int) -> Polys:
         """The same polygons in `width` vertex columns (more than now)."""
         pad = np.repeat(self.verts[:, -1:], width - self.verts.shape[1], axis=1)
         verts = np.concatenate([self.verts, pad], axis=1)
-        return Polys(verts, *(getattr(self, f.name) for f in fields(self)[1:]))
+        return Polys(verts, *self.arrays()[1:])
+
+
+@functools.cache
+def _ring_index(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For rings of `width` columns: each column's next one, and the column pairs i < j."""
+    return (np.arange(1, width + 1) % width, *np.triu_indices(width, 1))
 
 
 def _ring_measures(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Area, perimeter and diameter of padded rings."""
     x, y = verts[..., 0], verts[..., 1]
-    xn, yn = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
+    nxt, i, j = _ring_index(verts.shape[1])
+    xn, yn = x[:, nxt], y[:, nxt]
     area = 0.5 * (x * yn - y * xn).sum(axis=1)
     perimeter = np.sqrt((xn - x) ** 2 + (yn - y) ** 2).sum(axis=1)
-    i, j = np.triu_indices(verts.shape[1], 1)
     diameter = np.sqrt(((x[:, i] - x[:, j]) ** 2 + (y[:, i] - y[:, j]) ** 2).max(axis=1, initial=0.0))
     return area, perimeter, diameter
 
@@ -167,21 +178,19 @@ class BatchSplit:
     far: Polys
 
 
-def _side(
-    cand: np.ndarray, keep: np.ndarray, eps: np.ndarray, width: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """One side of a cut: the kept candidate points in ring order, deduped as
-    `geometry._dedupe_ring` does, as points padded to `width` and counts."""
+def _side(cand: np.ndarray, keep: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of a stack of cut sides: the kept candidate points in ring order,
+    deduped as `geometry._dedupe_ring` does and padded to the widest row, and the counts."""
     n = keep.sum(axis=1)
-    order = np.argsort(~keep, axis=1, kind="stable")
-    cols = np.minimum(np.arange(width), np.maximum(n, 1)[:, None] - 1)
-    rows = np.arange(len(cand))[:, None]
-    pts = cand[rows, order[rows, cols]]
+    width = int(n.max(initial=1))
+    start = np.cumsum(n) - n  # cand[keep] lists each row's kept points in ring order, row by row
+    pts = cand[keep][start[:, None] + np.minimum(np.arange(width), np.maximum(n, 1)[:, None] - 1)]
     # rows where two ring neighbours are within eps (with a margin, so every
     # row the scalar pass would change is caught) take the scalar pass
     near = (eps * (1.0 + 1e-9)) ** 2
-    step = np.diff(pts, axis=1, append=pts[:, :1])  # the last column is the closing step
-    gap = (step**2).sum(axis=2)
+    step = pts[:, _ring_index(width)[0]] - pts  # the last column is the closing step
+    step *= step
+    gap = step[..., 0] + step[..., 1]
     close = ((gap <= near[:, None]) & (np.arange(1, width + 1) < n[:, None])).any(axis=1)
     close |= (n > 1) & (gap[:, -1] <= near)
     for r in np.flatnonzero(close):
@@ -193,7 +202,8 @@ def _side(
 
 
 def split_cells(polys: Polys, theta: np.ndarray, offset: np.ndarray) -> BatchSplit:
-    """Cut row i of `polys` by the line (theta[i], offset[i]), as `geometry.split` does."""
+    """Cut row i of `polys` by the line (theta[i], offset[i]), as `geometry.split` does.
+    Both sides of the crossed rows run through `_side` and `_ring_measures` in one stack."""
     m = len(polys)
     verts = polys.verts[:, : int(polys.nv.max(initial=1))]  # the rest is padding
     diam = polys.diameter
@@ -211,32 +221,28 @@ def split_cells(polys: Polys, theta: np.ndarray, offset: np.ndarray) -> BatchSpl
     k, v, _ = verts.shape
     e = eps[:, None]
     real = np.arange(v) < polys.nv[hit, None]  # padding repeats the last vertex: take it once
-    s_next = np.roll(s, -1, axis=1)
+    nxt = _ring_index(v)[0]
+    s_next = s[:, nxt]
     on = np.abs(s) <= e
-    crosses = ~on & ~np.roll(on, -1, axis=1) & (s * s_next < 0.0)
+    crosses = ~on & ~on[:, nxt] & (s * s_next < 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(crosses, s / (s - s_next), 0.0)
     # candidate points in ring order: vertex i, then the crossing on edge (i, i + 1)
     cand = np.empty((k, 2 * v, 2))
     cand[:, 0::2] = verts
-    cand[:, 1::2] = verts + t[..., None] * (np.roll(verts, -1, axis=1) - verts)
+    cand[:, 1::2] = verts + t[..., None] * (verts[:, nxt] - verts)
 
-    def mask(vertex_rule: np.ndarray) -> np.ndarray:
-        out = np.empty((k, 2 * v), dtype=bool)
-        out[:, 0::2], out[:, 1::2] = vertex_rule & real, crosses
-        return out
-
-    masks = [mask(s >= -e), mask(s <= e)]  # the upper and the lower side
-    width = max(int(mk.sum(axis=1).max(initial=1)) for mk in masks)
-    sides = []
-    for keep in masks:
-        pts, n = _side(cand, keep, eps, width)
-        area, perimeter, diameter = _ring_measures(pts)
-        sides.append((Polys(pts, n, area, perimeter, diameter), (n < 3) | (area <= eps * diam)))
-    (up, up_none), (low, low_none) = sides
+    # both sides in one pass: the upper side in rows :k, the lower in rows k:
+    keep = np.empty((2 * k, 2 * v), dtype=bool)
+    keep[:k, 0::2], keep[k:, 0::2] = (s >= -e) & real, (s <= e) & real
+    keep[:k, 1::2] = keep[k:, 1::2] = crosses
+    pts, n = _side(np.concatenate([cand, cand]), keep, np.tile(eps, 2))
+    sides = Polys(pts, n, *_ring_measures(pts))
+    none = (n < 3) | (sides.area <= np.tile(eps * diam, 2))
+    up_none, low_none = none[:k], none[k:]
 
     along = np.cos(theta[hit])[:, None] * cand[..., 0] + np.sin(theta[hit])[:, None] * cand[..., 1]
-    on_line = mask(on)
+    on_line = keep[:k] & keep[k:]  # the vertices within eps of the line and the crossings
     length = np.where(on_line, along, -np.inf).max(axis=1) - np.where(on_line, along, np.inf).min(axis=1)
 
     got = np.where(low_none == plus_is_origin, WHOLE_ORIGIN, WHOLE_FAR)
@@ -244,17 +250,10 @@ def split_cells(polys: Polys, theta: np.ndarray, offset: np.ndarray) -> BatchSpl
     got[both] = CUT
     got[(up_none & low_none) | (both & (length <= eps))] = DEGENERATE
     status[hit] = got
-    cut = got == CUT
+    cut = np.flatnonzero(got == CUT)
     chord[hit[cut]] = length[cut]
-    up, low, plus_is_origin = up.take(cut), low.take(cut), plus_is_origin[cut]
-    return BatchSplit(status, chord, _where(plus_is_origin, up, low), _where(plus_is_origin, low, up))
-
-
-def _where(cond: np.ndarray, a: Polys, b: Polys) -> Polys:
-    """Row i of `a` where cond[i], else row i of `b`."""
-    return Polys(np.where(cond[:, None, None], a.verts, b.verts), *(
-        np.where(cond, getattr(a, f.name), getattr(b, f.name)) for f in fields(a)[1:]
-    ))
+    origin, far = cut + k * ~plus_is_origin[cut], cut + k * plus_is_origin[cut]  # rows of the stack
+    return BatchSplit(status, chord, sides.take(origin), sides.take(far))
 
 
 # ---------------------------------------------------------------------------
@@ -280,14 +279,20 @@ class _Replicas:
         cols = np.arange(self.members.shape[1])
         return np.where(cols < self.count[reps, None], self.weight[self.members[reps]], 0.0)
 
+    def picked(self, rows: np.ndarray) -> Polys:
+        """The store rows `rows`, in only as many vertex columns as the widest of them has."""
+        nv = self.cells.nv[rows]
+        return Polys(self.cells.verts[rows, : nv.max()], nv, *(a[rows] for a in self.cells.arrays()[2:]))
+
     def apply(self, reps: np.ndarray, rows: np.ndarray, res: BatchSplit) -> None:
         """Where res.status is CUT, row rows[i] of replica reps[i] keeps the far
-        part and the origin part is appended as the replica's next cell."""
+        part and the origin part is appended as the replica's next cell; both
+        parts go in at once, one write per field and one `hitting_weights` call."""
         cut = res.status == CUT
         if not cut.any():
             return
-        reps, rows, far, origin = reps[cut], rows[cut], res.far, res.origin
-        width = far.verts.shape[1]  # the parts' common width
+        reps, rows = reps[cut], rows[cut]
+        width = res.far.verts.shape[1]  # the parts' common width
         if width > self.cells.verts.shape[1]:
             self.cells = self.cells.widened(max(width, 2 * self.cells.verts.shape[1]))
         end = self.used + reps.size
@@ -296,13 +301,13 @@ class _Replicas:
             self.cells = self.cells.take(np.concatenate([np.arange(self.used), grow]))
             self.weight = np.resize(self.weight, len(self.cells))
         new = np.arange(self.used, end)
+        target = np.concatenate([rows, new])
+        parts = Polys(*map(np.concatenate, zip(res.far.arrays(), res.origin.arrays())))
         verts = self.cells.verts
-        for target, part in ((rows, far), (new, origin)):
-            verts[target, :width] = part.verts
-            verts[target, width:] = part.verts[:, -1:]
-            for f in fields(part)[1:]:
-                getattr(self.cells, f.name)[target] = getattr(part, f.name)
-            self.weight[target] = hitting_weights(self.measure, part)
+        verts[target, :width], verts[target, width:] = parts.verts, parts.verts[:, -1:]
+        for store, part in zip(self.cells.arrays()[1:], parts.arrays()[1:]):
+            store[target] = part
+        self.weight[target] = hitting_weights(self.measure, parts)
         self.used = end
         if self.count[reps].max() >= self.members.shape[1]:
             self.members = np.pad(self.members, ((0, 0), (0, self.members.shape[1])))
@@ -339,7 +344,7 @@ class _Stit(_Replicas):
             u = cum[:, -1] * rng.random(reps.size)
             j = np.minimum((cum <= u[:, None]).sum(axis=1), self.count[reps] - 1)
             rows = self.members[reps, j]
-            cells = self.cells.take(rows)
+            cells = self.picked(rows)
             res = split_cells(cells, *sample_lines(self.measure, cells, rng))
             self.apply(reps, rows, res)
             reps = reps[res.status != CUT]
@@ -371,7 +376,7 @@ class _Mecke(_Replicas):
                 return
             rows = self.members[reps, slot]
             lines = sample_lines(self.measure, self.windows.take(slice(reps.size)), rng)
-            res = split_cells(self.cells.take(rows), *lines)
+            res = split_cells(self.picked(rows), *lines)
             self.apply(reps, rows, res)
             reps = reps[res.status == DEGENERATE]  # the decision is drawn again
             slot = rng.integers(0, self.slots[reps] - 1)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -448,6 +449,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # built once per process: parsing leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="stitlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

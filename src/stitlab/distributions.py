@@ -427,13 +427,9 @@ def _lagrange_weights_at(nodes: np.ndarray, x_eval: float) -> np.ndarray:
     """w_k = prod_{i != k} (x_eval - x_i)/(x_k - x_i)."""
     diff = nodes[:, None] - nodes[None, :]
     np.fill_diagonal(diff, 1.0)
-    num = x_eval - nodes
-    weights = np.empty_like(nodes)
-    for k in range(nodes.size):
-        row = num.copy()
-        row[k] = 1.0
-        weights[k] = np.prod(row / diff[k])
-    return weights
+    num = np.repeat((x_eval - nodes)[None, :], nodes.size, axis=0)  # row k: x_eval - x_i
+    np.fill_diagonal(num, 1.0)
+    return np.prod(num / diff, axis=1)
 
 
 def verify_lagrange_identity(nodes, x_eval: float) -> float:

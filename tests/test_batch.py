@@ -1,6 +1,8 @@
 """The batched cell store against the scalar oracle (`geometry.split`,
 `stit_simulate`, the Mecke stepper)."""
 
+import hashlib
+import json
 import math
 import tracemalloc
 
@@ -87,6 +89,110 @@ class TestSplitAgainstScalar:
         assert a.status[0] == b.status[0] == batch.CUT
         np.testing.assert_array_equal(_ring(a.origin, 0), _ring(b.origin, 0))
         np.testing.assert_array_equal(_ring(a.far, 0), _ring(b.far, 0))
+
+
+def _pinned_batch() -> tuple[batch.Polys, np.ndarray, np.ndarray]:
+    """A fixed batch, padded to 12 columns, with iso lines on the first half
+    and dirs: lines on the rest, then hand-made rows: WHOLE_FAR and
+    WHOLE_ORIGIN misses, a near-duplicate vertex pair that takes the dedupe
+    pass, a sliver triangle cut into two slivers (DEGENERATE) and a corner
+    cut below the area tolerance (left whole); the square before them is cut
+    through a vertex."""
+    rng = np.random.default_rng(18)
+    polygons = [random_convex_polygon(rng) for _ in range(24)] + [
+        UNIT_SQUARE,
+        ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 1.0 - 1e-12))),
+        ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (0.5, 3e-9))),
+        UNIT_SQUARE,
+    ]
+    polys = batch.Polys.of(polygons).widened(12)
+    half = len(polygons) // 2
+    theta, offset = np.empty(len(polygons)), np.empty(len(polygons))
+    for rows, measure in ((slice(None, half), ISO), (slice(half, None), DIRS)):
+        theta[rows], offset[rows] = batch.sample_lines(measure, polys.take(rows), rng)
+    theta[:4] = 0.0
+    offset[:4] = -0.3, 10.0, 0.09, -20.0  # the line between the cell and 0, or both on one side
+    theta[-4:] = 0.3, 0.3, math.pi / 2, -math.pi / 4
+    offset[-4:] = 0.0, Line(0.3, 0.0).signed_distance((0.4, 0.6)), -0.5, 1e-5
+    return polys, theta, offset
+
+
+def _digest(*arrays: np.ndarray) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(f"{a.dtype}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+# recorded before the split kernel was restructured: every bit of its output stays
+GOLDEN_SPLIT_DIGEST = "2bc0a2bd6a71b4edf8149421fcb0e3102eb84506b46116fc3c872cdbea96f696"
+GOLDEN_DEPTH_DIGESTS = {
+    "square-iso": "378d6df8f90e9729e7655083b618337d734edca21c94592deae4565f6dcb5330",
+    "triangle-dirs": "61655b91694da13900e62f493269e85694bf9ad278c66e4aa00ab11a2f786aff",
+}
+
+
+class TestSplitPinned:
+    def test_split_cells_bit_for_bit(self):
+        res = batch.split_cells(*_pinned_batch())
+        assert set(res.status) == {batch.CUT, batch.WHOLE_ORIGIN, batch.WHOLE_FAR, batch.DEGENERATE}
+        np.testing.assert_array_equal(res.status[-4:], [batch.CUT, batch.CUT, batch.DEGENERATE, batch.WHOLE_FAR])
+        digest = _digest(res.status, res.chord, *res.origin.arrays(), *res.far.arrays())
+        assert digest == GOLDEN_SPLIT_DIGEST
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_DEPTH_DIGESTS))
+    def test_cell_counts_at_depth_bit_for_bit(self, case):
+        # t = 3 reaches rings much wider than the suite's t <= 1
+        window, measure = {"square-iso": (UNIT_SQUARE, ISO), "triangle-dirs": (TRIANGLE, DIRS)}[case]
+        grid = (1.0, 3.0)
+        stit = batch.stit_cell_counts(window, measure, grid, 500, np.random.default_rng(3))
+        clock = Clock(hitting_measure(measure, window))
+        mecke = batch.mecke_cell_counts(window, measure, grid, 500, np.random.default_rng(3), clock)
+        digest = hashlib.sha256(json.dumps([stit.tolist(), mecke.tolist()]).encode()).hexdigest()
+        assert digest == GOLDEN_DEPTH_DIGESTS[case]
+
+
+class TestEdgeBatches:
+    def _assert_no_parts(self, res: batch.BatchSplit) -> None:
+        for part in (res.origin, res.far):
+            assert len(part) == 0
+            for a in part.arrays()[1:]:
+                assert a.shape == (0,)
+        assert res.origin.verts.shape == res.far.verts.shape
+        assert res.origin.verts.shape[0] == 0 and res.origin.verts.shape[2] == 2
+
+    def test_no_rows(self):
+        none = batch.Polys.of([UNIT_SQUARE]).take(np.zeros(0, dtype=np.int64))
+        res = batch.split_cells(none, np.zeros(0), np.zeros(0))
+        assert res.status.shape == res.chord.shape == (0,)
+        self._assert_no_parts(res)
+
+    def test_every_line_misses(self):
+        polys = batch.Polys.of([UNIT_SQUARE, TRIANGLE, UNIT_SQUARE])
+        theta = np.zeros(3)
+        offset = np.array([5.0, -5.0, 0.5e-10])  # the last touches the cells' bottom edges
+        res = batch.split_cells(polys, theta, offset)
+        want = [
+            batch.WHOLE_ORIGIN if split(poly, Line(0.0, p)).positive_part is poly else batch.WHOLE_FAR
+            for poly, p in zip((UNIT_SQUARE, TRIANGLE, UNIT_SQUARE), offset)
+        ]
+        assert want == [batch.WHOLE_ORIGIN, batch.WHOLE_ORIGIN, batch.WHOLE_FAR]
+        np.testing.assert_array_equal(res.status, want)
+        np.testing.assert_array_equal(res.chord, 0.0)
+        self._assert_no_parts(res)
+
+    def test_apply_without_a_cut_is_a_no_op(self):
+        block = batch._Stit(ISO, batch.Polys.of([UNIT_SQUARE]), 3)
+        before = [a.copy() for a in (*block.cells.arrays(), block.weight, block.members, block.count)]
+        used = block.used
+        res = batch.split_cells(block.cells.take(np.arange(3)), np.zeros(3), np.full(3, 5.0))
+        assert not (res.status == batch.CUT).any()
+        block.apply(np.arange(3), np.arange(3), res)
+        after = (*block.cells.arrays(), block.weight, block.members, block.count)
+        for a, b in zip(before, after):
+            np.testing.assert_array_equal(a, b)
+        assert block.used == used
 
 
 class TestBatchedMeasures:

@@ -545,6 +545,31 @@ class TestInputTables:
         assert "the CDF of jump len(L)" in capsys.readouterr().err
 
 
+def test_one_parser_answers_each_call_as_a_fresh_one(tmp_path, capsys):
+    # the parser is built once per process; no call may leave state for the next
+    calls = [
+        ["simulate", "--model", "stit", "--jumps", "3", "--seed", "1", "--out", str(tmp_path / "a.jsonl")],
+        ["simulate", "--model", "bogus", "--jumps", "3"],  # argparse refuses the choice
+        ["table", "stit-cdf", "--L", "1,1.5", "--t", "0:1:0.5"],
+        ["table", "cowan-pmf", "--t", "1", "--k", "0:3"],  # takes no --L
+    ]
+
+    def outputs(fresh: bool) -> list:
+        got = []
+        for argv in calls:
+            if fresh:
+                build_parser.cache_clear()
+            code = main(argv)
+            got.append((code, *capsys.readouterr(), (tmp_path / "a.jsonl").read_bytes()))
+        return got
+
+    shared = outputs(fresh=False)
+    assert build_parser() is build_parser()
+    assert [code for code, *_ in shared] == [0, 2, 0, 0]
+    assert "invalid choice" in shared[1][2]
+    assert outputs(fresh=True) == shared
+
+
 class TestUsageErrors:
     def test_unknown_command(self):
         assert run(["bogus"]) == 2
