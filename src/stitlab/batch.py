@@ -1,5 +1,6 @@
-"""Batched replica geometry: a struct-of-arrays cell store and the lockstep
-simulators of the unconditional equivalence check.
+"""Batched geometry: a struct-of-arrays cell store, the split kernel that
+`processes.replay` and the lockstep simulators of the unconditional
+equivalence check share, and the event clocks (`Clock`).
 
 A batch of convex polygons is a `Polys`: padded vertices of shape
 (cells, vmax, 2) with a vertex count per cell, where a cell with fewer than
@@ -10,8 +11,12 @@ half-plane split need no mask.  Every operation runs over the whole batch
 and applies the scalar rules of `geometry.split` and
 `line_measure.sample_hitting_line`, which stay the oracle: the same
 EPS_GEOM * diameter tolerances, the same ring order, the same dedupe,
-sliver and degeneracy tests, and the same float operations per row, whatever
-else the batch holds.  `split_cells` builds both sides of all cuts in one pass.
+sliver and degeneracy tests, whatever else the batch holds.  A row's split
+status, part vertices and chord endpoints are those of `split`, bit for
+bit.  Its measures are not: `_ring_measures` takes the square root of summed
+squares where the scalar code calls `math.hypot` and `math.dist`, so a
+perimeter or diameter can differ from the scalar one in its last bit and an
+area by a few ulps.  `split_cells` builds both sides of all cuts in one pass.
 
 The simulators advance blocks of up to BLOCK replicas of one process in
 lockstep, one event per live replica per step, and return how many replicas
@@ -34,20 +39,37 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DomainError, SamplerStall
 from .geometry import EPS_GEOM, ConvexPolygon, _dedupe_ring
 from .line_measure import MAX_REJECTION_ITERATIONS, IsotropicMeasure, LineMeasureSpec
-from .processes import Clock
 
 BLOCK = 2048  # replicas advanced together
 
 # the outcome of a split, per row: both parts present, the cell left whole on
 # the origin side or on the far side, or DegenerateSplit
 CUT, WHOLE_ORIGIN, WHOLE_FAR, DEGENERATE = range(4)
+
+
+class Clock(NamedTuple):
+    """The event rate with n slots: rate * n (the equally-likely clock, with
+    rate W(window)) or, not `per_slot`, a constant rate; n may be an array."""
+
+    rate: float
+    per_slot: bool = True
+
+    def __call__(self, n):
+        return self.rate * n if self.per_slot else self.rate
+
+    def span(self, n: np.ndarray, w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Per row, the sum of w waits Exp(clock(n + j)), j < w: for rate * n,
+        -log(B) / rate with B ~ Beta(n, w), drawn as log1p(Y / X) / rate with
+        Y ~ Gamma(w) and X ~ Gamma(n); for a constant rate, Y / rate."""
+        y = rng.standard_gamma(w)
+        return (np.log1p(y / rng.standard_gamma(n)) if self.per_slot else y) / self.rate
 
 
 @dataclass(frozen=True)
@@ -86,6 +108,13 @@ class Polys:
         pad = np.repeat(self.verts[:, -1:], width - self.verts.shape[1], axis=1)
         verts = np.concatenate([self.verts, pad], axis=1)
         return Polys(verts, *self.arrays()[1:])
+
+    @staticmethod
+    def stack(batches: Sequence[Polys]) -> Polys:
+        """The rows of `batches`, one after another, in the widest one's columns."""
+        width = max(b.verts.shape[1] for b in batches)
+        wide = (b if b.verts.shape[1] == width else b.widened(width) for b in batches)
+        return Polys(*map(np.concatenate, zip(*(b.arrays() for b in wide))))
 
 
 @functools.cache
@@ -168,14 +197,16 @@ def sample_lines(
 @dataclass(frozen=True)
 class BatchSplit:
     """`split_cells` per row: a status (CUT, WHOLE_ORIGIN, WHOLE_FAR or
-    DEGENERATE) and the chord length (0 unless CUT); the two parts of the CUT
-    rows, in row order (`origin` is `SplitResult.positive_part`, `far` is
-    `negative_part`)."""
+    DEGENERATE) and the chord length (0 unless CUT); the two parts and the
+    chord's endpoints of the CUT rows, in row order (`origin` is
+    `SplitResult.positive_part`, `far` is `negative_part`, `ends[i]` is
+    `chord_ends`)."""
 
     status: np.ndarray
     chord: np.ndarray
     origin: Polys
     far: Polys
+    ends: np.ndarray  # (CUT rows, 2, 2)
 
 
 def _side(cand: np.ndarray, keep: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -236,14 +267,18 @@ def split_cells(polys: Polys, theta: np.ndarray, offset: np.ndarray) -> BatchSpl
     keep = np.empty((2 * k, 2 * v), dtype=bool)
     keep[:k, 0::2], keep[k:, 0::2] = (s >= -e) & real, (s <= e) & real
     keep[:k, 1::2] = keep[k:, 1::2] = crosses
-    pts, n = _side(np.concatenate([cand, cand]), keep, np.tile(eps, 2))
+    both_eps = np.concatenate([eps, eps])
+    pts, n = _side(np.concatenate([cand, cand]), keep, both_eps)
     sides = Polys(pts, n, *_ring_measures(pts))
-    none = (n < 3) | (sides.area <= np.tile(eps * diam, 2))
+    none = (n < 3) | (sides.area <= both_eps * np.concatenate([diam, diam]))
     up_none, low_none = none[:k], none[k:]
 
     along = np.cos(theta[hit])[:, None] * cand[..., 0] + np.sin(theta[hit])[:, None] * cand[..., 1]
     on_line = keep[:k] & keep[k:]  # the vertices within eps of the line and the crossings
-    length = np.where(on_line, along, -np.inf).max(axis=1) - np.where(on_line, along, np.inf).min(axis=1)
+    low, high = np.where(on_line, along, np.inf), np.where(on_line, along, -np.inf)
+    # the chord's ends are the first lowest and the first highest on-line point, as `_span` picks
+    rows, first, last = np.arange(k), low.argmin(axis=1), high.argmax(axis=1)
+    length = high[rows, last] - low[rows, first]
 
     got = np.where(low_none == plus_is_origin, WHOLE_ORIGIN, WHOLE_FAR)
     both = ~up_none & ~low_none
@@ -253,7 +288,8 @@ def split_cells(polys: Polys, theta: np.ndarray, offset: np.ndarray) -> BatchSpl
     cut = np.flatnonzero(got == CUT)
     chord[hit[cut]] = length[cut]
     origin, far = cut + k * ~plus_is_origin[cut], cut + k * plus_is_origin[cut]  # rows of the stack
-    return BatchSplit(status, chord, sides.take(origin), sides.take(far))
+    ends = cand[cut[:, None], np.stack([first[cut], last[cut]], axis=1)]
+    return BatchSplit(status, chord, sides.take(origin), sides.take(far), ends)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +338,7 @@ class _Replicas:
             self.weight = np.resize(self.weight, len(self.cells))
         new = np.arange(self.used, end)
         target = np.concatenate([rows, new])
-        parts = Polys(*map(np.concatenate, zip(res.far.arrays(), res.origin.arrays())))
+        parts = Polys.stack([res.far, res.origin])
         verts = self.cells.verts
         verts[target, :width], verts[target, width:] = parts.verts, parts.verts[:, -1:]
         for store, part in zip(self.cells.arrays()[1:], parts.arrays()[1:]):

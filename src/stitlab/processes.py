@@ -4,8 +4,8 @@ All four models are one split process on a list of slots (cells, or empty
 quasi-cells as None in the Mecke models): an event picks a slot and a line,
 the slot keeps the far part of the cut and the origin part is appended.  A
 *selector* picks the slot and the line, a *clock* times the next event:
-STIT's is its selector's total weight, every other one a `Clock` of the
-slot count n (shared with `stitlab.batch` and `stats`).
+STIT's is its selector's total weight, every other one a `batch.Clock` of
+the slot count n (shared with the lockstep simulators and `stats`).
 
 * STIT: a cell picked in proportion to its hitting weight W(C), cut by a
   line from its normalized hitting distribution; clock rate sum_j W(C_j).
@@ -22,7 +22,14 @@ Cowan event is a jump.  The negative controls in `stats` are two more clocks
 for the Mecke selector.  Each event draws in the order clock, selection, line.
 
 Every simulator takes `(window, measure, rng, *, <stop keywords>, seed=None)`
-and returns a `ProcessTrace`; `replay` rebuilds any state from it.
+and returns a `ProcessTrace`; `replay` rebuilds any state from it.  It cuts
+the trace's cells in dependency waves: an event's depth is one more than
+that of the event that last wrote the slot it cuts, so the events of one
+depth share no slot and each depth is one `batch.split_cells` call (a trace
+of 8000 STIT jumps has 30 to 37 depths).  The split rules, and the vertices
+and chords they give, are those of `geometry.split`, bit for bit;
+`final_state` and `l_sequence` take each cell's measures from a
+`ConvexPolygon` of its vertices, so they are the scalar ones too.
 
 The normalized hitting-weight sequence (values[k-1] = sum of cell weights
 just before the k-th jump, divided by the window weight; `l_sequence`) is
@@ -37,13 +44,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
+from .batch import CUT, DEGENERATE, WHOLE_ORIGIN, BatchSplit, Clock, Polys, split_cells
 from .errors import DegenerateSplit, DomainError, GeometryError, LCollision, SamplerStall
-from .geometry import ConvexPolygon, Line, SplitResult, split
+from .geometry import ConvexPolygon, Line, Point, SplitResult, _measure_ring, split
 from .line_measure import (
     MAX_REJECTION_ITERATIONS,
     LineMeasureSpec,
@@ -112,7 +119,7 @@ class QuasiCellState:
         if len(cells) != self.jump_count + 1:
             raise GeometryError("cell count must equal jump count + 1")
         total = sum(c.area for c in cells)
-        if abs(total - window.area) > rel_tol * window.area:
+        if not abs(total - window.area) <= rel_tol * window.area:  # NaN fails too
             raise GeometryError("cells do not tile the window")
 
 
@@ -341,24 +348,6 @@ def _uniform_slot(measure: LineMeasureSpec, window: ConvexPolygon) -> Callable:
     return pick
 
 
-class Clock(NamedTuple):
-    """The event rate with n slots: rate * n (the equally-likely clock, with
-    rate W(window)) or, not `per_slot`, a constant rate; n may be an array."""
-
-    rate: float
-    per_slot: bool = True
-
-    def __call__(self, n):
-        return self.rate * n if self.per_slot else self.rate
-
-    def span(self, n: np.ndarray, w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Per row, the sum of w waits Exp(clock(n + j)), j < w: for rate * n,
-        -log(B) / rate with B ~ Beta(n, w), drawn as log1p(Y / X) / rate with
-        Y ~ Gamma(w) and X ~ Gamma(n); for a constant rate, Y / rate."""
-        y = rng.standard_gamma(w)
-        return (np.log1p(y / rng.standard_gamma(n)) if self.per_slot else y) / self.rate
-
-
 def _check_expected_work(rate_t: float, budget: str, what: str, copies: int = 1) -> None:
     """Refuse, with DomainError, `copies` runs of the equally-likely clock to
     W(window) * t = rate_t when their copies * expm1(rate_t) expected events
@@ -498,42 +487,132 @@ def mecke_continuous_simulate(
 # replay and derived statistics
 
 
-def replay(
-    trace: ProcessTrace,
-) -> Iterator[tuple[TraceEvent, ConvexPolygon | None, SplitResult, list[ConvexPolygon | None]]]:
-    """Yield (event, split target before the event, its `SplitResult`, slots
-    after the event); an empty slot has no parts.
+WAVE_ROWS = 128  # the most cells one `split_cells` call of a replay cuts: bounds its working set
 
-    Slots are updated as in the simulators (`_apply_split`).  The yielded
-    slot list is live; copy it if it must survive the iteration.
+
+class Written(NamedTuple):
+    """The cells a wave left in slots: the slots, their cells as `batch.Polys`
+    rows, and whether each is final (no later event reads its slot)."""
+
+    slots: np.ndarray
+    cells: Polys
+    final: np.ndarray
+
+
+def _depths(cells: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Per event, its depth; per slot, the depth of its last writer.  Event i
+    reads slot cells[i], written last by an earlier event or holding the
+    window (depth 0), and writes it and slot i + 1; its depth is one more than
+    the writer's.  So two events of one depth never share a slot, and a slot
+    written at depth d is read next, if at all, at depth d + 1."""
+    slot_depth = [0] * (len(cells) + 1)
+    depth = np.empty(len(cells), dtype=np.int64)
+    for i, c in enumerate(cells):
+        depth[i] = slot_depth[c] = slot_depth[i + 1] = slot_depth[c] + 1
+    return depth, np.array(slot_depth)
+
+
+def replay(trace: ProcessTrace) -> Iterator[tuple[np.ndarray, np.ndarray, BatchSplit, Written]]:
+    """Replay `trace` in dependency waves: the events of one depth (`_depths`)
+    cut their cells in one `batch.split_cells` call, in pieces of at most
+    WAVE_ROWS.  Only the cells the last depth left and the next one reads are
+    kept.
+
+    Yields per wave, in depth order: the indices of its events whose slot
+    held a cell, in time order; the parts they cut, numbered 0 for the window
+    and 2i + 1 and 2i + 2 for the far and the origin part cut by event i;
+    their `BatchSplit`, row for row; and the cells they left (`Written`).  As
+    in the simulators (`_apply_split`), a cut slot keeps the far part and slot
+    i + 1 takes the origin part; a cell left whole on the origin side moves to
+    slot i + 1, one left on the far side stays.  An event on an empty slot
+    needs no geometry; a DEGENERATE row raises DegenerateSplit.
     """
-    slots: list[ConvexPolygon | None] = [trace.window]
-    for event in trace.events:
-        target = slots[event.cell_index]
-        parts = _cut(target, event.line)
-        _apply_split(slots, event.cell_index, parts.negative_part, parts.positive_part)
-        yield event, target, parts, slots
+    n = len(trace.events)
+    if not n:
+        return
+    cell = np.fromiter((e.cell_index for e in trace.events), np.int64, n)
+    theta, offset = np.fromiter((e.line for e in trace.events), np.dtype((float, 2)), n).T
+    depth, last = _depths(cell.tolist())
+    part = np.full(n + 1, -1)  # per slot, the part it holds; -1 none
+    part[0] = 0
+    held, row = Polys.of([trace.window]), np.zeros(n + 1, dtype=np.int64)
+    by_depth = np.argsort(depth, kind="stable")
+    for group in np.split(by_depth, np.flatnonzero(np.diff(depth[by_depth])) + 1):
+        kept_slots, kept = [], []
+        for j in range(0, group.size, WAVE_ROWS):
+            wave = group[j : j + WAVE_ROWS]
+            wave = wave[part[cell[wave]] >= 0]
+            if not wave.size:
+                continue
+            at = cell[wave]
+            before = held.take(row[at])
+            res = split_cells(before, theta[wave], offset[wave])
+            if (res.status == DEGENERATE).any():
+                event = wave[res.status == DEGENERATE][0]
+                raise DegenerateSplit(f"event {event} splits its cell into two degenerate parts")
+            target = part[at]
+            cut, moved = res.status == CUT, res.status == WHOLE_ORIGIN
+            whole = ~cut  # left whole: moved to slot i + 1, or kept in place
+            e = wave[cut]
+            slots = np.concatenate([at[cut], e + 1, np.where(moved, wave + 1, at)[whole]])
+            left = Polys.stack([res.far, res.origin, before.take(whole)])
+            part[wave[moved] + 1], part[at[moved]] = part[at[moved]], -1
+            part[at[cut]], part[e + 1] = 2 * e + 1, 2 * e + 2
+            final = last[slots] == depth[wave[0]]
+            yield wave, target, res, Written(slots, left, final)
+            kept_slots.append(slots[~final])
+            kept.append(left.take(~final))
+        if kept:
+            held = Polys.stack(kept)
+            row[np.concatenate(kept_slots)] = np.arange(len(held))
 
 
 def final_state(trace: ProcessTrace) -> QuasiCellState:
-    slots: list[ConvexPolygon | None] = [trace.window]
-    for *_, slots in replay(trace):
-        pass
+    """The slots after the last event, each cell a `ConvexPolygon` of its
+    replayed vertices (so its measures are those of `geometry.split`)."""
+    quasi_cells = [trace.window] if not trace.events else [None] * (len(trace.events) + 1)
+    # neighbouring cells share their vertex tuples, as split's parts do; a
+    # point with a zero coordinate is not shared, as 0.0 == -0.0
+    points: dict[Point, Point] = {}
+    for *_, written in replay(trace):
+        final = written.cells.take(written.final)
+        for s, ring, k in zip(
+            written.slots[written.final].tolist(), final.verts.tolist(), final.nv.tolist()
+        ):
+            ring = tuple(p if 0.0 in p else points.setdefault(p, p) for p in map(tuple, ring[:k]))
+            quasi_cells[s] = ConvexPolygon._from_ring(ring, *_measure_ring(ring))
     return QuasiCellState(
-        quasi_cells=tuple(slots),
+        quasi_cells=tuple(quasi_cells),
         decision_count=len(trace.events),
         jump_count=trace.jump_count,
     )
 
 
+def _hitting_measures(measure: LineMeasureSpec, polys: Polys) -> list[float]:
+    """`hitting_measure` of each row as a `ConvexPolygon`, bit for bit."""
+    rings = polys.verts.tolist()
+    return [hitting_measure(measure, ConvexPolygon(r[:k])) for r, k in zip(rings, polys.nv.tolist())]
+
+
 def l_sequence(trace: ProcessTrace) -> LSequence:
-    """Normalized hitting-weight sequence of the trace's cell configurations,
-    a running total updated at each jump as `_ByWeight` updates its own."""
-    weight = partial(hitting_measure, trace.measure)
-    rate = total = weight(trace.window)
-    values = [1.0]
-    for event, target, parts, _ in replay(trace):
-        if event.jump:
-            total += weight(parts.negative_part) + weight(parts.positive_part) - weight(target)
-            values.append(total / rate)
-    return LSequence(values=tuple(values), rate=rate)
+    """Normalized hitting-weight sequence of the trace's cell configurations:
+    a running total, updated at each cut in time order by the weights of the
+    two parts less that of the cell cut, as `_ByWeight` updates its own."""
+    measure = trace.measure
+    rate = hitting_measure(measure, trace.window)
+    weight = np.empty(2 * len(trace.events) + 1)  # per part, numbered as `replay` numbers them
+    weight[0] = rate
+    cuts, targets = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for wave, target, res, _ in replay(trace):
+        cut = res.status == CUT
+        e = wave[cut]
+        weight[2 * e + 1] = _hitting_measures(measure, res.far)
+        weight[2 * e + 2] = _hitting_measures(measure, res.origin)
+        cuts.append(e)
+        targets.append(target[cut])
+    e = np.concatenate(cuts)
+    order = np.argsort(e)
+    e, target = e[order], np.concatenate(targets)[order]
+    # add.accumulate sums in order: the running total, bit for bit
+    total = np.cumsum(np.concatenate([[rate], weight[2 * e + 1] + weight[2 * e + 2] - weight[target]]))
+    return LSequence(values=(1.0, *(total[1:] / rate).tolist()), rate=rate)

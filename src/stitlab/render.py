@@ -8,8 +8,14 @@ renders can be diffed in CI.
 
 from __future__ import annotations
 
+import bisect
+import dataclasses
 import math
+from operator import attrgetter
 
+import numpy as np
+
+from .batch import CUT
 from .errors import DomainError
 from .processes import ProcessTrace, replay
 
@@ -20,21 +26,24 @@ def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
-def chord_segments(
-    trace: ProcessTrace, at: float | None = None
-) -> list[tuple[tuple[float, float], tuple[float, float]]]:
-    """Chord endpoints of every jump event with time/index <= `at`, as the
-    replayed split found them.  A non-finite `at` raises DomainError; a
-    negative one gives no chord."""
-    if at is not None and not math.isfinite(at):
-        raise DomainError(f"at must be finite, got {at!r}")
-    segments = []
-    for event, _, parts, _ in replay(trace):
-        if at is not None and event.time > at:
-            break
-        if event.jump and parts.chord_ends is not None:
-            segments.append(parts.chord_ends)
-    return segments
+def chord_segments(trace: ProcessTrace, at: float | None = None) -> np.ndarray:
+    """(chords, 2, 2): the chord endpoints of every jump event with
+    time/index <= `at`, in event order, as the replayed split found them.
+    Event times are nondecreasing, so the events up to `at` are a prefix.  A
+    non-finite `at` raises DomainError; a negative one gives no chord."""
+    if at is not None:
+        if not math.isfinite(at):
+            raise DomainError(f"at must be finite, got {at!r}")
+        stop = bisect.bisect_right(trace.events, at, key=attrgetter("time"))
+        trace = dataclasses.replace(trace, events=trace.events[:stop])
+    n = len(trace.events)
+    ends = np.empty((n, 2, 2))
+    drawn = np.zeros(n, dtype=bool)
+    for wave, _, res, _ in replay(trace):
+        cut = wave[res.status == CUT]
+        ends[cut], drawn[cut] = res.ends, True
+    drawn &= np.fromiter((e.jump for e in trace.events), dtype=bool, count=n)
+    return ends[drawn]
 
 
 def render_svg(trace: ProcessTrace, at: float | None = None) -> str:
@@ -59,8 +68,8 @@ def render_svg(trace: ProcessTrace, at: float | None = None) -> str:
     points = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in window.vertices)
     lines.append(f'<polygon points="{points}"/>')
     lines.extend(
-        '<line x1="%.6f" y1="%.6f" x2="%.6f" y2="%.6f"/>' % (ax, ay, bx, by)  # as _fmt
-        for (ax, ay), (bx, by) in chord_segments(trace, at)
+        '<line x1="%.6f" y1="%.6f" x2="%.6f" y2="%.6f"/>' % tuple(chord)  # as _fmt
+        for chord in chord_segments(trace, at).reshape(-1, 4).tolist()
     )
     lines.append("</g>")
     lines.append("</svg>")

@@ -25,6 +25,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from . import batch
+from .batch import Clock  # the clock of the Cowan and Mecke models
 from .distributions import (
     cowan_sum_cdf,
     discrete_jump_pmf_mass,
@@ -41,8 +42,8 @@ from .errors import DegenerateBins, DomainError, LCollision, StitlabError, TooFe
 from .geometry import ConvexPolygon
 from .line_measure import LineMeasureSpec, hitting_measure
 from .processes import LSequence, final_state, l_sequence, mecke_discrete_simulate, replica_rng
-# the clock of the Cowan and Mecke models, and its expected-work budget
-from .processes import Clock, _check_expected_work
+# the expected-work budget of the clock of the Cowan and Mecke models
+from .processes import _check_expected_work
 
 MUTATIONS = (None, "poisson-clock", "wrong-rate")
 WRONG_RATE_FACTOR = 1.2

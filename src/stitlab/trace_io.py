@@ -73,9 +73,21 @@ def _problem(exc: Exception) -> str:
     return str(exc)
 
 
+def _out_of_order(key: str, time: float | int, last: float | int) -> str:
+    if key == "n":
+        return f"decision index n = {time!r} does not follow {last!r} (indices rise strictly from 1)"
+    if time != time:
+        return "time t is NaN"
+    if time < 0.0:
+        return f"time t = {time!r} is negative"
+    return f"time t = {time!r} comes before the previous event's t = {last!r}"
+
+
 def read_trace(path: str | Path) -> ProcessTrace:
     """The trace in `path`; blank lines are skipped, and ConfigError names the
-    1-based line of a record it cannot read."""
+    1-based line of a record it cannot read.  Event times must be ordered:
+    continuous times t >= 0 and nondecreasing, decision indices n rising
+    strictly from 1; no time or line value may be NaN (a line at +-inf is read)."""
     text = Path(path).read_text(encoding="utf-8")
     records = ((n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip())
     lineno, first = next(records, (0, None))
@@ -88,18 +100,25 @@ def read_trace(path: str | Path) -> ProcessTrace:
         measure = measure_from_json(header["measure"])
         tag = ModelTag(header["model_tag"])
         seed = header.get("seed")
-        time_key, number = ("n", int) if tag is ModelTag.MECKE_DISCRETE else ("t", float)
+        discrete = tag is ModelTag.MECKE_DISCRETE
+        time_key, number = ("n", int) if discrete else ("t", float)
         events = []
         record = events.append
+        last = 0
         for lineno, ln in records:
             rec = decode(ln)
             line = rec["line"]
             cell = int(rec["cell"])
             if not 0 <= cell <= len(events):  # event i splits one of the i + 1 slots
                 raise ValueError(f"cell {cell} outside the slots 0..{len(events)}")
-            record(TraceEvent(
-                number(rec[time_key]), cell, Line(line["theta"], line["p"]), bool(rec["jump"]),
-            ))
+            time = number(rec[time_key])
+            if not (time > last if discrete else time >= last):
+                raise ValueError(_out_of_order(time_key, time, last))
+            theta, p = float(line["theta"]), float(line["p"])
+            if theta != theta or p != p:
+                raise ValueError(f"line value is NaN (theta {theta!r}, p {p!r})")
+            record(TraceEvent(time, cell, Line(theta, p), bool(rec["jump"])))
+            last = time
     except (KeyError, ValueError, TypeError, OverflowError, GeometryError) as exc:
         raise ConfigError(f"malformed trace file {path}, line {lineno}: {_problem(exc)}") from exc
     return ProcessTrace(window, measure, tuple(events), tag, seed)

@@ -52,6 +52,7 @@ class TestSplitAgainstScalar:
                 assert res.chord[i] == 0.0
                 continue
             assert res.status[i] == batch.CUT
+            assert np.array_equal(res.ends[cut], want.chord_ends)  # bit for bit
             for got, part in ((res.origin, want.positive_part), (res.far, want.negative_part)):
                 np.testing.assert_allclose(_ring(got, cut), part.vertices, rtol=0.0, atol=1e-12)
                 assert got.area[cut] == pytest.approx(part.area, rel=1e-12)
@@ -63,7 +64,7 @@ class TestSplitAgainstScalar:
             assert abs(area - poly.area) <= 1e-9 * poly.area
             assert abs(perimeter - poly.perimeter - 2.0 * res.chord[i]) <= 1e-9 * poly.perimeter
             cut += 1
-        assert cut == len(res.origin) == len(res.far)
+        assert cut == len(res.origin) == len(res.far) == len(res.ends)
 
     def test_near_duplicate_vertices_are_deduped_as_split_does(self):
         # two vertices 1e-12 apart, well inside EPS_GEOM * diameter
@@ -127,6 +128,8 @@ def _digest(*arrays: np.ndarray) -> str:
 
 # recorded before the split kernel was restructured: every bit of its output stays
 GOLDEN_SPLIT_DIGEST = "2bc0a2bd6a71b4edf8149421fcb0e3102eb84506b46116fc3c872cdbea96f696"
+# the chord endpoints of the same split, recorded when `split_cells` began to return them
+GOLDEN_ENDS_DIGEST = "8863537c3ebe844f7c247026a0c4424ee566ee957ccb98ff4371c5d10c97d6cc"
 GOLDEN_DEPTH_DIGESTS = {
     "square-iso": "378d6df8f90e9729e7655083b618337d734edca21c94592deae4565f6dcb5330",
     "triangle-dirs": "61655b91694da13900e62f493269e85694bf9ad278c66e4aa00ab11a2f786aff",
@@ -140,6 +143,16 @@ class TestSplitPinned:
         np.testing.assert_array_equal(res.status[-4:], [batch.CUT, batch.CUT, batch.DEGENERATE, batch.WHOLE_FAR])
         digest = _digest(res.status, res.chord, *res.origin.arrays(), *res.far.arrays())
         assert digest == GOLDEN_SPLIT_DIGEST
+
+    def test_chord_ends_bit_for_bit(self):
+        polys, theta, offset = _pinned_batch()
+        res = batch.split_cells(polys, theta, offset)
+        rows = np.flatnonzero(res.status == batch.CUT)
+        for row, ends in zip(rows, res.ends):
+            ring = tuple(map(tuple, _ring(polys, row).tolist()))
+            want = split(ConvexPolygon(ring), Line(theta[row], offset[row])).chord_ends
+            assert np.array_equal(ends, want)
+        assert _digest(res.ends) == GOLDEN_ENDS_DIGEST
 
     @pytest.mark.parametrize("case", sorted(GOLDEN_DEPTH_DIGESTS))
     def test_cell_counts_at_depth_bit_for_bit(self, case):

@@ -8,7 +8,7 @@ import pytest
 
 from stitlab import processes
 from stitlab.distributions import discrete_waiting_pmf
-from stitlab.errors import DegenerateSplit, DomainError, LCollision, SamplerStall
+from stitlab.errors import DegenerateSplit, DomainError, GeometryError, LCollision, SamplerStall
 from stitlab.geometry import ConvexPolygon, Line
 from stitlab.line_measure import DirectionMixture, IsotropicMeasure, hitting_measure
 from stitlab.processes import (
@@ -155,6 +155,14 @@ def test_non_finite_clock_raises_before_recording(simulate, scale, unit_square):
     # overflows to inf (STIT's running total would become inf - inf)
     with pytest.raises(DomainError, match="not finite|finite and positive"):
         simulate(unit_square, IsotropicMeasure(scale), np.random.default_rng(0), max_jumps=3)
+
+
+def test_validate_refuses_a_nan_cell(unit_square):
+    # a cell with a NaN vertex has a NaN area, which no tolerance test may pass
+    cell = ConvexPolygon(((math.nan, math.nan), (1.0, 0.0), (0.0, 1.0)))
+    assert math.isnan(cell.area)
+    with pytest.raises(GeometryError, match="do not tile"):
+        QuasiCellState((cell,), decision_count=0, jump_count=0).validate(unit_square)
 
 
 class TestMeckeDiscreteStep:
@@ -340,6 +348,10 @@ class TestMeckeContinuous:
         assert trace.jump_count == 7
 
 
+def _polygons(polys):
+    return [ConvexPolygon(v[:k]) for v, k in zip(polys.verts.tolist(), polys.nv.tolist())]
+
+
 class TestLSequence:
     def test_bare_window(self, unit_square):
         trace = ProcessTrace(unit_square, ISO, (), ModelTag.STIT, None)
@@ -360,10 +372,14 @@ class TestLSequence:
     def test_running_total_matches_a_re_sum(self, unit_square, measure):
         trace = stit_simulate(unit_square, measure, np.random.default_rng(24), max_jumps=1000)
         rate = hitting_measure(measure, unit_square)
+        parts = {}  # event: the weights of its far and origin parts
+        for wave, _, res, _ in replay(trace):
+            for i, far, origin in zip(wave, _polygons(res.far), _polygons(res.origin)):
+                parts[i] = hitting_measure(measure, far), hitting_measure(measure, origin)
         weights, want = [rate], [1.0]  # one weight per slot, summed again at every jump
-        for event, _, parts, _ in replay(trace):
-            weights[event.cell_index] = hitting_measure(measure, parts.negative_part)
-            weights.append(hitting_measure(measure, parts.positive_part))
+        for i, event in enumerate(trace.events):
+            weights[event.cell_index], w_origin = parts[i]
+            weights.append(w_origin)
             want.append(math.fsum(weights) / rate)
         assert l_sequence(trace).values == pytest.approx(want, rel=1e-13, abs=0.0)
 

@@ -178,6 +178,49 @@ class TestMalformedRecords:
         with pytest.raises(ConfigError, match=rf"line 4: cell {cell} outside the slots 0\.\.2"):
             self._read(tmp_path, lines)
 
+    @pytest.mark.parametrize("key", ["p", "theta"])
+    def test_nan_line_value_is_named(self, tmp_path, lines, key):
+        rec = json.loads(lines[2])
+        rec["line"][key] = math.nan
+        lines[2] = json.dumps(rec)
+        with pytest.raises(ConfigError, match=r"line 3: line value is NaN"):
+            self._read(tmp_path, lines)
+
+    @pytest.mark.parametrize(
+        "times, bad, problem",
+        [
+            ((0.27, 5.0, -1.0, 0.49, 0.6), 4, "is negative"),
+            ((0.27, 5.0, 1.0, 5.5, 6.0), 4, "comes before the previous event's t = 5.0"),
+            ((0.27, math.nan, 1.0, 5.5, 6.0), 3, "is NaN"),
+        ],
+    )
+    def test_unordered_times_are_named(self, tmp_path, lines, times, bad, problem):
+        for i, t in enumerate(times, start=1):
+            rec = json.loads(lines[i])
+            rec["t"] = t
+            lines[i] = json.dumps(rec)
+        with pytest.raises(ConfigError, match=rf"line {bad}: time t.* {problem}"):
+            self._read(tmp_path, lines)
+
+    def test_equal_times_and_infinite_offsets_read(self, tmp_path, lines):
+        for i in (1, 2):
+            rec = json.loads(lines[i])
+            rec["t"], rec["line"]["p"] = 0.0, math.inf
+            lines[i] = json.dumps(rec)
+        assert self._read(tmp_path, lines).events[1].line.offset == math.inf
+
+    @pytest.mark.parametrize("n, bad", [((0, 1, 2), 2), ((1, 3, 3), 4), ((2, 1, 3), 3)])
+    def test_decision_indices_rise_strictly_from_one(self, tmp_path, n, bad):
+        trace = mecke_discrete_simulate(UNIT_SQUARE, ISO, np.random.default_rng(2), max_decisions=3)
+        write_trace(trace, tmp_path / "ok.jsonl")
+        lines = (tmp_path / "ok.jsonl").read_text().splitlines()
+        for i, value in enumerate(n, start=1):
+            rec = json.loads(lines[i])
+            rec["n"] = value
+            lines[i] = json.dumps(rec)
+        with pytest.raises(ConfigError, match=rf"line {bad}: decision index n = "):
+            self._read(tmp_path, lines)
+
     def test_infinite_theta_is_a_config_error(self, tmp_path, lines):
         rec = json.loads(lines[2])
         rec["line"]["theta"] = math.inf
