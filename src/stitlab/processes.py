@@ -487,7 +487,7 @@ def mecke_continuous_simulate(
 # replay and derived statistics
 
 
-WAVE_ROWS = 128  # the most cells one `split_cells` call of a replay cuts: bounds its working set
+WAVE_ROWS = 256  # the most cells one `split_cells` call of a replay cuts: bounds its working set
 
 
 class Written(NamedTuple):
@@ -506,10 +506,12 @@ def _depths(cells: list[int]) -> tuple[np.ndarray, np.ndarray]:
     the writer's.  So two events of one depth never share a slot, and a slot
     written at depth d is read next, if at all, at depth d + 1."""
     slot_depth = [0] * (len(cells) + 1)
-    depth = np.empty(len(cells), dtype=np.int64)
+    depth = []
     for i, c in enumerate(cells):
-        depth[i] = slot_depth[c] = slot_depth[i + 1] = slot_depth[c] + 1
-    return depth, np.array(slot_depth)
+        d = slot_depth[c] + 1
+        slot_depth[c] = slot_depth[i + 1] = d
+        depth.append(d)
+    return np.array(depth), np.array(slot_depth)
 
 
 def replay(trace: ProcessTrace) -> Iterator[tuple[np.ndarray, np.ndarray, BatchSplit, Written]]:
@@ -531,7 +533,8 @@ def replay(trace: ProcessTrace) -> Iterator[tuple[np.ndarray, np.ndarray, BatchS
     if not n:
         return
     cell = np.fromiter((e.cell_index for e in trace.events), np.int64, n)
-    theta, offset = np.fromiter((e.line for e in trace.events), np.dtype((float, 2)), n).T
+    theta = np.fromiter((e.line.theta for e in trace.events), float, n)
+    offset = np.fromiter((e.line.offset for e in trace.events), float, n)
     depth, last = _depths(cell.tolist())
     part = np.full(n + 1, -1)  # per slot, the part it holds; -1 none
     part[0] = 0
