@@ -1,6 +1,7 @@
 """Batched geometry: a struct-of-arrays cell store, the split kernel that
-`processes.replay` and the lockstep simulators of the unconditional
-equivalence check share, and the event clocks (`Clock`).
+the STIT and Cowan simulators, `processes.replay` and the lockstep
+simulators of the unconditional equivalence check share, and the event
+clocks (`Clock`).
 
 A batch of convex polygons is a `Polys`: padded vertices of shape
 (cells, vmax, 2) with a vertex count per cell, where a cell with fewer than
@@ -48,6 +49,8 @@ from .geometry import EPS_GEOM, ConvexPolygon, _dedupe_ring
 from .line_measure import MAX_REJECTION_ITERATIONS, IsotropicMeasure, LineMeasureSpec
 
 BLOCK = 2048  # replicas advanced together
+
+_AHEAD_BACK = np.array([1.0, -1.0])[:, None, None]  # positions along a line, and back along it
 
 # the outcome of a split, per row: both parts present, the cell left whole on
 # the origin side or on the far side, or DegenerateSplit
@@ -112,6 +115,8 @@ class Polys:
     @staticmethod
     def stack(batches: Sequence[Polys]) -> Polys:
         """The rows of `batches`, one after another, in the widest one's columns."""
+        if len(batches) == 1:
+            return batches[0]
         width = max(b.verts.shape[1] for b in batches)
         wide = (b if b.verts.shape[1] == width else b.widened(width) for b in batches)
         return Polys(*map(np.concatenate, zip(*(b.arrays() for b in wide))))
@@ -123,15 +128,16 @@ def _ring_index(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (np.arange(1, width + 1) % width, *np.triu_indices(width, 1))
 
 
-def _ring_measures(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Area, perimeter and diameter of padded rings."""
+def _ring_measures(verts: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Area, perimeter and diameter of padded rings, and the squared length
+    of each ring step (column i to its next)."""
     x, y = verts[..., 0], verts[..., 1]
     nxt, i, j = _ring_index(verts.shape[1])
     xn, yn = x[:, nxt], y[:, nxt]
-    area = 0.5 * (x * yn - y * xn).sum(axis=1)
-    perimeter = np.sqrt((xn - x) ** 2 + (yn - y) ** 2).sum(axis=1)
-    diameter = np.sqrt(((x[:, i] - x[:, j]) ** 2 + (y[:, i] - y[:, j]) ** 2).max(axis=1, initial=0.0))
-    return area, perimeter, diameter
+    area = 0.5 * np.add.reduce(x * yn - y * xn, axis=1)
+    step = (xn - x) ** 2 + (yn - y) ** 2
+    diameter = np.sqrt(np.maximum.reduce((x[:, i] - x[:, j]) ** 2 + (y[:, i] - y[:, j]) ** 2, axis=1, initial=0.0))
+    return (area, np.add.reduce(np.sqrt(step), axis=1), diameter), step
 
 
 def support_intervals(verts: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -198,98 +204,110 @@ def sample_lines(
 class BatchSplit:
     """`split_cells` per row: a status (CUT, WHOLE_ORIGIN, WHOLE_FAR or
     DEGENERATE) and the chord length (0 unless CUT); the two parts and the
-    chord's endpoints of the CUT rows, in row order (`origin` is
-    `SplitResult.positive_part`, `far` is `negative_part`, `ends[i]` is
-    `chord_ends`)."""
+    chord's endpoints of the CUT rows, in row order: `parts` holds the far
+    parts (`SplitResult.negative_part`) and then the origin parts
+    (`positive_part`), and `ends[i]` is `chord_ends`."""
 
     status: np.ndarray
     chord: np.ndarray
-    origin: Polys
-    far: Polys
+    parts: Polys
     ends: np.ndarray  # (CUT rows, 2, 2)
 
+    @property
+    def far(self) -> Polys:
+        return self.parts.take(slice(None, len(self.ends)))
 
-def _side(cand: np.ndarray, keep: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of a stack of cut sides: the kept candidate points in ring order,
-    deduped as `geometry._dedupe_ring` does and padded to the widest row, and the counts."""
-    n = keep.sum(axis=1)
-    width = int(n.max(initial=1))
-    start = np.cumsum(n) - n  # cand[keep] lists each row's kept points in ring order, row by row
-    pts = cand[keep][start[:, None] + np.minimum(np.arange(width), np.maximum(n, 1)[:, None] - 1)]
+    @property
+    def origin(self) -> Polys:
+        return self.parts.take(slice(len(self.ends), None))
+
+
+def _sides(cand: np.ndarray, keep: np.ndarray, eps: np.ndarray) -> Polys:
+    """Per row of a stack of cut sides, each keeping at least one point: the
+    kept candidate points in ring order, deduped as `geometry._dedupe_ring`
+    does and padded to the widest row, with their measures."""
+    n = np.add.reduce(keep, axis=1, dtype=np.int64)
+    width = int(np.maximum.reduce(n, initial=1))
+    start = n.cumsum() - n  # cand[keep] lists each row's kept points in ring order, row by row
+    pts = cand[keep][start[:, None] + np.minimum(np.arange(width), n[:, None] - 1)]
+    measures, step = _ring_measures(pts)
     # rows where two ring neighbours are within eps (with a margin, so every
     # row the scalar pass would change is caught) take the scalar pass
-    near = (eps * (1.0 + 1e-9)) ** 2
-    step = pts[:, _ring_index(width)[0]] - pts  # the last column is the closing step
-    step *= step
-    gap = step[..., 0] + step[..., 1]
-    close = ((gap <= near[:, None]) & (np.arange(1, width + 1) < n[:, None])).any(axis=1)
-    close |= (n > 1) & (gap[:, -1] <= near)
-    for r in np.flatnonzero(close):
+    close = np.arange(1, width + 1) < n[:, None]
+    close[:, -1] = n > 1  # the last column holds the closing step
+    close &= step <= ((eps * (1.0 + 1e-9)) ** 2)[:, None]
+    redo = close.any(axis=1).nonzero()[0]
+    for r in redo:
         ring = _dedupe_ring(list(map(tuple, pts[r, : n[r]])), float(eps[r]))
         n[r] = len(ring)
         pts[r, : n[r]] = ring
         pts[r, n[r]:] = ring[-1]
-    return pts, n
+    if redo.size:
+        measures, _ = _ring_measures(pts)
+    return Polys(pts, n, *measures)
 
 
 def split_cells(polys: Polys, theta: np.ndarray, offset: np.ndarray) -> BatchSplit:
     """Cut row i of `polys` by the line (theta[i], offset[i]), as `geometry.split` does.
-    Both sides of the crossed rows run through `_side` and `_ring_measures` in one stack."""
+    Both sides of the crossed rows run through `_sides` in one stack."""
     m = len(polys)
-    verts = polys.verts[:, : int(polys.nv.max(initial=1))]  # the rest is padding
-    diam = polys.diameter
-    eps = EPS_GEOM * diam
-    s = -np.sin(theta)[:, None] * verts[..., 0] + np.cos(theta)[:, None] * verts[..., 1]
+    verts = polys.verts[:, : int(np.maximum.reduce(polys.nv, initial=1))]  # the rest is padding
+    eps = EPS_GEOM * polys.diameter
+    sin, cos = np.sin(theta)[:, None], np.cos(theta)[:, None]
+    s = -sin * verts[..., 0] + cos * verts[..., 1]
     s -= offset[:, None]
+    hi = s.max(axis=1)
     plus_is_origin = offset < 0.0
-    lo, hi = s.min(axis=1), s.max(axis=1)
-    miss = (lo > -eps) | (hi < eps)
     status = np.where((hi >= eps) == plus_is_origin, WHOLE_ORIGIN, WHOLE_FAR)
-    chord = np.zeros(m)
-    # the rest runs on the rows the line crosses
-    hit = np.flatnonzero(~miss)
-    verts, s, diam, eps, plus_is_origin = verts[hit], s[hit], diam[hit], eps[hit], plus_is_origin[hit]
+    # the rest runs on the rows the line crosses (all of them: a view, no copies)
+    hit = (~((s.min(axis=1) > -eps) | (hi < eps))).nonzero()[0]
+    if hit.size == m:
+        hit = slice(None)
+    verts, s, eps, plus_is_origin = verts[hit], s[hit], eps[hit], plus_is_origin[hit]
     k, v, _ = verts.shape
     e = eps[:, None]
-    real = np.arange(v) < polys.nv[hit, None]  # padding repeats the last vertex: take it once
     nxt = _ring_index(v)[0]
     s_next = s[:, nxt]
     on = np.abs(s) <= e
-    crosses = ~on & ~on[:, nxt] & (s * s_next < 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(crosses, s / (s - s_next), 0.0)
+    crosses = ~(on | on[:, nxt]) & (s * s_next < 0.0)
+    t = s / np.where(crosses, s - s_next, 1.0)  # used on the crossing edges only
     # candidate points in ring order: vertex i, then the crossing on edge (i, i + 1)
-    cand = np.empty((k, 2 * v, 2))
-    cand[:, 0::2] = verts
-    cand[:, 1::2] = verts + t[..., None] * (verts[:, nxt] - verts)
+    cand = np.empty((2 * k, 2 * v, 2))
+    cand[:k, 0::2] = verts
+    cand[:k, 1::2] = verts + t[..., None] * (verts[:, nxt] - verts)
+    cand[k:] = cand[:k]
 
     # both sides in one pass: the upper side in rows :k, the lower in rows k:
+    real = np.arange(v) < polys.nv[hit, None]  # padding repeats the last vertex: take it once
     keep = np.empty((2 * k, 2 * v), dtype=bool)
     keep[:k, 0::2], keep[k:, 0::2] = (s >= -e) & real, (s <= e) & real
     keep[:k, 1::2] = keep[k:, 1::2] = crosses
-    both_eps = np.concatenate([eps, eps])
-    pts, n = _side(np.concatenate([cand, cand]), keep, both_eps)
-    sides = Polys(pts, n, *_ring_measures(pts))
-    none = (n < 3) | (sides.area <= both_eps * np.concatenate([diam, diam]))
-    up_none, low_none = none[:k], none[k:]
+    sides = _sides(cand, keep, np.concatenate([eps, eps]))
+    area_tol = eps * polys.diameter[hit]
+    up_none, low_none = ((sides.nv < 3) | (sides.area <= np.concatenate([area_tol, area_tol]))).reshape(2, k)
 
-    along = np.cos(theta[hit])[:, None] * cand[..., 0] + np.sin(theta[hit])[:, None] * cand[..., 1]
-    on_line = keep[:k] & keep[k:]  # the vertices within eps of the line and the crossings
-    low, high = np.where(on_line, along, np.inf), np.where(on_line, along, -np.inf)
-    # the chord's ends are the first lowest and the first highest on-line point, as `_span` picks
-    rows, first, last = np.arange(k), low.argmin(axis=1), high.argmax(axis=1)
-    length = high[rows, last] - low[rows, first]
+    along = cos[hit] * cand[:k, :, 0] + sin[hit] * cand[:k, :, 1]
+    # per row, the on-line points (the vertices within eps of the line and the
+    # crossings) along the line, and the same negated: the chord runs from the
+    # lowest to the highest
+    ahead = np.where(keep[:k] & keep[k:], _AHEAD_BACK * along, np.inf)
+    low, neg_high = ahead.min(axis=2)
+    length = -neg_high - low
 
     got = np.where(low_none == plus_is_origin, WHOLE_ORIGIN, WHOLE_FAR)
     both = ~up_none & ~low_none
     got[both] = CUT
     got[(up_none & low_none) | (both & (length <= eps))] = DEGENERATE
     status[hit] = got
-    cut = np.flatnonzero(got == CUT)
-    chord[hit[cut]] = length[cut]
-    origin, far = cut + k * ~plus_is_origin[cut], cut + k * plus_is_origin[cut]  # rows of the stack
-    ends = cand[cut[:, None], np.stack([first[cut], last[cut]], axis=1)]
-    return BatchSplit(status, chord, sides.take(origin), sides.take(far), ends)
+    is_cut = got == CUT
+    cut = is_cut.nonzero()[0]
+    chord = np.zeros(m)
+    chord[hit] = np.where(is_cut, length, 0.0)
+    side = k * plus_is_origin[cut]
+    rows = np.concatenate([cut + side, cut + (k - side)])  # far parts, then origin parts
+    # the chord's ends are the first lowest and the first highest on-line point, as `_span` picks
+    ends = cand[cut[:, None], ahead.argmin(axis=2).T[cut]]
+    return BatchSplit(status, chord, sides.take(rows), ends)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +346,8 @@ class _Replicas:
         if not cut.any():
             return
         reps, rows = reps[cut], rows[cut]
-        width = res.far.verts.shape[1]  # the parts' common width
+        parts = res.parts
+        width = parts.verts.shape[1]
         if width > self.cells.verts.shape[1]:
             self.cells = self.cells.widened(max(width, 2 * self.cells.verts.shape[1]))
         end = self.used + reps.size
@@ -338,7 +357,6 @@ class _Replicas:
             self.weight = np.resize(self.weight, len(self.cells))
         new = np.arange(self.used, end)
         target = np.concatenate([rows, new])
-        parts = Polys.stack([res.far, res.origin])
         verts = self.cells.verts
         verts[target, :width], verts[target, width:] = parts.verts, parts.verts[:, -1:]
         for store, part in zip(self.cells.arrays()[1:], parts.arrays()[1:]):

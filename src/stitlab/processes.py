@@ -1,25 +1,31 @@
 """The tessellation processes and their cell-configuration statistics.
 
 All four models are one split process on a list of slots (cells, or empty
-quasi-cells as None in the Mecke models): an event picks a slot and a line,
-the slot keeps the far part of the cut and the origin part is appended.  A
-*selector* picks the slot and the line, a *clock* times the next event:
-STIT's is its selector's total weight, every other one a `batch.Clock` of
-the slot count n (shared with the lockstep simulators and `stats`).
+quasi-cells as None in the Mecke models): an event cuts the cell of a slot
+by a line, the slot keeps the far part of the cut and the origin part takes
+the next slot.  The models differ in their clocks and selectors.
 
-* STIT: a cell picked in proportion to its hitting weight W(C), cut by a
-  line from its normalized hitting distribution; clock rate sum_j W(C_j).
-* Cowan equally-likely: a cell picked uniformly, cut by a line from its own
-  hitting distribution; the equally-likely clock, rate n * W(window), whose
+* STIT: every cell C runs its own clock (Nagel & Weiss): it lives an
+  Exp(W(C)) time, W(C) = Lambda([C]) its hitting weight, and is then cut by
+  a line from its normalized hitting distribution.
+* Cowan equally-likely: the same with rate W(window) for every cell; the
+  k cells' clocks add up to the equally-likely clock k * W(window), whose
   event count by time t is geometric.
 * Mecke discrete: one of the n quasi-cells picked uniformly, cut by a line
   from the window's hitting distribution; no clock, event n is decision n.
   A decision is a jump only when the quasi-cell is nonempty and the line hits it.
 * Mecke continuous: the Mecke selector driven by the equally-likely clock.
 
-The cell selectors redraw until the line splits the cell, so every STIT and
-Cowan event is a jump.  The negative controls in `stats` are two more clocks
-for the Mecke selector.  Each event draws in the order clock, selection, line.
+STIT and Cowan run in one generation engine (`_run_clocks`): each cell draws
+its death time when it is born, and the cells that die before a horizon are
+cut generation by generation by `batch.sample_lines` and `batch.split_cells`
+on `batch.Polys` rows.  A line that does not split its cell is drawn again
+for the same cell, so every STIT and Cowan event is a jump.  The Mecke
+models step one decision at a time (`_grow` with the `_uniform_slot`
+selector and a `batch.Clock` of the slot count n, shared with the lockstep
+simulators and `stats`); the negative controls in `stats` are two more
+clocks for the Mecke selector.  Each Mecke decision draws in the order
+clock, selection, line.
 
 Every simulator takes `(window, measure, rng, *, <stop keywords>, seed=None)`
 and returns a `ProcessTrace`; `replay` rebuilds any state from it.  It cuts
@@ -42,13 +48,24 @@ layer is vectorized over replicas in `stats` (`simulate_conditional_*`,
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .batch import CUT, DEGENERATE, WHOLE_ORIGIN, BatchSplit, Clock, Polys, split_cells
+from .batch import (
+    CUT,
+    DEGENERATE,
+    WHOLE_ORIGIN,
+    BatchSplit,
+    Clock,
+    Polys,
+    hitting_weights,
+    sample_lines,
+    split_cells,
+)
 from .errors import DegenerateSplit, DomainError, GeometryError, LCollision, SamplerStall
 from .geometry import ConvexPolygon, Line, Point, SplitResult, _measure_ring, split
 from .line_measure import (
@@ -161,7 +178,7 @@ def replica_rng(seed: int, index: int = 0, *key: int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# the split engine: a selector picks the slot and the line, a clock times events
+# the Mecke engine: a selector picks the slot and the line, a clock times events
 
 
 def _apply_split(slots: list, idx: int, far, origin) -> None:
@@ -178,6 +195,16 @@ def _cut(cell: ConvexPolygon | None, line: Line) -> SplitResult:
     """`cell` cut by `line`: the far part is `negative_part`, the origin part
     `positive_part`; an empty slot (None) has neither."""
     return _NO_PARTS if cell is None else split(cell, line)
+
+
+def _caps(*stops: float | None) -> list[float]:
+    """The stop values, math.inf for each one not given; DomainError when
+    none is given or the first, a time, is not finite and nonnegative."""
+    if all(stop is None for stop in stops):
+        raise DomainError("a stopping rule is required")
+    if stops[0] is not None and not 0.0 <= stops[0] < math.inf:
+        raise DomainError(f"time must be finite and nonnegative, got {stops[0]!r}")
+    return [math.inf if stop is None else stop for stop in stops]
 
 
 def _grow(
@@ -199,14 +226,8 @@ def _grow(
     DomainError before the event is recorded (hitting weights can underflow
     or overflow for extreme measure scales).
     """
-    if max_time is None and max_jumps is None and max_decisions is None:
-        raise DomainError("a stopping rule is required")
-    if max_time is not None and not 0.0 <= max_time < math.inf:
-        raise DomainError(f"time must be finite and nonnegative, got {max_time!r}")
+    time_cap, jump_cap, slot_cap = _caps(max_time, max_jumps, max_decisions)
     inf = math.inf
-    time_cap = inf if max_time is None else max_time
-    jump_cap = inf if max_jumps is None else max_jumps
-    slot_cap = inf if max_decisions is None else max_decisions
     exponential, isfinite, apply_split = rng.exponential, math.isfinite, _apply_split
     events: list[TraceEvent] = []
     record = events.append
@@ -231,103 +252,6 @@ def _grow(
     return events
 
 
-def _cut_until_split(measure: LineMeasureSpec, slots: list, rng, draw_index) -> tuple:
-    """Draw a cell index and a line from that cell's hitting distribution
-    until the line splits the cell; the clock is not re-advanced.  Gives up
-    with SamplerStall after MAX_REJECTION_ITERATIONS draws (a cell too small
-    to split would otherwise hang the run)."""
-    for _ in range(MAX_REJECTION_ITERATIONS):
-        idx = draw_index(rng)
-        line = sample_hitting_line(measure, slots[idx], rng)
-        try:
-            parts = _cut(slots[idx], line)
-        except DegenerateSplit:
-            continue
-        far, origin = parts.negative_part, parts.positive_part
-        if far is not None and origin is not None:
-            return idx, line, far, origin
-    raise SamplerStall("no line split the selected cells within the iteration budget")
-
-
-class _SumTree:
-    """Fenwick tree over a growing list of weights (Fenwick 1994, "A new data
-    structure for cumulative frequency tables"): add to a weight, append a
-    weight, and find where the running sum passes u, each in O(log k).
-
-    `nodes` is 1-based: nodes[i] sums the weights at 0-based positions
-    i - lowbit(i) .. i - 1.
-    """
-
-    def __init__(self) -> None:
-        self.nodes = [0.0]
-
-    def add(self, index: int, delta: float) -> None:
-        nodes = self.nodes
-        i = index + 1
-        while i < len(nodes):
-            nodes[i] += delta
-            i += i & -i
-
-    def append(self, weight: float) -> None:
-        nodes = self.nodes
-        i = len(nodes)
-        j, stop = i - 1, i - (i & -i)
-        while j > stop:  # the new node also covers the nodes to its left
-            weight += nodes[j]
-            j -= j & -j
-        nodes.append(weight)
-
-    def find(self, u: float) -> int:
-        """The first index whose prefix sum exceeds u; the last index when
-        none does (u at or past the total)."""
-        nodes = self.nodes
-        n = len(nodes) - 1
-        pos = 0
-        step = 1 << (n.bit_length() - 1)
-        while step:
-            nxt = pos + step
-            if nxt <= n and nodes[nxt] <= u:
-                pos = nxt
-                u -= nodes[nxt]
-            step >>= 1
-        return pos if pos < n else n - 1
-
-
-class _ByWeight:
-    """STIT selector: a cell picked in proportion to its hitting weight, found
-    in a `_SumTree` over the weights.  The running total of the weights is the
-    rate of the STIT clock (`rate`)."""
-
-    def __init__(self, measure: LineMeasureSpec, window: ConvexPolygon) -> None:
-        self.measure = measure
-        self.weights = [hitting_measure(measure, window)]
-        self.total = self.weights[0]
-        self.tree = _SumTree()
-        self.tree.append(self.total)
-
-    def rate(self, n: int) -> float:
-        return self.total
-
-    def _index(self, rng: np.random.Generator) -> int:
-        return self.tree.find(self.total * rng.random())
-
-    def __call__(self, slots: list, rng: np.random.Generator) -> tuple:
-        idx, line, far, origin = _cut_until_split(self.measure, slots, rng, self._index)
-        w_far, w_origin = hitting_measure(self.measure, far), hitting_measure(self.measure, origin)
-        self.total += w_far + w_origin - self.weights[idx]
-        self.tree.add(idx, w_far - self.weights[idx])
-        self.tree.append(w_origin)
-        _apply_split(self.weights, idx, w_far, w_origin)  # weights mirror the slots
-        return idx, line, far, origin
-
-
-def _uniform_cell(measure: LineMeasureSpec) -> Callable:
-    """Cowan selector: a cell picked uniformly."""
-    return lambda slots, rng: _cut_until_split(
-        measure, slots, rng, lambda rng: int(rng.integers(len(slots)))
-    )
-
-
 def _uniform_slot(measure: LineMeasureSpec, window: ConvexPolygon) -> Callable:
     """Mecke selector: one of the n quasi-cells picked uniformly, one window
     line.  A degenerate split draws the decision (slot and line) again, as
@@ -346,6 +270,183 @@ def _uniform_slot(measure: LineMeasureSpec, window: ConvexPolygon) -> Callable:
         raise SamplerStall("degenerate splits exceeded the iteration budget")
 
     return pick
+
+
+# ---------------------------------------------------------------------------
+# STIT and Cowan: every cell runs its own clock
+
+
+WAVE_ROWS = 256  # the most cells one `split_cells` call cuts: bounds its working set
+_FAR_ORIGIN = np.array([[1], [2]])  # the cut of event e makes cells 2e + 1 and 2e + 2
+
+
+class _Alive(NamedTuple):
+    """Cells not yet cut: `batch.Polys` rows, their death times, their ids
+    (the window is cell 0; the cut of event e makes cells 2e + 1, the far
+    part, and 2e + 2, the origin part) and how many lines each has drawn
+    that did not split it."""
+
+    polys: Polys
+    death: np.ndarray
+    ids: np.ndarray
+    drawn: np.ndarray
+
+    def take(self, rows) -> _Alive:
+        return _Alive(self.polys.take(rows), self.death[rows], self.ids[rows], self.drawn[rows])
+
+    @staticmethod
+    def stack(parts: list[_Alive]) -> _Alive:
+        if len(parts) == 1:
+            return parts[0]
+        polys, *rest = zip(*parts)
+        return _Alive(Polys.stack(polys), *map(np.concatenate, rest))
+
+
+class _Clocks:
+    """The cuts of a run in which each cell dies after an Exp(rate) life of
+    its own and is then cut by a line from its own hitting distribution.
+
+    `rate(polys)` gives each row's clock rate.  `cut` cuts a generation of
+    cells that are due, in pieces of at most WAVE_ROWS rows, and `events`
+    puts the cuts in time order."""
+
+    def __init__(self, measure: LineMeasureSpec, rate: Callable, rng: np.random.Generator) -> None:
+        self.measure, self.rate, self.rng = measure, rate, rng
+        self.cuts: list[tuple[np.ndarray, ...]] = []  # per draw: times, cell ids, theta, offset
+        self.made = 0
+
+    def born(self, polys: Polys, birth: np.ndarray, ids: np.ndarray) -> _Alive:
+        """Cells born at `birth`, each with its death time drawn.  A rate that
+        is not finite and positive raises DomainError."""
+        with np.errstate(over="ignore"):  # an extreme measure scale gives an infinite rate or life
+            rate = self.rate(polys)
+            death = birth + self.rng.standard_exponential(birth.size) / rate
+        if not ((rate > 0.0) & (rate < math.inf)).all():  # NaN fails too
+            raise DomainError(f"clock rate must be finite and positive, got {rate.min()!r}")
+        return _Alive(polys, death, ids, np.zeros(ids.size, dtype=np.int64))
+
+    def _record(self, t: np.ndarray, ids: np.ndarray, theta, offset, parts: Polys) -> _Alive:
+        """Cuts at times t of the cells `ids` by the lines (theta, offset)
+        into `parts` (the far parts, then the origin parts); the cells they make."""
+        e = np.arange(self.made, self.made + t.size)
+        self.cuts.append((t, ids, theta, offset))
+        self.made += t.size
+        return self.born(parts, np.concatenate([t, t]), (2 * e + _FAR_ORIGIN).ravel())
+
+    def cut(self, due: _Alive) -> _Alive:
+        """Cut every cell of `due` at its death time; the cells the cuts make,
+        and the cells no line has split yet (not CUT), which stay due.  A cell
+        draws one line from its hitting distribution; once k lines have failed
+        it, it draws up to k at once and the first that splits it is taken, as
+        single draws in turn would.  A cell that has drawn
+        MAX_REJECTION_ITERATIONS lines raises SamplerStall."""
+        born = []
+        again = due.drawn > 0
+        if again.any():
+            born.append(self._redraw(due.take(again)))
+            due = due.take(~again)
+        for j in range(0, due.ids.size, WAVE_ROWS):
+            piece = due.take(slice(j, j + WAVE_ROWS)) if due.ids.size > WAVE_ROWS else due
+            theta, offset = sample_lines(self.measure, piece.polys, self.rng)
+            res = split_cells(piece.polys, theta, offset)
+            ok = res.status == CUT
+            born.append(self._record(piece.death[ok], piece.ids[ok], theta[ok], offset[ok], res.parts))
+            if not ok.all():
+                failed = piece.take(~ok)
+                born.append(failed._replace(drawn=failed.drawn + 1))
+        return _Alive.stack(born)
+
+    def _redraw(self, cells: _Alive) -> _Alive:
+        """`cut` for cells that have drawn lines that did not split them: each
+        draws as many again, in one `split_cells` call of about WAVE_ROWS rows
+        at most."""
+        copies = np.minimum(cells.drawn, max(1, WAVE_ROWS // cells.ids.size))
+        row = np.repeat(np.arange(cells.ids.size), copies)
+        polys = cells.polys.take(row)
+        theta, offset = sample_lines(self.measure, polys, self.rng)
+        res = split_cells(polys, theta, offset)
+        hit = (res.status == CUT).nonzero()[0]
+        first = np.unique(row[hit], return_index=True)[1]  # per cell, its first line that split it
+        line, done = hit[first], row[hit[first]]
+        parts = res.parts.take(np.concatenate([first, first + hit.size]))
+        born = self._record(cells.death[done], cells.ids[done], theta[line], offset[line], parts)
+        failed = np.ones(cells.ids.size, dtype=bool)
+        failed[done] = False
+        drawn = cells.drawn[failed] + copies[failed]
+        if (drawn >= MAX_REJECTION_ITERATIONS).any():
+            raise SamplerStall("no line split a due cell within the iteration budget")
+        return _Alive.stack([born, cells.take(failed)._replace(drawn=drawn)])
+
+    def events(self, limit: float) -> list[TraceEvent]:
+        """The first `limit` cuts in time order.  Slots are numbered as
+        `_apply_split` numbers them: the cut cell's slot keeps the far part,
+        and the origin part of the i-th cut in time order takes slot i + 1."""
+        if not self.cuts:
+            return []
+        time, cell, theta, offset = map(np.concatenate, zip(*self.cuts))
+        order = np.argsort(time, kind="stable")
+        rank = np.argsort(order)
+        slot_of = [0] * (2 * order.size + 1)  # per cell id
+        slots = []
+        for e, (c, r) in enumerate(zip(cell.tolist(), rank.tolist())):  # a cell is made before it is cut
+            slots.append(slot_of[c])
+            slot_of[2 * e + 1], slot_of[2 * e + 2] = slot_of[c], r + 1
+        order = order[: min(order.size, limit)]
+        return [
+            TraceEvent(t, s, Line(th, p), True)
+            for t, s, th, p in zip(
+                time[order].tolist(), np.array(slots)[order].tolist(),
+                theta[order].tolist(), offset[order].tolist(),
+            )
+        ]
+
+
+def _run_clocks(
+    window: ConvexPolygon,
+    measure: LineMeasureSpec,
+    rate: Callable,
+    mean_time: Callable,
+    rng: np.random.Generator,
+    *,
+    max_time: float | None = None,
+    max_jumps: int | None = None,
+) -> list[TraceEvent]:
+    """Run the split process of `_Clocks` from the window until `max_time` or
+    `max_jumps` = N cuts, one horizon at a time.
+
+    Every cell that dies before the horizon is cut, then the cells those cuts
+    make that die before it too, one generation at a time; cells past the
+    horizon keep the death times they drew, and every cut before it is made.
+    With `max_time` only, the horizon is `max_time`.  With N, it is the
+    smaller of `mean_time(n)`, the time by which n cuts are expected (n = N,
+    doubled each time the run is still short), and the r-th smallest pending
+    death time, r the cuts still needed, which finishes the run; but never
+    before the first pending death, so a 1-jump run is one generation.  The
+    first N cuts are then exact.  A horizon that is not finite raises
+    DomainError."""
+    time_cap, jump_cap = _caps(max_time, max_jumps)
+    clocks = _Clocks(measure, rate, rng)
+    later = [clocks.born(Polys.of([window]), np.zeros(1), np.zeros(1, dtype=np.int64))]
+    horizon, expect = -math.inf, jump_cap
+    while clocks.made < jump_cap and horizon < time_cap:
+        alive = _Alive.stack(later)
+        horizon = time_cap
+        if jump_cap < math.inf:
+            needed = jump_cap - clocks.made
+            if alive.death.size >= needed:
+                horizon = min(horizon, float(np.partition(alive.death, needed - 1)[needed - 1]))
+            horizon = min(horizon, max(mean_time(expect), float(alive.death.min())))
+            expect *= 2
+        if not math.isfinite(horizon):
+            raise DomainError(f"event time is not finite ({horizon!r})")
+        later = []
+        while (due := alive.death <= horizon).any():
+            if not due.all():
+                later.append(alive.take(~due))
+                alive = alive.take(due)
+            alive = clocks.cut(alive)
+        later.append(alive)
+    return clocks.events(jump_cap)
 
 
 def _check_expected_work(rate_t: float, budget: str, what: str, copies: int = 1) -> None:
@@ -373,6 +474,13 @@ def stit_mean_jumps(window: ConvexPolygon, measure: LineMeasureSpec, t: float) -
 # the simulators
 
 
+def _stit_mean_time(window: ConvexPolygon, measure: LineMeasureSpec, jumps: float) -> float:
+    """The time t at which stit_mean_jumps(window, measure, t) = jumps > 0."""
+    a = hitting_measure(measure, window)
+    b = 0.5 * window.area * crossing_measure(measure)
+    return 2.0 * jumps / (a + math.sqrt(a * a + 4.0 * b * jumps))
+
+
 def stit_simulate(
     window: ConvexPolygon,
     measure: LineMeasureSpec,
@@ -382,7 +490,8 @@ def stit_simulate(
     max_jumps: int | None = None,
     seed: int | None = None,
 ) -> ProcessTrace:
-    """Global-clock STIT run; stops at `max_time` or after `max_jumps` jumps.
+    """STIT run by per-cell clocks of rate W(C) (`_run_clocks`); stops at
+    `max_time` or after `max_jumps` jumps.
 
     Without `max_jumps`, a `max_time` at which STIT expects more than
     MAX_EXPECTED_DECISIONS jumps (stit_mean_jumps) is refused with DomainError.
@@ -391,9 +500,10 @@ def stit_simulate(
         jumps = stit_mean_jumps(window, measure, max_time)
         what = f"t = {max_time:.6g} ({jumps:.3g} STIT jumps)"
         _check_expected_work(math.log1p(jumps), "MAX_EXPECTED_DECISIONS", what)
-    by_weight = _ByWeight(measure, window)
-    events = _grow(
-        [window], by_weight, by_weight.rate, rng, max_time=max_time, max_jumps=max_jumps
+    events = _run_clocks(
+        window, measure, functools.partial(hitting_weights, measure),
+        functools.partial(_stit_mean_time, window, measure), rng,
+        max_time=max_time, max_jumps=max_jumps,
     )
     return ProcessTrace(window, measure, tuple(events), ModelTag.STIT, seed)
 
@@ -407,7 +517,8 @@ def cowan_el_simulate(
     max_jumps: int | None = None,
     seed: int | None = None,
 ) -> ProcessTrace:
-    """Equally-likely continuous model: Exp(k * rate) waits, uniform cell choice.
+    """Equally-likely continuous model: every cell dies after an Exp(rate) life,
+    rate = W(window) (`_run_clocks`), so k cells wait Exp(k * rate) for a uniform pick.
 
     Every event is a jump; without `max_jumps`, a `max_time` at which the
     clock expects more than MAX_EXPECTED_DECISIONS events is refused.
@@ -416,9 +527,9 @@ def cowan_el_simulate(
     if max_jumps is None and max_time is not None:
         rate_t = rate * max_time
         _check_expected_work(rate_t, "MAX_EXPECTED_DECISIONS", f"rate * t = {rate_t:.6g}")
-    events = _grow(
-        [window], _uniform_cell(measure), Clock(rate), rng,
-        max_time=max_time, max_jumps=max_jumps,
+    events = _run_clocks(
+        window, measure, lambda polys: np.full(len(polys), rate),
+        lambda jumps: math.log1p(jumps) / rate, rng, max_time=max_time, max_jumps=max_jumps,
     )
     return ProcessTrace(window, measure, tuple(events), ModelTag.COWAN_EL, seed)
 
@@ -485,9 +596,6 @@ def mecke_continuous_simulate(
 
 # ---------------------------------------------------------------------------
 # replay and derived statistics
-
-
-WAVE_ROWS = 256  # the most cells one `split_cells` call of a replay cuts: bounds its working set
 
 
 class Written(NamedTuple):
@@ -558,7 +666,7 @@ def replay(trace: ProcessTrace) -> Iterator[tuple[np.ndarray, np.ndarray, BatchS
             whole = ~cut  # left whole: moved to slot i + 1, or kept in place
             e = wave[cut]
             slots = np.concatenate([at[cut], e + 1, np.where(moved, wave + 1, at)[whole]])
-            left = Polys.stack([res.far, res.origin, before.take(whole)])
+            left = Polys.stack([res.parts, before.take(whole)])
             part[wave[moved] + 1], part[at[moved]] = part[at[moved]], -1
             part[at[cut]], part[e + 1] = 2 * e + 1, 2 * e + 2
             final = last[slots] == depth[wave[0]]
@@ -600,7 +708,7 @@ def _hitting_measures(measure: LineMeasureSpec, polys: Polys) -> list[float]:
 def l_sequence(trace: ProcessTrace) -> LSequence:
     """Normalized hitting-weight sequence of the trace's cell configurations:
     a running total, updated at each cut in time order by the weights of the
-    two parts less that of the cell cut, as `_ByWeight` updates its own."""
+    two parts less that of the cell cut."""
     measure = trace.measure
     rate = hitting_measure(measure, trace.window)
     weight = np.empty(2 * len(trace.events) + 1)  # per part, numbered as `replay` numbers them
@@ -609,8 +717,7 @@ def l_sequence(trace: ProcessTrace) -> LSequence:
     for wave, target, res, _ in replay(trace):
         cut = res.status == CUT
         e = wave[cut]
-        weight[2 * e + 1] = _hitting_measures(measure, res.far)
-        weight[2 * e + 2] = _hitting_measures(measure, res.origin)
+        weight[np.concatenate([2 * e + 1, 2 * e + 2])] = _hitting_measures(measure, res.parts)
         cuts.append(e)
         targets.append(target[cut])
     e = np.concatenate(cuts)

@@ -83,11 +83,29 @@ def _out_of_order(key: str, time: float | int, last: float | int) -> str:
     return f"time t = {time!r} comes before the previous event's t = {last!r}"
 
 
+_NUMBER = (int, float)  # JSON numbers; a bool is neither
+_FIELD_TYPES = {
+    "cell": ((int,), "an integer"), "n": ((int,), "an integer"), "t": (_NUMBER, "a number"),
+    "theta": (_NUMBER, "a number"), "p": (_NUMBER, "a number"), "jump": ((bool,), "true or false"),
+}
+
+
+def _wrong_type(fields: dict) -> str:
+    """The first of `fields` (name: value) whose JSON type is not its own."""
+    for key, value in fields.items():
+        types, what = _FIELD_TYPES[key]
+        if type(value) not in types:
+            return f"{key} = {json.dumps(value)} is not {what}"
+    return ""
+
+
 def read_trace(path: str | Path) -> ProcessTrace:
     """The trace in `path`; blank lines are skipped, and ConfigError names the
-    1-based line of a record it cannot read.  Event times must be ordered:
-    continuous times t >= 0 and nondecreasing, decision indices n rising
-    strictly from 1; no time or line value may be NaN (a line at +-inf is read)."""
+    1-based line of a record it cannot read.  A cell and a decision index n
+    are JSON integers, a time t and the line's theta and p numbers, and
+    "jump" is true or false.  Event times must be ordered: continuous times
+    t >= 0 and nondecreasing, decision indices n rising strictly from 1; no
+    time or line value may be NaN (a line at +-inf is read)."""
     text = Path(path).read_text(encoding="utf-8")
     records = ((n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip())
     lineno, first = next(records, (0, None))
@@ -102,22 +120,29 @@ def read_trace(path: str | Path) -> ProcessTrace:
         seed = header.get("seed")
         discrete = tag is ModelTag.MECKE_DISCRETE
         time_key, number = ("n", int) if discrete else ("t", float)
+        time_types = _FIELD_TYPES[time_key][0]
         events = []
         record = events.append
         last = 0
         for lineno, ln in records:
             rec = decode(ln)
             line = rec["line"]
-            cell = int(rec["cell"])
+            cell, time, theta, p, jump = rec["cell"], rec[time_key], line["theta"], line["p"], rec["jump"]
+            if not (
+                type(cell) is int and type(time) in time_types and type(theta) in _NUMBER
+                and type(p) in _NUMBER and type(jump) is bool
+            ):
+                fields = {"cell": cell, time_key: time, "theta": theta, "p": p, "jump": jump}
+                raise ValueError(_wrong_type(fields))
             if not 0 <= cell <= len(events):  # event i splits one of the i + 1 slots
                 raise ValueError(f"cell {cell} outside the slots 0..{len(events)}")
-            time = number(rec[time_key])
+            time = number(time)
             if not (time > last if discrete else time >= last):
                 raise ValueError(_out_of_order(time_key, time, last))
-            theta, p = float(line["theta"]), float(line["p"])
+            theta, p = float(theta), float(p)
             if theta != theta or p != p:
                 raise ValueError(f"line value is NaN (theta {theta!r}, p {p!r})")
-            record(TraceEvent(time, cell, Line(theta, p), bool(rec["jump"])))
+            record(TraceEvent(time, cell, Line(theta, p), jump))
             last = time
     except (KeyError, ValueError, TypeError, OverflowError, GeometryError) as exc:
         raise ConfigError(f"malformed trace file {path}, line {lineno}: {_problem(exc)}") from exc

@@ -1,5 +1,5 @@
-"""The batched cell store against the scalar oracle (`geometry.split`,
-`stit_simulate`, the Mecke stepper)."""
+"""The batched cell store against the scalar oracle (`geometry.split`, the
+Mecke stepper) and the lockstep STIT simulator against `stit_simulate`."""
 
 import hashlib
 import json
@@ -226,14 +226,15 @@ class TestBatchedMeasures:
 
 
 # ---------------------------------------------------------------------------
-# batched simulators against the scalar processes, in law
+# the lockstep simulators against `stit_simulate` (per-cell clocks) and the
+# scalar Mecke stepper, in law
 
 GRID = (0.3, 0.7)
 
 
 def _scalar_counts(window, measure, seed: int, replicas: int, mecke: bool) -> list[dict]:
-    """Cell-count histograms at GRID of scalar STIT runs, or of the scalar Mecke
-    stepper under the equally-likely clock."""
+    """Cell-count histograms at GRID of `stit_simulate` runs, or of the scalar
+    Mecke stepper under the equally-likely clock."""
     rng = np.random.default_rng(seed)
     counts = np.empty((replicas, len(GRID)), dtype=np.int64)
     for r in range(replicas):

@@ -279,14 +279,13 @@ class TestRender:
         run(["render", str(trace_file), "--out", str(svg)])
         assert svg.read_text().count("<line") == trace.jump_count
 
-    @pytest.mark.parametrize("field, value", [("p", math.nan), ("t", -1.0)])
-    def test_nan_or_unordered_event_exits_2(self, tmp_path, capsys, field, value):
+    @pytest.mark.parametrize(
+        "field, value", [("p", math.nan), ("t", -1.0), ("jump", "false"), ("cell", 0.9)]
+    )
+    def test_malformed_event_exits_2(self, tmp_path, capsys, field, value):
         lines = self._simulate(tmp_path, 4).read_text().splitlines()
         rec = json.loads(lines[3])
-        if field == "p":
-            rec["line"]["p"] = value
-        else:
-            rec["t"] = value
+        (rec["line"] if field == "p" else rec)[field] = value
         lines[3] = json.dumps(rec)
         bad = tmp_path / "bad.jsonl"
         bad.write_text("\n".join(lines) + "\n")

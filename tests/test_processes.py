@@ -1,14 +1,20 @@
 import hashlib
 import math
-from itertools import accumulate
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from stitlab import processes
-from stitlab.distributions import discrete_waiting_pmf
-from stitlab.errors import DegenerateSplit, DomainError, GeometryError, LCollision, SamplerStall
+from stitlab.batch import DEGENERATE, BatchSplit
+from stitlab.distributions import discrete_waiting_pmf, nu_pmf, stit_jump_cdf
+from stitlab.errors import (
+    DegenerateSplit,
+    DomainError,
+    GeometryError,
+    IllConditioned,
+    LCollision,
+    SamplerStall,
+)
 from stitlab.geometry import ConvexPolygon, Line
 from stitlab.line_measure import DirectionMixture, IsotropicMeasure, hitting_measure
 from stitlab.processes import (
@@ -17,9 +23,6 @@ from stitlab.processes import (
     ProcessTrace,
     QuasiCellState,
     TraceEvent,
-    _ByWeight,
-    _grow,
-    _SumTree,
     cowan_el_simulate,
     final_state,
     initial_quasi_state,
@@ -116,12 +119,79 @@ class TestCowanEl:
         final_state(trace).validate(unit_square)
 
 
+# ---------------------------------------------------------------------------
+# the per-cell clocks in law: STIT's n-th jump time given its weight sequence,
+# Cowan's geometric event count, and clocks that run 1.2 times too fast
+
+
+TRIANGLE = ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
+DIRS = DirectionMixture(((0.0, 1.0), (math.pi / 3, 0.5), (2.0, 0.8)))
+
+
+def _stit_jump_time_p(window, measure, seed: int, runs: int = 400, jumps: int = 4) -> float:
+    """KS p-value of U = stit_jump_cdf(l_sequence, jumps, T_jumps) over independent
+    STIT runs: U is uniform when each jump time has its law given the sequence.
+    A sequence the closed form refuses (IllConditioned, clustered weights) is
+    skipped: U is uniform given any sequence, so the rest stay uniform."""
+    rng = np.random.default_rng(seed)
+    u = []
+    for _ in range(runs):
+        trace = stit_simulate(window, measure, rng, max_jumps=jumps)
+        try:
+            u.append(stit_jump_cdf(l_sequence(trace), jumps, trace.events[-1].time))
+        except IllConditioned:
+            continue
+    assert len(u) >= 0.98 * runs
+    return ks_test(u, lambda x: x)[1]
+
+
+def _cowan_count_p(window, seed: int, runs: int = 1000, rate_t: float = 1.0) -> float:
+    """Chi-square p-value of Cowan's event counts at W(window) * t = rate_t
+    against the geometric law `nu_pmf`."""
+    rate = hitting_measure(ISO, window)
+    t = rate_t / rate
+    rng = np.random.default_rng(seed)
+    counts = counts_from_values(
+        len(cowan_el_simulate(window, ISO, rng, max_time=t).events) for _ in range(runs)
+    )
+    return chi_square_gof(counts, lambda k: nu_pmf(rate, t, k), support_lo=0)[1]
+
+
+@pytest.mark.parametrize(
+    "window, measure, seed", [("square", ISO, 2011), ("triangle", DIRS, 2012)], ids=["square-iso", "triangle-dirs"]
+)
+def test_stit_jump_times_follow_the_conditional_law(window, measure, seed, unit_square):
+    window = unit_square if window == "square" else TRIANGLE
+    assert _stit_jump_time_p(window, measure, seed) > 1e-3
+
+
+def test_cowan_event_count_is_geometric(unit_square):
+    assert _cowan_count_p(unit_square, 2014) > 1e-3
+
+
+def test_clocks_too_fast_fail_both_laws(unit_square, monkeypatch):
+    # STIT's clocks read batch.hitting_weights and Cowan's hitting_measure;
+    # l_sequence and the closed forms read the measure itself
+    weights, measure = processes.hitting_weights, processes.hitting_measure
+    monkeypatch.setattr(processes, "hitting_weights", lambda m, p: 1.2 * weights(m, p))
+    assert _stit_jump_time_p(unit_square, ISO, 2013, runs=800) < 1e-3
+    monkeypatch.setattr(processes, "hitting_weights", weights)
+    monkeypatch.setattr(processes, "hitting_measure", lambda m, w: 1.2 * measure(m, w))
+    assert _cowan_count_p(unit_square, 2015) < 1e-3
+
+
 @pytest.mark.parametrize("simulate", [stit_simulate, cowan_el_simulate, mecke_discrete_simulate])
 def test_unsplittable_cell_stalls_instead_of_hanging(simulate, unit_square, monkeypatch):
     def degenerate(cell, line):
         raise DegenerateSplit("no split")
 
+    def degenerate_rows(polys, theta, offset):
+        none = polys.take(np.zeros(0, dtype=np.int64))
+        return BatchSplit(np.full(len(polys), DEGENERATE), np.zeros(len(polys)), none, np.zeros((0, 2, 2)))
+
+    # STIT and Cowan cut through the batched split, the Mecke models through `split`
     monkeypatch.setattr(processes, "split", degenerate)
+    monkeypatch.setattr(processes, "split_cells", degenerate_rows)
     monkeypatch.setattr(processes, "MAX_REJECTION_ITERATIONS", 50)
     with pytest.raises(SamplerStall):
         simulate(unit_square, ISO, np.random.default_rng(0), max_jumps=3)
@@ -421,62 +491,12 @@ class TestReplicaRng:
         assert np.array_equal(replica_rng(42).random(4), replica_rng(42, 0).random(4))
 
 
-def _linear_scan(weights, u):
-    """Selection oracle: the first index whose running weight sum exceeds u,
-    else the last index."""
-    for j, acc in enumerate(accumulate(weights)):
-        if u < acc:
-            return j
-    return len(weights) - 1
-
-
-def _stit_selector(window, jumps, seed):
-    selector = _ByWeight(ISO, window)
-    _grow([window], selector, selector.rate, np.random.default_rng(seed), max_jumps=jumps)
-    return selector
-
-
-class TestWeightSelector:
-    def test_sum_tree_find_matches_linear_scan(self):
-        rng = np.random.default_rng(31)
-        tree, weights = _SumTree(), []
-        for _ in range(600):
-            w = float(rng.exponential())
-            if weights and rng.random() < 0.5:
-                i = int(rng.integers(len(weights)))
-                tree.add(i, w - weights[i])
-                weights[i] = w
-            else:
-                tree.append(w)
-                weights.append(w)
-            total = math.fsum(weights)
-            for u in (0.0, *(total * rng.random(8)), 2.0 * total):
-                assert tree.find(u) == _linear_scan(weights, u)
-
-    def test_stit_index_matches_linear_scan(self, unit_square):
-        selector = _stit_selector(unit_square, 300, seed=5)
-        for frac in (0.0, *np.random.default_rng(6).random(2000), 1.0):
-            u = selector.total * frac
-            rng = SimpleNamespace(random=lambda: frac)
-            assert selector._index(rng) == _linear_scan(selector.weights, u)
-
-    def test_tree_tracks_running_sums_over_8000_splits(self, unit_square):
-        selector = _stit_selector(unit_square, 8000, seed=7)
-        nodes = selector.tree.nodes
-        assert len(nodes) == len(selector.weights) + 1 == 8002
-        for i, exact in enumerate(accumulate(selector.weights), start=1):
-            prefix, j = 0.0, i
-            while j:
-                prefix += nodes[j]
-                j -= j & -j
-            assert prefix == pytest.approx(exact, rel=1e-12)
-        assert selector.total == pytest.approx(math.fsum(selector.weights), rel=1e-12)
-
-
 # SHA-256 of the traces at seeds 0, 1 and 2 written one after another.  The
 # digests pin the random stream: a change that moves them (a different draw
 # order, a different selector) changes every pinned-seed result downstream,
 # so it must update this table on purpose and be checked over many seeds.
+# The STIT and Cowan entries were re-recorded when those models moved to
+# per-cell clocks (the law tests above and a sweep over fresh seeds).
 GOLDEN_SEEDS = (0, 1, 2)
 GOLDEN_WINDOWS = {
     "unit-square": ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))),
@@ -490,23 +510,23 @@ GOLDEN_MEASURES = {
 }
 GOLDEN_TRACES = {
     ("stit", "max_jumps", 2000, "unit-square", "iso"):
-        "78f455402168b253248f44b71076a7818f89a4f65d3c4d52f3002658ef32345b",
+        "ffa4506fea7fae61ed9dd6a6b4c7467efe327701465c730991713e08d777fd34",
     ("cowan-el", "max_jumps", 25, "triangle", "dirs"):
-        "aed1586d4fd5ad6ec32e8225b143bb2d0c9dd9b15f7b58297e8ffe4a7273bb5d",
+        "860251277b4c881935fe25b62564e583e38fb5b0cb96f16b4ad403494594641e",
     ("cowan-el", "max_jumps", 25, "triangle", "iso"):
-        "f94216caef18153894fa88a52855230fea19837ebef9999e99130bdc8d10ae2e",
+        "d90e6aa13c910348f9d3a718c07d47087f71103af44e1582cc4ac9b8f34f987f",
     ("cowan-el", "max_jumps", 25, "unit-square", "dirs"):
-        "46e03dbe5eedb34a5c459b7b001c3f1538fa959f17784cbf20ebf0731d7f9852",
+        "3fc34b80b7e8658c85ffb1b02d6c36a01b80255121aa199ccf1404153fd666ff",
     ("cowan-el", "max_jumps", 25, "unit-square", "iso"):
-        "ee40cc0a52d72de2b358845966da90b3a2b8c903a35a12885c884d2cf942bc6f",
+        "357be1fc19ce2212b16889403ff2207e892d5c8072297bdd29068b2d7905fb2c",
     ("cowan-el", "max_time", 1.0, "triangle", "dirs"):
-        "83649d0c768c9d8dbbb54d55557cef36a3f90290bfc6dffafac435198bc4a0c8",
+        "5551fda384c34f58ce1366618cf1ac7f093e1d1b2ec78ab74ec58e58aabb27e2",
     ("cowan-el", "max_time", 1.0, "triangle", "iso"):
-        "7bb4a1bb90a24644a4b6e3dc08665ea580526a36965da3647ce35eaf238ac830",
+        "8fe51cad49864e33ab0341177eb25e932116ebc9a706e61756dacd737fa7ca94",
     ("cowan-el", "max_time", 1.0, "unit-square", "dirs"):
-        "d284f83920284a925294f718dbc613750fd788fefcbcc22a4b6afa94e10e642f",
+        "f02f0eeab007063ce800527cbd0a6731d03356587e60b88c46ae29f687f642ee",
     ("cowan-el", "max_time", 1.0, "unit-square", "iso"):
-        "cbb00a12feb5430ce19d863bae01c0e8ef4cdb5f270ee9a142ca7a50b9209583",
+        "cd6b7888c8dd7d6a2c9bfdf72a9c2d4d2804a9b84e618a002d2179a8bfdf02e1",
     ("mecke-continuous", "max_time", 0.8, "triangle", "dirs"):
         "a2bf2fb23d73b3ff2215dc75f7eaef2627c89dfd2975dffc9d76e9f204d07ae9",
     ("mecke-continuous", "max_time", 0.8, "triangle", "iso"):
@@ -532,21 +552,21 @@ GOLDEN_TRACES = {
     ("mecke-discrete", "max_jumps", 8, "unit-square", "iso"):
         "1cabd87138f2f970ca40db745433c27332a160a8216bef6c0aa2263f82c6fac6",
     ("stit", "max_jumps", 25, "triangle", "dirs"):
-        "584d5919d18b91e9e2b31e36284237981f6b1d728ded969708d617496e01bbfb",
+        "969109fecf7ab67e9c536978e07b190cb1e53a02923efd8e92bec19af5811270",
     ("stit", "max_jumps", 25, "triangle", "iso"):
-        "e58d0c9b8c15e983ef34132a64e2756ae8d95c62e59038cf8e75a117c7713361",
+        "d4b9bd93d9966124e5e335bb9b32b32d8866cbbbdd9325b2924c177a98b8ab37",
     ("stit", "max_jumps", 25, "unit-square", "dirs"):
-        "7b4930e8bd001b1aa6ecc37dabb709ce1312a47a5b012ff67930556ca1d0d718",
+        "db20e6037b2df6cbf12d537c9de75a49050a2b73a9a853ec622f4e6f20649abf",
     ("stit", "max_jumps", 25, "unit-square", "iso"):
-        "3b2cb81a822a53cf8adac83a6199b05418ab7f6ef0cbe36ab0971b99bca04365",
+        "72be4bbfb6945fa26a231368b1e1e5067e9c17259b9621453edafadc11285bde",
     ("stit", "max_time", 1.0, "triangle", "dirs"):
-        "b0383111d997f88c39ce434de56b29fcfe04d7014f22792c263ec9aa9fb95304",
+        "76dd7d259018efedb322a7b44ab304c3a269dbf1a2635fba01c7043a84d60cdf",
     ("stit", "max_time", 1.0, "triangle", "iso"):
-        "d73fd17f6de8d24332ee0e907932cc42a5978783c308bc441697cc614abd1a2c",
+        "d65271892588f81180f9832437a445bf5760a2ed3707143dd9476c5d6ded561e",
     ("stit", "max_time", 1.0, "unit-square", "dirs"):
-        "d48459e5b9653329568d58fc903b955e24004f907cde9330eaa1198df375d50b",
+        "20fafb316c9a48ea77be33a1069a5f4a06ad763ec8a8c397187822d34c839efc",
     ("stit", "max_time", 1.0, "unit-square", "iso"):
-        "f6d6f71fdf5acb4d608ee33148c20b0e123e295e7304c7bbdbcbd6207ffabb75",
+        "f739468e274acccefb5526c516695b1f1444cb889f8acc9f8d0c145d0ec5be88",
 }
 
 

@@ -3,6 +3,7 @@ malformed record is reported at."""
 
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -219,6 +220,40 @@ class TestMalformedRecords:
             rec["n"] = value
             lines[i] = json.dumps(rec)
         with pytest.raises(ConfigError, match=rf"line {bad}: decision index n = "):
+            self._read(tmp_path, lines)
+
+    @pytest.mark.parametrize(
+        "key, value, problem",
+        [
+            ("jump", "false", 'jump = "false" is not true or false'),
+            ("jump", 0, "jump = 0 is not true or false"),
+            ("jump", None, "jump = null is not true or false"),
+            ("cell", 0.9, "cell = 0.9 is not an integer"),
+            ("cell", 1.0, "cell = 1.0 is not an integer"),
+            ("cell", "1", 'cell = "1" is not an integer'),
+            ("cell", True, "cell = true is not an integer"),
+            ("t", "0.5", 't = "0.5" is not a number'),
+            ("t", True, "t = true is not a number"),
+            ("theta", "1.0", 'theta = "1.0" is not a number'),
+            ("p", None, "p = null is not a number"),
+        ],
+    )
+    def test_field_of_the_wrong_type_is_named(self, tmp_path, lines, key, value, problem):
+        rec = json.loads(lines[2])
+        (rec["line"] if key in ("theta", "p") else rec)[key] = value
+        lines[2] = json.dumps(rec)
+        with pytest.raises(ConfigError, match=rf"line 3: {re.escape(problem)}"):
+            self._read(tmp_path, lines)
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, "2", False])
+    def test_decision_index_must_be_an_integer(self, tmp_path, value):
+        trace = mecke_discrete_simulate(UNIT_SQUARE, ISO, np.random.default_rng(2), max_decisions=3)
+        write_trace(trace, tmp_path / "ok.jsonl")
+        lines = (tmp_path / "ok.jsonl").read_text().splitlines()
+        rec = json.loads(lines[2])
+        rec["n"] = value
+        lines[2] = json.dumps(rec)
+        with pytest.raises(ConfigError, match=rf"line 3: n = {re.escape(json.dumps(value))} is not an integer"):
             self._read(tmp_path, lines)
 
     def test_infinite_theta_is_a_config_error(self, tmp_path, lines):
