@@ -278,6 +278,10 @@ def _uniform_slot(measure: LineMeasureSpec, window: ConvexPolygon) -> Callable:
 
 WAVE_ROWS = 256  # the most cells one `split_cells` call cuts: bounds its working set
 _FAR_ORIGIN = np.array([[1], [2]])  # the cut of event e makes cells 2e + 1 and 2e + 2
+# A cell that this many lines have failed to split is at the resolution of
+# floats (Cowan's clocks cut some cells down to diameters near 1e-15, where no
+# line splits them within the EPS_GEOM tolerances): it stays whole for good.
+MAX_CELL_LINES = 10_000
 
 
 class _Alive(NamedTuple):
@@ -338,8 +342,8 @@ class _Clocks:
         and the cells no line has split yet (not CUT), which stay due.  A cell
         draws one line from its hitting distribution; once k lines have failed
         it, it draws up to k at once and the first that splits it is taken, as
-        single draws in turn would.  A cell that has drawn
-        MAX_REJECTION_ITERATIONS lines raises SamplerStall."""
+        single draws in turn would.  A cell that MAX_CELL_LINES lines have
+        failed is dropped: it is never cut."""
         born = []
         again = due.drawn > 0
         if again.any():
@@ -370,12 +374,10 @@ class _Clocks:
         line, done = hit[first], row[hit[first]]
         parts = res.parts.take(np.concatenate([first, first + hit.size]))
         born = self._record(cells.death[done], cells.ids[done], theta[line], offset[line], parts)
-        failed = np.ones(cells.ids.size, dtype=bool)
-        failed[done] = False
-        drawn = cells.drawn[failed] + copies[failed]
-        if (drawn >= MAX_REJECTION_ITERATIONS).any():
-            raise SamplerStall("no line split a due cell within the iteration budget")
-        return _Alive.stack([born, cells.take(failed)._replace(drawn=drawn)])
+        drawn = cells.drawn + copies
+        again = drawn < MAX_CELL_LINES
+        again[done] = False
+        return _Alive.stack([born, cells.take(again)._replace(drawn=drawn[again])])
 
     def events(self, limit: float) -> list[TraceEvent]:
         """The first `limit` cuts in time order.  Slots are numbered as
@@ -423,13 +425,16 @@ def _run_clocks(
     death time, r the cuts still needed, which finishes the run; but never
     before the first pending death, so a 1-jump run is one generation.  The
     first N cuts are then exact.  A horizon that is not finite raises
-    DomainError."""
+    DomainError, and a run short of N cuts with no cell left that a line
+    splits (`_Clocks.cut`) raises SamplerStall."""
     time_cap, jump_cap = _caps(max_time, max_jumps)
     clocks = _Clocks(measure, rate, rng)
     later = [clocks.born(Polys.of([window]), np.zeros(1), np.zeros(1, dtype=np.int64))]
     horizon, expect = -math.inf, jump_cap
     while clocks.made < jump_cap and horizon < time_cap:
         alive = _Alive.stack(later)
+        if not alive.ids.size:
+            raise SamplerStall("no cell is left that a line splits")
         horizon = time_cap
         if jump_cap < math.inf:
             needed = jump_cap - clocks.made

@@ -189,9 +189,12 @@ def test_unsplittable_cell_stalls_instead_of_hanging(simulate, unit_square, monk
         none = polys.take(np.zeros(0, dtype=np.int64))
         return BatchSplit(np.full(len(polys), DEGENERATE), np.zeros(len(polys)), none, np.zeros((0, 2, 2)))
 
-    # STIT and Cowan cut through the batched split, the Mecke models through `split`
+    # STIT and Cowan cut through the batched split and leave a cell whole after
+    # MAX_CELL_LINES lines, so no cell is left to cut; the Mecke models cut
+    # through `split` and redraw up to MAX_REJECTION_ITERATIONS decisions
     monkeypatch.setattr(processes, "split", degenerate)
     monkeypatch.setattr(processes, "split_cells", degenerate_rows)
+    monkeypatch.setattr(processes, "MAX_CELL_LINES", 50)
     monkeypatch.setattr(processes, "MAX_REJECTION_ITERATIONS", 50)
     with pytest.raises(SamplerStall):
         simulate(unit_square, ISO, np.random.default_rng(0), max_jumps=3)
