@@ -114,7 +114,8 @@ class Polys:
 
     @staticmethod
     def stack(batches: Sequence[Polys]) -> Polys:
-        """The rows of `batches`, one after another, in the widest one's columns."""
+        """The rows of `batches`, one after another, in the widest one's columns
+        (a lone batch as it is)."""
         if len(batches) == 1:
             return batches[0]
         width = max(b.verts.shape[1] for b in batches)
