@@ -27,7 +27,7 @@ show each cell count at each grid time:
   weight; a cell is picked in proportion to its weight and cut by a line
   from its own hitting distribution, both redrawn until the line splits it.
 * `mecke_cell_counts`: the stepper of `processes.mecke_discrete_step` under
-  a `processes.Clock` of the number n of quasi-cells.  Empty slots are not
+  a `Clock` of the number n of quasi-cells.  Empty slots are not
   stored: a wait draws at once the run of decisions that pick an empty slot
   before the next cell pick (`skip`) and the clock's time over them
   (`Clock.span`), and the event cuts a cell picked uniformly by one window line.
@@ -143,8 +143,8 @@ def _ring_measures(verts: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarra
 
 def support_intervals(verts: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row, the projection interval onto the unit normal of direction theta."""
-    s = -np.sin(theta)[:, None] * verts[..., 0] + np.cos(theta)[:, None] * verts[..., 1]
-    return s.min(axis=1), s.max(axis=1)
+    s = np.cos(theta)[:, None] * verts[..., 1] - np.sin(theta)[:, None] * verts[..., 0]
+    return np.minimum.reduce(s, axis=1), np.maximum.reduce(s, axis=1)
 
 
 def _atom_widths(measure, polys: Polys) -> np.ndarray:
@@ -173,31 +173,34 @@ def sample_lines(
     width, the offset uniform on the support interval and redrawn (with
     theta) within EPS_GEOM * diameter of the origin.  Rows still undrawn
     after MAX_REJECTION_ITERATIONS rounds raise SamplerStall."""
-    m = len(polys)
-    theta, offset = np.empty(m), np.empty(m)
-    eps = EPS_GEOM * polys.diameter
     iso = isinstance(measure, IsotropicMeasure)
     if not iso:
         atom_theta = np.array([th for th, _ in measure.atoms])
         cum = np.cumsum(_atom_widths(measure, polys), axis=1)
-    todo = np.arange(m)
+    verts, diameter, todo = polys.verts, polys.diameter, None  # todo: the rows still undrawn
     for _ in range(MAX_REJECTION_ITERATIONS):
+        # a round's uniforms in the order theta or atom, envelope (isotropic), offset
+        u = rng.random((3 if iso else 2, len(diameter)))
+        if iso:
+            th = math.pi * u[0]
+            lo, hi = support_intervals(verts, th)
+            width = hi - lo
+            ok = diameter * u[1] <= width
+        else:
+            c = cum if todo is None else cum[todo]
+            th = atom_theta[np.minimum((c <= (c[:, -1] * u[0])[:, None]).sum(axis=1), len(atom_theta) - 1)]
+            lo, hi = support_intervals(verts, th)
+            width, ok = hi - lo, True
+        p = lo + width * u[-1]
+        ok &= np.abs(p) > EPS_GEOM * diameter
+        if todo is None:
+            theta, offset, todo = th, p, np.flatnonzero(~ok)
+        else:
+            theta[todo[ok]], offset[todo[ok]] = th[ok], p[ok]
+            todo = todo[~ok]
         if not todo.size:
             return theta, offset
-        if iso:
-            th = math.pi * rng.random(todo.size)
-            lo, hi = support_intervals(polys.verts[todo], th)
-            ok = polys.diameter[todo] * rng.random(todo.size) <= hi - lo
-        else:
-            c = cum[todo]
-            u = c[:, -1] * rng.random(todo.size)
-            th = atom_theta[np.minimum((c <= u[:, None]).sum(axis=1), len(atom_theta) - 1)]
-            lo, hi = support_intervals(polys.verts[todo], th)
-            ok = np.ones(todo.size, dtype=bool)
-        p = lo + (hi - lo) * rng.random(todo.size)
-        ok &= np.abs(p) > eps[todo]
-        theta[todo[ok]], offset[todo[ok]] = th[ok], p[ok]
-        todo = todo[~ok]
+        verts, diameter = polys.verts[todo], polys.diameter[todo]
     raise SamplerStall("batched line sampler exceeded its iteration budget")
 
 

@@ -21,11 +21,13 @@ its death time when it is born, and the cells that die before a horizon are
 cut generation by generation by `batch.sample_lines` and `batch.split_cells`
 on `batch.Polys` rows.  A line that does not split its cell is drawn again
 for the same cell, so every STIT and Cowan event is a jump.  The Mecke
-models step one decision at a time (`_grow` with the `_uniform_slot`
-selector and a `batch.Clock` of the slot count n, shared with the lockstep
-simulators and `stats`); the negative controls in `stats` are two more
-clocks for the Mecke selector.  Each Mecke decision draws in the order
-clock, selection, line.
+models run in one block engine (`_mecke_run`): a block of decisions draws
+its waits (continuous model), its picks and its window lines with one numpy
+call each, and only a pick that lands on a cell is cut by `geometry.split`.
+`mecke_discrete_step` makes one decision with scalar draws, slot then line.
+The lockstep simulators and `stats` drive the Mecke selector by a
+`batch.Clock` of the slot count n; the negative controls in `stats` are two
+more clocks.
 
 Every simulator takes `(window, measure, rng, *, <stop keywords>, seed=None)`
 and returns a `ProcessTrace`; `replay` rebuilds any state from it.  It cuts
@@ -60,7 +62,6 @@ from .batch import (
     DEGENERATE,
     WHOLE_ORIGIN,
     BatchSplit,
-    Clock,
     Polys,
     hitting_weights,
     sample_lines,
@@ -178,7 +179,13 @@ def replica_rng(seed: int, index: int = 0, *key: int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# the Mecke engine: a selector picks the slot and the line, a clock times events
+# the Mecke engine: decisions drawn in blocks, only the picks of a cell cut
+
+# Decisions are drawn in blocks whose sizes double from FIRST_DECISION_BLOCK up
+# to DECISION_BLOCK.  The schedule does not depend on the stop rule, so a run
+# stopped earlier is a prefix of the same stream.
+FIRST_DECISION_BLOCK = 16
+DECISION_BLOCK = 4096
 
 
 def _apply_split(slots: list, idx: int, far, origin) -> None:
@@ -207,69 +214,103 @@ def _caps(*stops: float | None) -> list[float]:
     return [math.inf if stop is None else stop for stop in stops]
 
 
-def _grow(
-    slots: list,
-    pick: Callable,
-    clock: Callable | None,
+def _decide(
+    cell_at: Callable,
+    n: int,
+    measure: LineMeasureSpec,
+    window: ConvexPolygon,
     rng: np.random.Generator,
+    idx: int = 0,
+    line: Line | None = None,
+) -> tuple[int, Line, SplitResult]:
+    """One Mecke decision among n quasi-cells: slot `idx`'s cell (`cell_at(idx)`,
+    None if empty) cut by a window line.  Without a `line` given, the slot is
+    picked uniformly and the line drawn here, in that order.  A degenerate
+    split draws the slot and the line again; past MAX_REJECTION_ITERATIONS
+    draws it raises SamplerStall."""
+    for _ in range(MAX_REJECTION_ITERATIONS):
+        if line is None:
+            idx, line = int(rng.integers(n)), sample_hitting_line(measure, window, rng)
+        try:
+            return idx, line, _cut(cell_at(idx), line)
+        except DegenerateSplit:
+            line = None
+    raise SamplerStall("degenerate splits exceeded the iteration budget")
+
+
+@functools.lru_cache(maxsize=8)
+def _window_rows(window: ConvexPolygon) -> Polys:
+    """DECISION_BLOCK rows of `window`, read-only: a run takes the rows it needs
+    as a view."""
+    rows = Polys.of([window]).take(np.zeros(DECISION_BLOCK, dtype=np.int64))
+    for a in rows.arrays():
+        a.flags.writeable = False
+    return rows
+
+
+def _mecke_run(
+    window: ConvexPolygon,
+    measure: LineMeasureSpec,
+    rng: np.random.Generator,
+    rate: float | None = None,
     *,
     max_time: float | None = None,
     max_jumps: int | None = None,
     max_decisions: int | None = None,
 ) -> list[TraceEvent]:
-    """Run the split process on `slots`, in place, until a stop rule fires.
+    """Mecke's decisions from the bare window until a stop rule fires.
 
-    `pick(slots, rng)` returns (slot index, line, far part, origin part);
-    `clock(len(slots))` is the rate of the next event, or `clock` is None and
-    event n is the n-th decision (n = len(slots) before it).  A clock rate that is
-    not finite and positive, or an event time that is not finite, raises
-    DomainError before the event is recorded (hitting weights can underflow
-    or overflow for extreme measure scales).
-    """
+    Decision n picks one of the n quasi-cells uniformly and cuts it by one
+    window line.  Without `rate` its event time is n; with it, decision n
+    comes after an Exp(n * rate) wait (the equally-likely clock).  A block of
+    decisions draws its waits, then its picks, then its lines, each with one
+    numpy call.  Only a pick that lands on a cell needs `geometry.split`;
+    the slots are updated as `_apply_split` does.  A clock rate that is not
+    finite and positive, or an event time that is not finite, raises
+    DomainError."""
     time_cap, jump_cap, slot_cap = _caps(max_time, max_jumps, max_decisions)
-    inf = math.inf
-    exponential, isfinite, apply_split = rng.exponential, math.isfinite, _apply_split
+    windows = _window_rows(window)
+    cells = {0: window}  # per slot its cell, or None; a slot not in it is empty
     events: list[TraceEvent] = []
-    record = events.append
-    t, jumps = 0.0, 0
-    while jumps < jump_cap and len(slots) <= slot_cap:
-        if clock is None:
-            t = len(slots)
+    n, t, jumps, size = 1, 0.0, 0, FIRST_DECISION_BLOCK
+    while jumps < jump_cap and n <= slot_cap:
+        count = np.arange(n, n + size)  # the slot count of each decision
+        stop = int(min(size, slot_cap - n + 1))
+        if rate is None:
+            time = count
         else:
-            rate = clock(len(slots))
-            if not 0.0 < rate < inf:
-                raise DomainError(f"clock rate must be finite and positive, got {rate!r}")
-            t += exponential(1.0 / rate)
-            if t > time_cap:
-                break
-            if not isfinite(t):
-                raise DomainError(f"event time is not finite ({t!r}) at rate {rate!r}")
-        idx, line, far, origin = pick(slots, rng)
-        apply_split(slots, idx, far, origin)
-        jump = far is not None and origin is not None
-        jumps += jump
-        record(TraceEvent(t, idx, line, jump))
-    return events
-
-
-def _uniform_slot(measure: LineMeasureSpec, window: ConvexPolygon) -> Callable:
-    """Mecke selector: one of the n quasi-cells picked uniformly, one window
-    line.  A degenerate split draws the decision (slot and line) again, as
-    the batched stepper does; past MAX_REJECTION_ITERATIONS draws it raises
-    SamplerStall."""
-
-    def pick(slots: list, rng: np.random.Generator) -> tuple:
-        for _ in range(MAX_REJECTION_ITERATIONS):
-            idx = int(rng.integers(len(slots)))
-            line = sample_hitting_line(measure, window, rng)
-            try:
-                parts = _cut(slots[idx], line)
-            except DegenerateSplit:
+            with np.errstate(over="ignore", divide="ignore"):
+                time = t + np.cumsum(rng.standard_exponential(size) / (rate * count))
+            stop = min(stop, int(time.searchsorted(time_cap, "right")))
+            # the rates rise with n: check the last one a decision drew on
+            top = rate * (n + min(stop, size - 1))
+            if not 0.0 < top < math.inf:  # NaN fails too
+                raise DomainError(f"clock rate must be finite and positive, got {top!r}")
+            if stop and not math.isfinite(time[stop - 1]):
+                raise DomainError(f"event time is not finite ({time[stop - 1]!r}) at rate {top!r}")
+        picks = rng.integers(count)[:stop].tolist()
+        rows = windows.take(slice(size))
+        theta, offset = (a[:stop].tolist() for a in sample_lines(measure, rows, rng))
+        jump = [False] * stop
+        for j, pick in enumerate(picks):
+            if cells.get(pick) is None:
                 continue
-            return idx, line, parts.negative_part, parts.positive_part
-        raise SamplerStall("degenerate splits exceeded the iteration budget")
-
-    return pick
+            line = Line(theta[j], offset[j])
+            idx, line, parts = _decide(cells.get, n + j, measure, window, rng, pick, line)
+            picks[j], theta[j], offset[j] = idx, *line
+            far, origin = parts.negative_part, parts.positive_part
+            cells[idx], cells[n + j] = far, origin
+            jump[j] = far is not None and origin is not None
+            jumps += jump[j]
+            if jumps >= jump_cap:
+                stop = j + 1
+                break
+        lines = map(Line, theta[:stop], offset[:stop])
+        events += map(TraceEvent, time[:stop].tolist(), picks[:stop], lines, jump[:stop])
+        if stop < size:
+            break
+        n, t, size = n + size, time[-1], min(2 * size, DECISION_BLOCK)
+    return events
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +323,11 @@ _FAR_ORIGIN = np.array([[1], [2]])  # the cut of event e makes cells 2e + 1 and 
 # floats (Cowan's clocks cut some cells down to diameters near 1e-15, where no
 # line splits them within the EPS_GEOM tolerances): it stays whole for good.
 MAX_CELL_LINES = 10_000
+# A Cowan horizon aims at no more cuts than this many per alive cell.  k cells
+# of rate W make k * expm1(W * d) cuts in a time d on average, a count that
+# spreads widely while k is small, so a run aims short of the cuts it still
+# needs until k is large, with horizons that grow the cells about fivefold.
+COWAN_AIM = 4
 
 
 class _Alive(NamedTuple):
@@ -407,7 +453,7 @@ def _run_clocks(
     window: ConvexPolygon,
     measure: LineMeasureSpec,
     rate: Callable,
-    mean_time: Callable,
+    aim: Callable,
     rng: np.random.Generator,
     *,
     max_time: float | None = None,
@@ -420,27 +466,33 @@ def _run_clocks(
     make that die before it too, one generation at a time; cells past the
     horizon keep the death times they drew, and every cut before it is made.
     With `max_time` only, the horizon is `max_time`.  With N, it is the
-    smaller of `mean_time(n)`, the time by which n cuts are expected (n = N,
-    doubled each time the run is still short), and the r-th smallest pending
-    death time, r the cuts still needed, which finishes the run; but never
-    before the first pending death, so a 1-jump run is one generation.  The
-    first N cuts are then exact.  A horizon that is not finite raises
-    DomainError, and a run short of N cuts with no cell left that a line
-    splits (`_Clocks.cut`) raises SamplerStall."""
+    smaller of `aim(n, start, k, r)`, a time the model expects to reach with
+    r cuts still needed and k cells alive at `start` (the last horizon; n is
+    N, doubled each time the run is still short), and the r-th smallest
+    pending death time, which finishes the run; but never before the first
+    pending death, so a 1-jump run is one generation.  The first N cuts are
+    then exact.  A horizon that is not finite raises DomainError, and a run
+    short of N cuts with no cell left that a line splits (`_Clocks.cut`)
+    raises SamplerStall."""
     time_cap, jump_cap = _caps(max_time, max_jumps)
     clocks = _Clocks(measure, rate, rng)
-    later = [clocks.born(Polys.of([window]), np.zeros(1), np.zeros(1, dtype=np.int64))]
+    later = [clocks.born(_window_rows(window).take(slice(1)), np.zeros(1), np.zeros(1, dtype=np.int64))]
     horizon, expect = -math.inf, jump_cap
     while clocks.made < jump_cap and horizon < time_cap:
         alive = _Alive.stack(later)
-        if not alive.ids.size:
+        k = alive.ids.size
+        if not k:
             raise SamplerStall("no cell is left that a line splits")
-        horizon = time_cap
+        start, horizon = max(horizon, 0.0), time_cap
         if jump_cap < math.inf:
             needed = jump_cap - clocks.made
-            if alive.death.size >= needed:
-                horizon = min(horizon, float(np.partition(alive.death, needed - 1)[needed - 1]))
-            horizon = min(horizon, max(mean_time(expect), float(alive.death.min())))
+            if k == 1:  # one pending death: nothing to search
+                first = float(alive.death[0])
+                last = first if needed == 1 else math.inf
+            else:
+                first = float(alive.death.min())
+                last = float(np.partition(alive.death, needed - 1)[needed - 1]) if k >= needed else math.inf
+            horizon = min(horizon, last, max(aim(expect, start, k, needed), first))
             expect *= 2
         if not math.isfinite(horizon):
             raise DomainError(f"event time is not finite ({horizon!r})")
@@ -507,7 +559,7 @@ def stit_simulate(
         _check_expected_work(math.log1p(jumps), "MAX_EXPECTED_DECISIONS", what)
     events = _run_clocks(
         window, measure, functools.partial(hitting_weights, measure),
-        functools.partial(_stit_mean_time, window, measure), rng,
+        lambda expect, *_: _stit_mean_time(window, measure, expect), rng,
         max_time=max_time, max_jumps=max_jumps,
     )
     return ProcessTrace(window, measure, tuple(events), ModelTag.STIT, seed)
@@ -526,15 +578,21 @@ def cowan_el_simulate(
     rate = W(window) (`_run_clocks`), so k cells wait Exp(k * rate) for a uniform pick.
 
     Every event is a jump; without `max_jumps`, a `max_time` at which the
-    clock expects more than MAX_EXPECTED_DECISIONS events is refused.
+    clock expects more than MAX_EXPECTED_DECISIONS events is refused.  With
+    it, each horizon is sized from the cells alive (`COWAN_AIM`).
     """
     rate = hitting_measure(measure, window)
     if max_jumps is None and max_time is not None:
         rate_t = rate * max_time
         _check_expected_work(rate_t, "MAX_EXPECTED_DECISIONS", f"rate * t = {rate_t:.6g}")
+
+    def aim(expect: float, start: float, alive: int, needed: float) -> float:
+        """The time by which `alive` cells expect min(needed, COWAN_AIM * alive) cuts after `start`."""
+        return start + math.log1p(min(needed, COWAN_AIM * alive) / alive) / rate
+
     events = _run_clocks(
-        window, measure, lambda polys: np.full(len(polys), rate),
-        lambda jumps: math.log1p(jumps) / rate, rng, max_time=max_time, max_jumps=max_jumps,
+        window, measure, lambda polys: np.full(len(polys), rate), aim, rng,
+        max_time=max_time, max_jumps=max_jumps,
     )
     return ProcessTrace(window, measure, tuple(events), ModelTag.COWAN_EL, seed)
 
@@ -551,9 +609,13 @@ def mecke_discrete_step(
 ) -> tuple[QuasiCellState, TraceEvent]:
     """One decision: uniform quasi-cell choice, one window-hitting line."""
     slots = list(state.quasi_cells)
-    (event,) = _grow(slots, _uniform_slot(measure, window), None, rng, max_decisions=len(slots))
-    state = QuasiCellState(tuple(slots), state.decision_count + 1, state.jump_count + event.jump)
-    return state, event
+    n = len(slots)
+    idx, line, parts = _decide(slots.__getitem__, n, measure, window, rng)
+    far, origin = parts.negative_part, parts.positive_part
+    _apply_split(slots, idx, far, origin)
+    jump = far is not None and origin is not None
+    state = QuasiCellState(tuple(slots), state.decision_count + 1, state.jump_count + jump)
+    return state, TraceEvent(n, idx, line, jump)
 
 
 def mecke_discrete_simulate(
@@ -565,11 +627,19 @@ def mecke_discrete_simulate(
     max_jumps: int | None = None,
     seed: int | None = None,
 ) -> ProcessTrace:
-    """Run decisions until the stop rule; events carry 1-based decision indices."""
-    events = _grow(
-        [window], _uniform_slot(measure, window), None, rng,
-        max_decisions=max_decisions, max_jumps=max_jumps,
-    )
+    """Run decisions (`_mecke_run`) until the stop rule; events carry 1-based
+    decision indices.
+
+    Without `max_decisions`, a `max_jumps` = N that expects more than
+    MAX_EXPECTED_DECISIONS decisions is refused with DomainError: by the
+    equivalence with STIT, N jumps come at about t_N = `_stit_mean_time(N)`
+    of the equally-likely clock, which has made expm1(W(window) * t_N)
+    decisions by then."""
+    if max_decisions is None and max_jumps is not None and max_jumps > 0:
+        rate_t = hitting_measure(measure, window) * _stit_mean_time(window, measure, max_jumps)
+        what = f"{max_jumps} jumps, due near rate * t = {rate_t:.6g},"
+        _check_expected_work(rate_t, "MAX_EXPECTED_DECISIONS", what)
+    events = _mecke_run(window, measure, rng, max_decisions=max_decisions, max_jumps=max_jumps)
     return ProcessTrace(window, measure, tuple(events), ModelTag.MECKE_DISCRETE, seed)
 
 
@@ -593,9 +663,7 @@ def mecke_continuous_simulate(
     if max_time is not None:
         rate_t = rate * max_time
         _check_expected_work(rate_t, "MAX_EXPECTED_DECISIONS", f"rate * t = {rate_t:.6g}")
-    events = _grow(
-        [window], _uniform_slot(measure, window), Clock(rate), rng, max_time=max_time
-    )
+    events = _mecke_run(window, measure, rng, rate, max_time=max_time)
     return ProcessTrace(window, measure, tuple(events), ModelTag.MECKE_CONTINUOUS, seed)
 
 

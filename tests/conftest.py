@@ -43,3 +43,24 @@ def horizontal_line_at(y: float):
     from stitlab.geometry import Line
 
     return Line(0.0, y)
+
+
+def scalar_mecke(window, measure, rng, *, rate=None, max_time=None, max_jumps=None, max_decisions=None):
+    """The Mecke process one decision at a time, kept as the oracle of the
+    block engine in `processes`: each decision is a `mecke_discrete_step`
+    (a uniform slot, then a window line).  With `rate`, decision n comes after
+    an Exp(n * rate) wait, drawn before it, and the events carry the times."""
+    from stitlab.processes import initial_quasi_state, mecke_discrete_step
+
+    time_cap = math.inf if max_time is None else max_time
+    jump_cap = math.inf if max_jumps is None else max_jumps
+    slot_cap = math.inf if max_decisions is None else max_decisions
+    state, t, events = initial_quasi_state(window), 0.0, []
+    while state.jump_count < jump_cap and state.decision_count < slot_cap:
+        if rate is not None:
+            t += rng.exponential(1.0 / (rate * (state.decision_count + 1)))
+            if t > time_cap:
+                break
+        state, event = mecke_discrete_step(state, measure, window, rng)
+        events.append(event if rate is None else event._replace(time=t))
+    return events

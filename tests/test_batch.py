@@ -15,10 +15,11 @@ from stitlab import batch
 from stitlab.errors import DegenerateSplit, DomainError
 from stitlab.geometry import ConvexPolygon, Line, split
 from stitlab.line_measure import DirectionMixture, IsotropicMeasure, hitting_measure
-from stitlab.processes import Clock, _grow, _uniform_slot, stit_mean_jumps, stit_simulate
+from stitlab.batch import Clock
+from stitlab.processes import stit_mean_jumps, stit_simulate
 from stitlab.stats import chi_square_gof, counts_from_values, ks_test, two_sample_chi_square
 
-from conftest import random_convex_polygon
+from conftest import random_convex_polygon, scalar_mecke
 from test_geometry import polygons_and_lines
 
 ISO = IsotropicMeasure(1.0)
@@ -239,9 +240,8 @@ def _scalar_counts(window, measure, seed: int, replicas: int, mecke: bool) -> li
     counts = np.empty((replicas, len(GRID)), dtype=np.int64)
     for r in range(replicas):
         if mecke:
-            events = _grow([window], _uniform_slot(measure, window),
-                           Clock(hitting_measure(measure, window)), rng,
-                           max_time=GRID[-1])
+            events = scalar_mecke(window, measure, rng, rate=hitting_measure(measure, window),
+                                  max_time=GRID[-1])
             times = [e.time for e in events if e.jump]
         else:
             times = [e.time for e in stit_simulate(window, measure, rng, max_time=GRID[-1]).events]

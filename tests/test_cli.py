@@ -606,6 +606,7 @@ class TestUsageErrors:
             ["simulate", "--model", "mecke-continuous", "--t", "-1"],
             ["simulate", "--model", "mecke-continuous", "--t", "5"],
             ["simulate", "--model", "cowan-el", "--t", "5"],
+            ["simulate", "--model", "mecke-discrete", "--jumps", "300"],
             ["verify", "--suite", "equivalence", "--t-grid", "10", "--replicas", "20"],
             ["verify", "--suite", "equivalence", "--t-grid", "3", "--replicas", "20"],
             ["table", "stit-cdf", "--L", "1,abc"],

@@ -35,10 +35,10 @@ from stitlab.processes import (
     stit_mean_jumps,
     stit_simulate,
 )
-from stitlab.stats import chi_square_gof, counts_from_values, ks_test
+from stitlab.stats import chi_square_gof, counts_from_values, ks_test, two_sample_chi_square
 from stitlab.trace_io import trace_to_lines
 
-from conftest import vertical_line_at
+from conftest import scalar_mecke, vertical_line_at
 
 ISO = IsotropicMeasure(1.0)
 
@@ -321,6 +321,17 @@ class TestMeckeDiscreteSimulate:
         assert trace.jump_count == 5
         assert trace.events[-1].jump
 
+    def test_refuses_jumps_it_cannot_reach(self, unit_square):
+        # 300 jumps come near t = 9.2 of the equally-likely clock, after about
+        # e^36 decisions: refused, no draw made; a decision cap bounds the run
+        rng = np.random.default_rng(24)
+        with pytest.raises(DomainError, match="MAX_EXPECTED_DECISIONS"):
+            mecke_discrete_simulate(unit_square, ISO, rng, max_jumps=300)
+        assert rng.random() == np.random.default_rng(24).random()
+        assert mecke_discrete_simulate(unit_square, ISO, rng, max_jumps=3).jump_count == 3
+        trace = mecke_discrete_simulate(unit_square, ISO, rng, max_jumps=300, max_decisions=50)
+        assert len(trace.events) == 50
+
     def test_first_jump_at_decision_one(self, unit_square):
         rng = np.random.default_rng(11)
         for _ in range(300):
@@ -421,6 +432,87 @@ class TestMeckeContinuous:
         assert trace.jump_count == 7
 
 
+# ---------------------------------------------------------------------------
+# the block engine against the scalar oracle (`conftest.scalar_mecke`), in
+# law, and a control whose picks never reach the newest slot; seeds 2201-2205
+# were fixed before any result was seen
+
+
+class _PicksOneShort:
+    """A generator whose picks range over n - 1 of the n slots (at least 1),
+    so the newest quasi-cell is never picked; every other draw is the real one."""
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.rng = rng
+
+    def integers(self, high):
+        return self.rng.integers(np.maximum(np.asarray(high) - 1, 1))
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def _jump_count_p(window, decisions: int, seed: int, runs: int, oracle_runs: int, rng_of=None) -> float:
+    """Two-sample chi-square p-value of the jump count after `decisions`
+    decisions: `mecke_discrete_simulate` against the scalar oracle."""
+    rng = np.random.default_rng(seed)
+    block_rng = rng if rng_of is None else rng_of(rng)
+    block = counts_from_values(
+        mecke_discrete_simulate(window, ISO, block_rng, max_decisions=decisions).jump_count
+        for _ in range(runs)
+    )
+    oracle = counts_from_values(
+        sum(e.jump for e in scalar_mecke(window, ISO, rng, max_decisions=decisions))
+        for _ in range(oracle_runs)
+    )
+    return two_sample_chi_square(block, oracle)[1]
+
+
+@pytest.mark.parametrize(
+    "decisions, seed, runs, oracle_runs", [(2, 2201, 3000, 1500), (40, 2202, 1500, 600)]
+)
+def test_block_jump_count_matches_the_oracle(decisions, seed, runs, oracle_runs, unit_square):
+    assert _jump_count_p(unit_square, decisions, seed, runs, oracle_runs) > 1e-3
+
+
+def test_block_l_sequence_matches_the_oracle(unit_square):
+    from scipy.stats import ks_2samp
+
+    rng = np.random.default_rng(2203)
+
+    def values(events):
+        trace = ProcessTrace(unit_square, ISO, tuple(events), ModelTag.MECKE_DISCRETE)
+        return l_sequence(trace).values
+
+    block = np.array([values(mecke_discrete_simulate(unit_square, ISO, rng, max_jumps=3).events)
+                      for _ in range(800)])
+    oracle = np.array([values(scalar_mecke(unit_square, ISO, rng, max_jumps=3)) for _ in range(400)])
+    for k in (1, 2, 3):
+        assert ks_2samp(block[:, k], oracle[:, k]).pvalue > 1e-3, k
+
+
+def test_block_continuous_counts_match_the_oracle(unit_square):
+    # at rate * t = 2.5: the decision count is Geometric(e^-2.5) on {0, 1, ...},
+    # and the jump count has the oracle's law
+    rate = hitting_measure(ISO, unit_square)
+    t = 2.5 / rate
+    rng = np.random.default_rng(2204)
+    traces = [mecke_continuous_simulate(unit_square, ISO, rng, max_time=t) for _ in range(2000)]
+    decisions = counts_from_values(len(trace.events) for trace in traces)
+    assert chi_square_gof(decisions, lambda k: nu_pmf(rate, t, k), support_lo=0)[1] > 1e-3
+    jumps = counts_from_values(trace.jump_count for trace in traces)
+    oracle = counts_from_values(
+        sum(e.jump for e in scalar_mecke(unit_square, ISO, rng, rate=rate, max_time=t))
+        for _ in range(800)
+    )
+    assert two_sample_chi_square(jumps, oracle)[1] > 1e-3
+
+
+def test_picks_over_one_slot_too_few_fail(unit_square):
+    # at n = 2 the control always picks slot 0, the far part of the first cut
+    assert _jump_count_p(unit_square, 2, 2205, 3000, 1500, rng_of=_PicksOneShort) < 1e-3
+
+
 def _polygons(polys):
     return [ConvexPolygon(v[:k]) for v, k in zip(polys.verts.tolist(), polys.nv.tolist())]
 
@@ -499,7 +591,9 @@ class TestReplicaRng:
 # order, a different selector) changes every pinned-seed result downstream,
 # so it must update this table on purpose and be checked over many seeds.
 # The STIT and Cowan entries were re-recorded when those models moved to
-# per-cell clocks (the law tests above and a sweep over fresh seeds).
+# per-cell clocks (the law tests above and a sweep over fresh seeds); the
+# Mecke entries when those models moved to block draws, and Cowan's jump-capped
+# entries when its horizons came to be sized from the alive cells.
 GOLDEN_SEEDS = (0, 1, 2)
 GOLDEN_WINDOWS = {
     "unit-square": ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))),
@@ -515,13 +609,13 @@ GOLDEN_TRACES = {
     ("stit", "max_jumps", 2000, "unit-square", "iso"):
         "ffa4506fea7fae61ed9dd6a6b4c7467efe327701465c730991713e08d777fd34",
     ("cowan-el", "max_jumps", 25, "triangle", "dirs"):
-        "860251277b4c881935fe25b62564e583e38fb5b0cb96f16b4ad403494594641e",
+        "f6ebc795b9878fe0e8c29c2b6670c2aafa04b0ff5f5a8428437fcbbdc2cce114",
     ("cowan-el", "max_jumps", 25, "triangle", "iso"):
-        "d90e6aa13c910348f9d3a718c07d47087f71103af44e1582cc4ac9b8f34f987f",
+        "8bad4c887e7a4d9e85b5b49556ee7cc93abbf7f9f018cf62e8f78754068117ef",
     ("cowan-el", "max_jumps", 25, "unit-square", "dirs"):
-        "3fc34b80b7e8658c85ffb1b02d6c36a01b80255121aa199ccf1404153fd666ff",
+        "f5c0a6e9ca89bd8552f0b1221d63551cb9104a439810ed9957375c2b17878992",
     ("cowan-el", "max_jumps", 25, "unit-square", "iso"):
-        "357be1fc19ce2212b16889403ff2207e892d5c8072297bdd29068b2d7905fb2c",
+        "c6ce00623376504365f8aa4bc072720a3bfe360a61ee2b86b97f262b17fe2ba0",
     ("cowan-el", "max_time", 1.0, "triangle", "dirs"):
         "5551fda384c34f58ce1366618cf1ac7f093e1d1b2ec78ab74ec58e58aabb27e2",
     ("cowan-el", "max_time", 1.0, "triangle", "iso"):
@@ -531,29 +625,29 @@ GOLDEN_TRACES = {
     ("cowan-el", "max_time", 1.0, "unit-square", "iso"):
         "cd6b7888c8dd7d6a2c9bfdf72a9c2d4d2804a9b84e618a002d2179a8bfdf02e1",
     ("mecke-continuous", "max_time", 0.8, "triangle", "dirs"):
-        "a2bf2fb23d73b3ff2215dc75f7eaef2627c89dfd2975dffc9d76e9f204d07ae9",
+        "1136226529be97e942cec117f362cf250e10721f918283bc6a6f3bc79fb1b591",
     ("mecke-continuous", "max_time", 0.8, "triangle", "iso"):
-        "415e043dc30100570ac3fbb9e2d3bd59b4a6f71661086f45d82471d71a7e5a3e",
+        "b17283000833977d39bd8af3b3ab2819ac60494ccc0a7c0ba30bf1aa4c434c8e",
     ("mecke-continuous", "max_time", 0.8, "unit-square", "dirs"):
-        "5e83f65486f45c412ab550ba9b74d086244b8dbbcba5b1a5f72dae7ecfa233df",
+        "a594b3d40c7e9fa85c54d7c97b0ffd74dbd4fbc6517672a6178eb0b0e33e4897",
     ("mecke-continuous", "max_time", 0.8, "unit-square", "iso"):
-        "e9e654b61782c1d99eee05b350d4c7fcedabe418d240e66ea564627773117811",
+        "807d1bf58b83de80c855ff8f8f42d08e3bf9e153dc36a951f773cfd913fd384c",
     ("mecke-discrete", "max_decisions", 60, "triangle", "dirs"):
-        "66bcd9b43213be78a96fb2f22651e5690cf66f639e88901f780ca5a13e17d550",
+        "337e9a729cddc597db3795e8b18122ea86315d7fbe44113d1126e400c15ff012",
     ("mecke-discrete", "max_decisions", 60, "triangle", "iso"):
-        "4c71ebed2a213cd633859d2ac7b521297f8cc7889093242180f6c2f78fdbc82e",
+        "9b4e34083406e0410ab3137735d86cd46c925938fe9caecdf742b56d723fdfa8",
     ("mecke-discrete", "max_decisions", 60, "unit-square", "dirs"):
-        "8708defc45e1680afd64594f40e754af3c1b3618fca366b8364e54e364f415dd",
+        "a80af6c539e7f2b6e32199f7b9ae273e725260a20112111c3cfe6bd8581aa86b",
     ("mecke-discrete", "max_decisions", 60, "unit-square", "iso"):
-        "20436177e263345f37e57708eca4b50e48014ace148ed5fc722ea03238368164",
+        "ed74a9609ce53231b926d2772850efd7f9b90eb5a3647d792b9ae4a948db37ef",
     ("mecke-discrete", "max_jumps", 8, "triangle", "dirs"):
-        "757134cc265e53932d958575484a581aacabd2233b42f0d6934fa4f1f7930c9e",
+        "f5ac5ef7d26119fa9026e7082f23c5206b827485c12318d90a44d1e490834673",
     ("mecke-discrete", "max_jumps", 8, "triangle", "iso"):
-        "b83c468061470eff294b7a03d3c2030d50ca4bd7d1e59e29466d1bc66cc4715f",
+        "4a4d3b20a0d1355b14940ee2f7fc5f0d288acc2db968665cdfa62af9cba8b655",
     ("mecke-discrete", "max_jumps", 8, "unit-square", "dirs"):
-        "b61c6a276b954bc40da5114d60fc8884137818160f6bf8c0d19138d28f115276",
+        "f05b7adce21667071e6a240d5e1c2ee70df9143036b58b4ebc57e236a793787c",
     ("mecke-discrete", "max_jumps", 8, "unit-square", "iso"):
-        "1cabd87138f2f970ca40db745433c27332a160a8216bef6c0aa2263f82c6fac6",
+        "698f8341e2ee4b8ed651c1b9e746988f9691c7fbd6bde68b3f9fc1000a397d47",
     ("stit", "max_jumps", 25, "triangle", "dirs"):
         "969109fecf7ab67e9c536978e07b190cb1e53a02923efd8e92bec19af5811270",
     ("stit", "max_jumps", 25, "triangle", "iso"):
@@ -593,3 +687,47 @@ def test_golden_trace_digests(case):
         )
         h.update("\n".join(trace_to_lines(trace)).encode())
     assert h.hexdigest() == GOLDEN_TRACES[case]
+
+
+# The scalar oracle's digests, computed as GOLDEN_TRACES computes them: they
+# are the Mecke entries that table held before the block engine, so the oracle
+# draws the stream of the former one-decision-at-a-time engine.
+SCALAR_ORACLE_TRACES = {
+    ("mecke-continuous", "max_time", 0.8, "triangle", "dirs"):
+        "a2bf2fb23d73b3ff2215dc75f7eaef2627c89dfd2975dffc9d76e9f204d07ae9",
+    ("mecke-continuous", "max_time", 0.8, "triangle", "iso"):
+        "415e043dc30100570ac3fbb9e2d3bd59b4a6f71661086f45d82471d71a7e5a3e",
+    ("mecke-continuous", "max_time", 0.8, "unit-square", "dirs"):
+        "5e83f65486f45c412ab550ba9b74d086244b8dbbcba5b1a5f72dae7ecfa233df",
+    ("mecke-continuous", "max_time", 0.8, "unit-square", "iso"):
+        "e9e654b61782c1d99eee05b350d4c7fcedabe418d240e66ea564627773117811",
+    ("mecke-discrete", "max_decisions", 60, "triangle", "dirs"):
+        "66bcd9b43213be78a96fb2f22651e5690cf66f639e88901f780ca5a13e17d550",
+    ("mecke-discrete", "max_decisions", 60, "triangle", "iso"):
+        "4c71ebed2a213cd633859d2ac7b521297f8cc7889093242180f6c2f78fdbc82e",
+    ("mecke-discrete", "max_decisions", 60, "unit-square", "dirs"):
+        "8708defc45e1680afd64594f40e754af3c1b3618fca366b8364e54e364f415dd",
+    ("mecke-discrete", "max_decisions", 60, "unit-square", "iso"):
+        "20436177e263345f37e57708eca4b50e48014ace148ed5fc722ea03238368164",
+    ("mecke-discrete", "max_jumps", 8, "triangle", "dirs"):
+        "757134cc265e53932d958575484a581aacabd2233b42f0d6934fa4f1f7930c9e",
+    ("mecke-discrete", "max_jumps", 8, "triangle", "iso"):
+        "b83c468061470eff294b7a03d3c2030d50ca4bd7d1e59e29466d1bc66cc4715f",
+    ("mecke-discrete", "max_jumps", 8, "unit-square", "dirs"):
+        "b61c6a276b954bc40da5114d60fc8884137818160f6bf8c0d19138d28f115276",
+    ("mecke-discrete", "max_jumps", 8, "unit-square", "iso"):
+        "1cabd87138f2f970ca40db745433c27332a160a8216bef6c0aa2263f82c6fac6",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCALAR_ORACLE_TRACES), ids=lambda c: "-".join(map(str, c)))
+def test_scalar_oracle_is_the_former_engine(case):
+    model, stop, value, window, measure = case
+    window, measure = GOLDEN_WINDOWS[window], GOLDEN_MEASURES[measure]
+    rate = hitting_measure(measure, window) if model == "mecke-continuous" else None
+    tag = ModelTag.MECKE_CONTINUOUS if rate else ModelTag.MECKE_DISCRETE
+    h = hashlib.sha256()
+    for seed in GOLDEN_SEEDS:
+        events = scalar_mecke(window, measure, np.random.default_rng(seed), rate=rate, **{stop: value})
+        h.update("\n".join(trace_to_lines(ProcessTrace(window, measure, tuple(events), tag, seed))).encode())
+    assert h.hexdigest() == SCALAR_ORACLE_TRACES[case]

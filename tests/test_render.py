@@ -19,7 +19,8 @@ MEASURES = {
 # (model, stop rule, stop value, measure, `at`).  Recorded before `render`
 # took its chords from the replayed splits instead of calling `chord` again;
 # any change to the picture's bytes has to update this table on purpose.  The
-# STIT entries were re-recorded when STIT moved to per-cell clocks.
+# STIT entries were re-recorded when STIT moved to per-cell clocks, the Mecke
+# entries when the Mecke models moved to block draws.
 GOLDEN_SVGS = {
     ("stit", "max_jumps", 2000, "iso", None):
         "ec748a5d08200399176012c1779a98b49b3dfe0cd8084949dcc30e66b89a9897",
@@ -28,9 +29,9 @@ GOLDEN_SVGS = {
     ("stit", "max_jumps", 2000, "iso", 16.0):
         "feaf68099172f3ed8acc28d952541148a6d9d4901d806f6ec413fcb6464aba30",
     ("mecke-discrete", "max_decisions", 400, "iso", None):
-        "b8a31de24e1d0a7230f26a246006d6d79a4170d1fb1f714f475fa1aa8b1d6329",
+        "c1837feb9409b1e8c52fd0fc5410c28f2fc747c30e6df61f780fcb0eb4a68894",
     ("mecke-discrete", "max_decisions", 400, "dirs", 250):
-        "66f283c70bbbe363879829625c121ea67d331cbae1f39e9700a70d641c71fd03",
+        "0b552ee12e2498ddae887ecb3290fa866d5e2a231f7930f67747ce21ab928e44",
 }
 
 
