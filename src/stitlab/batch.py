@@ -1,7 +1,6 @@
 """Batched geometry: a struct-of-arrays cell store, the split kernel that
-the STIT and Cowan simulators, `processes.replay` and the lockstep
-simulators of the unconditional equivalence check share, and the event
-clocks (`Clock`).
+the STIT and Cowan simulators, `processes.replay` and the lockstep Mecke
+stepper share, and the event clocks (`Clock`).
 
 A batch of convex polygons is a `Polys`: padded vertices of shape
 (cells, vmax, 2) with a vertex count per cell, where a cell with fewer than
@@ -19,20 +18,16 @@ squares where the scalar code calls `math.hypot` and `math.dist`, so a
 perimeter or diameter can differ from the scalar one in its last bit and an
 area by a few ulps.  `split_cells` builds both sides of all cuts in one pass.
 
-The simulators advance blocks of up to BLOCK replicas of one process in
-lockstep, one event per live replica per step, and return how many replicas
-show each cell count at each grid time:
-
-* `stit_cell_counts`: STIT.  The clock rate is the replica's total cell
-  weight; a cell is picked in proportion to its weight and cut by a line
-  from its own hitting distribution, both redrawn until the line splits it.
-* `mecke_cell_counts`: the stepper of `processes.mecke_discrete_step` under
-  a `Clock` of the number n of quasi-cells.  Empty slots are not
-  stored: a wait draws at once the run of decisions that pick an empty slot
-  before the next cell pick (`skip`) and the clock's time over them
-  (`Clock.span`), and the event cuts a cell picked uniformly by one window line.
-
-Memory is bounded by the block, not by the replica count.
+The unconditional equivalence check counts the cells of its replicas in
+blocks of at most BLOCK, so its memory is bounded by the block, not by the
+replica count; `cell_count_histograms` bins both sides.  STIT's side is its
+one engine, the per-cell clocks (`processes.stit_cell_counts`).  The Mecke
+side is `mecke_cell_counts`: the stepper of `processes.mecke_discrete_step`
+under a `Clock` of the number n of quasi-cells, in lockstep, one event per
+live replica per step.  Empty slots are not stored: a wait draws at once the
+run of decisions that pick an empty slot before the next cell pick (`skip`)
+and the clock's time over them (`Clock.span`), and the event cuts a cell
+picked uniformly by one window line.
 """
 
 from __future__ import annotations
@@ -48,7 +43,7 @@ from .errors import DomainError, SamplerStall
 from .geometry import EPS_GEOM, ConvexPolygon, _dedupe_ring
 from .line_measure import MAX_REJECTION_ITERATIONS, IsotropicMeasure, LineMeasureSpec
 
-BLOCK = 2048  # replicas advanced together
+BLOCK = 2048  # replicas run together
 
 _AHEAD_BACK = np.array([1.0, -1.0])[:, None, None]  # positions along a line, and back along it
 
@@ -315,62 +310,22 @@ def split_cells(polys: Polys, theta: np.ndarray, offset: np.ndarray) -> BatchSpl
 
 
 # ---------------------------------------------------------------------------
-# the lockstep simulators
+# cell-count histograms, and the lockstep Mecke stepper
 
 
-class _Replicas:
-    """The cells of one block of replicas: a growing store of cells (rows of a
-    `Polys`, each with its hitting weight) and, per replica, the store rows of
-    its cells in order (the first `count` columns of its row of `members`)."""
-
-    def __init__(self, measure: LineMeasureSpec, window: Polys, size: int) -> None:
-        self.measure = measure
-        capacity = 8 * size
-        self.cells = window.take(np.zeros(capacity, dtype=np.int64))
-        self.weight = np.full(capacity, hitting_weights(measure, window)[0])
-        self.used = size
-        self.members = np.arange(size)[:, None]
-        self.count = np.ones(size, dtype=np.int64)
-
-    def weights(self, reps: np.ndarray) -> np.ndarray:
-        """(len(reps), cells): the weights of each replica's cells, 0 past its count."""
-        cols = np.arange(self.members.shape[1])
-        return np.where(cols < self.count[reps, None], self.weight[self.members[reps]], 0.0)
-
-    def picked(self, rows: np.ndarray) -> Polys:
-        """The store rows `rows`, in only as many vertex columns as the widest of them has."""
-        nv = self.cells.nv[rows]
-        return Polys(self.cells.verts[rows, : nv.max()], nv, *(a[rows] for a in self.cells.arrays()[2:]))
-
-    def apply(self, reps: np.ndarray, rows: np.ndarray, res: BatchSplit) -> None:
-        """Where res.status is CUT, row rows[i] of replica reps[i] keeps the far
-        part and the origin part is appended as the replica's next cell; both
-        parts go in at once, one write per field and one `hitting_weights` call."""
-        cut = res.status == CUT
-        if not cut.any():
-            return
-        reps, rows = reps[cut], rows[cut]
-        parts = res.parts
-        width = parts.verts.shape[1]
-        if width > self.cells.verts.shape[1]:
-            self.cells = self.cells.widened(max(width, 2 * self.cells.verts.shape[1]))
-        end = self.used + reps.size
-        if end > len(self.weight):
-            grow = np.zeros(end, dtype=np.int64)  # at least twice the rows needed, copies of row 0
-            self.cells = self.cells.take(np.concatenate([np.arange(self.used), grow]))
-            self.weight = np.resize(self.weight, len(self.cells))
-        new = np.arange(self.used, end)
-        target = np.concatenate([rows, new])
-        verts = self.cells.verts
-        verts[target, :width], verts[target, width:] = parts.verts, parts.verts[:, -1:]
-        for store, part in zip(self.cells.arrays()[1:], parts.arrays()[1:]):
-            store[target] = part
-        self.weight[target] = hitting_weights(self.measure, parts)
-        self.used = end
-        if self.count[reps].max() >= self.members.shape[1]:
-            self.members = np.pad(self.members, ((0, 0), (0, self.members.shape[1])))
-        self.members[reps, self.count[reps]] = new
-        self.count[reps] += 1
+def cell_count_histograms(run: Callable[[int], np.ndarray], replicas: int, grid_size: int) -> np.ndarray:
+    """hist[j, c]: how many of `replicas` runs show c cells at grid time j.
+    `run(size)` makes the next `size` runs, at most BLOCK of them, and gives
+    their cell counts, one row per run and one column per grid time."""
+    hist = np.zeros((grid_size, 2), dtype=np.int64)
+    for first in range(0, replicas, BLOCK):
+        seen = run(min(BLOCK, replicas - first))
+        top = int(seen.max()) + 1
+        if top > hist.shape[1]:
+            hist = np.pad(hist, ((0, 0), (0, top - hist.shape[1])))
+        for j in range(grid_size):
+            hist[j, :top] += np.bincount(seen[:, j], minlength=top)
+    return hist
 
 
 def skip(n: np.ndarray, k: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -385,39 +340,55 @@ def skip(n: np.ndarray, k: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return np.minimum(np.minimum(v, 2.0**62).astype(np.int64), np.iinfo(np.int64).max - n)
 
 
-class _Stit(_Replicas):
-    """STIT: the clock rate is the replica's total cell weight."""
+class _Mecke:
+    """A block of replicas of the Mecke stepper: a wait ends at the next
+    decision that picks a cell, and the event cuts a cell picked uniformly by
+    one window line.  The cells are rows of a growing store (a `Polys`);
+    per replica, the store rows of its cells in order are the first `count`
+    columns of its row of `members`, and `slots` counts its quasi-cells,
+    empty ones included."""
 
-    def wait(self, reps: np.ndarray, t: np.ndarray, rng) -> np.ndarray:
-        total = self.weights(reps).sum(axis=1)
-        if not np.all((0.0 < total) & (total < math.inf)):
-            raise DomainError("clock rate must be finite and positive")
-        return t + rng.exponential(size=reps.shape) / total
-
-    def event(self, reps: np.ndarray, rng: np.random.Generator) -> None:
-        for _ in range(MAX_REJECTION_ITERATIONS):
-            if not reps.size:
-                return
-            cum = np.cumsum(self.weights(reps), axis=1)
-            u = cum[:, -1] * rng.random(reps.size)
-            j = np.minimum((cum <= u[:, None]).sum(axis=1), self.count[reps] - 1)
-            rows = self.members[reps, j]
-            cells = self.picked(rows)
-            res = split_cells(cells, *sample_lines(self.measure, cells, rng))
-            self.apply(reps, rows, res)
-            reps = reps[res.status != CUT]
-        raise SamplerStall("no line split the selected cells within the iteration budget")
-
-
-class _Mecke(_Replicas):
-    """The Mecke stepper: a wait ends at the next decision that picks a cell,
-    and the event cuts a cell picked uniformly by one window line."""
-
-    def __init__(self, measure, window, size, clock: Clock) -> None:
-        super().__init__(measure, window, size)
+    def __init__(self, measure: LineMeasureSpec, window: Polys, size: int, clock: Clock) -> None:
+        self.measure, self.clock = measure, clock
+        self.cells = window.take(np.zeros(8 * size, dtype=np.int64))
         self.windows = window.take(np.zeros(size, dtype=np.int64))
-        self.clock = clock
-        self.slots = np.ones(size, dtype=np.int64)  # quasi-cells, empty ones included
+        self.used = size
+        self.members = np.arange(size)[:, None]
+        self.count = np.ones(size, dtype=np.int64)
+        self.slots = np.ones(size, dtype=np.int64)
+
+    def picked(self, rows: np.ndarray) -> Polys:
+        """The store rows `rows`, in only as many vertex columns as the widest of them has."""
+        nv = self.cells.nv[rows]
+        return Polys(self.cells.verts[rows, : nv.max()], nv, *(a[rows] for a in self.cells.arrays()[2:]))
+
+    def apply(self, reps: np.ndarray, rows: np.ndarray, res: BatchSplit) -> None:
+        """Where res.status is CUT, row rows[i] of replica reps[i] keeps the far
+        part and the origin part is appended as the replica's next cell; both
+        parts go in at once, one write per field."""
+        cut = res.status == CUT
+        if not cut.any():
+            return
+        reps, rows = reps[cut], rows[cut]
+        parts = res.parts
+        width = parts.verts.shape[1]
+        if width > self.cells.verts.shape[1]:
+            self.cells = self.cells.widened(max(width, 2 * self.cells.verts.shape[1]))
+        end = self.used + reps.size
+        if end > len(self.cells):
+            grow = np.zeros(end, dtype=np.int64)  # at least twice the rows needed, copies of row 0
+            self.cells = self.cells.take(np.concatenate([np.arange(self.used), grow]))
+        new = np.arange(self.used, end)
+        target = np.concatenate([rows, new])
+        verts = self.cells.verts
+        verts[target, :width], verts[target, width:] = parts.verts, parts.verts[:, -1:]
+        for store, part in zip(self.cells.arrays()[1:], parts.arrays()[1:]):
+            store[target] = part
+        self.used = end
+        if self.count[reps].max() >= self.members.shape[1]:
+            self.members = np.pad(self.members, ((0, 0), (0, self.members.shape[1])))
+        self.members[reps, self.count[reps]] = new
+        self.count[reps] += 1
 
     def wait(self, reps: np.ndarray, t: np.ndarray, rng) -> np.ndarray:
         n = self.slots[reps]
@@ -441,46 +412,24 @@ class _Mecke(_Replicas):
             reps, slot = reps[slot < self.count[reps]], slot[slot < self.count[reps]]
         raise SamplerStall("degenerate splits exceeded the iteration budget")
 
-
-def _cell_counts(make_block: Callable, grid: Sequence[float], replicas: int, rng) -> np.ndarray:
-    """hist[j, c]: how many of `replicas` runs show c cells at time grid[j].
-
-    Each block of BLOCK replicas steps in lockstep.  A step draws every live
-    replica's wait to its next event, records its cell count at the grid
-    times the wait passes (nothing changes during a wait), retires it past
-    the largest grid time, and runs the events of the rest."""
-    times = np.asarray(grid, dtype=float)
-    t_max = float(times.max())
-    hist = np.zeros((times.size, 2), dtype=np.int64)
-    for first in range(0, replicas, BLOCK):
-        size = min(BLOCK, replicas - first)
-        block = make_block(size)
-        t = np.zeros(size)
-        seen = np.empty((size, times.size), dtype=np.int64)
-        live = np.arange(size)
+    def counts(self, times: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """seen[r, j]: the cell count of replica r at times[j].  A step draws
+        every live replica's wait to its next event, records its cell count at
+        the grid times the wait passes (nothing changes during a wait), retires
+        it past the largest grid time, and runs the events of the rest."""
+        t_max = float(times.max())
+        t = np.zeros(self.count.size)
+        seen = np.empty((t.size, times.size), dtype=np.int64)
+        live = np.arange(t.size)
         while live.size:
-            t_next = block.wait(live, t[live], rng)
+            t_next = self.wait(live, t[live], rng)
             r, j = np.nonzero((t[live, None] <= times) & (t_next[:, None] > times))
-            seen[live[r], j] = block.count[live[r]]
+            seen[live[r], j] = self.count[live[r]]
             t[live] = t_next
             keep = t_next <= t_max
-            block.event(live[keep], rng)
+            self.event(live[keep], rng)
             live = live[keep]
-        top = int(seen.max()) + 1
-        if top > hist.shape[1]:
-            hist = np.pad(hist, ((0, 0), (0, top - hist.shape[1])))
-        for j in range(times.size):
-            hist[j, :top] += np.bincount(seen[:, j], minlength=top)
-    return hist
-
-
-def stit_cell_counts(
-    window: ConvexPolygon, measure: LineMeasureSpec, grid: Sequence[float], replicas: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Cell-count histograms of `replicas` STIT runs at each grid time."""
-    cells = Polys.of([window])
-    return _cell_counts(lambda size: _Stit(measure, cells, size), grid, replicas, rng)
+        return seen
 
 
 def mecke_cell_counts(
@@ -488,10 +437,14 @@ def mecke_cell_counts(
     rng: np.random.Generator, clock: Clock,
 ) -> np.ndarray:
     """Cell-count histograms of `replicas` runs of the Mecke stepper at each
-    grid time; the decision taken with n quasi-cells comes after an
-    Exp(clock(n)) wait.  A rate that is not finite and positive, or a slot
-    count past the int64 range, raises DomainError."""
+    grid time, in lockstep blocks of at most BLOCK replicas; the decision
+    taken with n quasi-cells comes after an Exp(clock(n)) wait.  A rate that
+    is not finite and positive, or a slot count past the int64 range, raises
+    DomainError."""
     if not 0.0 < clock.rate < math.inf:
         raise DomainError("clock rate must be finite and positive")
+    times = np.asarray(grid, dtype=float)
     cells = Polys.of([window])
-    return _cell_counts(lambda size: _Mecke(measure, cells, size, clock), grid, replicas, rng)
+    return cell_count_histograms(
+        lambda size: _Mecke(measure, cells, size, clock).counts(times, rng), replicas, times.size
+    )

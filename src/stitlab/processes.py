@@ -20,14 +20,15 @@ STIT and Cowan run in one generation engine (`_run_clocks`): each cell draws
 its death time when it is born, and the cells that die before a horizon are
 cut generation by generation by `batch.sample_lines` and `batch.split_cells`
 on `batch.Polys` rows.  A line that does not split its cell is drawn again
-for the same cell, so every STIT and Cowan event is a jump.  The Mecke
-models run in one block engine (`_mecke_run`): a block of decisions draws
-its waits (continuous model), its picks and its window lines with one numpy
-call each, and only a pick that lands on a cell is cut by `geometry.split`.
-`mecke_discrete_step` makes one decision with scalar draws, slot then line.
-The lockstep simulators and `stats` drive the Mecke selector by a
-`batch.Clock` of the slot count n; the negative controls in `stats` are two
-more clocks.
+for the same cell, so every STIT and Cowan event is a jump.  The same
+generations count the cells of many STIT windows (`stit_cell_counts`).  The
+Mecke models run in one block engine (`_mecke_run`): a block of decisions
+draws its waits (continuous model), its picks and its window lines with one
+numpy call each, and only a pick that lands on a cell is cut by
+`geometry.split`.  `mecke_discrete_step` makes one decision with scalar
+draws, slot then line.  The lockstep Mecke stepper and `stats` drive the
+Mecke selector by a `batch.Clock` of the slot count n; the negative controls
+in `stats` are two more clocks.
 
 Every simulator takes `(window, measure, rng, *, <stop keywords>, seed=None)`
 and returns a `ProcessTrace`; `replay` rebuilds any state from it.  It cuts
@@ -53,7 +54,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,6 +64,7 @@ from .batch import (
     WHOLE_ORIGIN,
     BatchSplit,
     Polys,
+    cell_count_histograms,
     hitting_weights,
     sample_lines,
     split_cells,
@@ -357,8 +359,9 @@ class _Clocks:
     its own and is then cut by a line from its own hitting distribution.
 
     `rate(polys)` gives each row's clock rate.  `cut` cuts a generation of
-    cells that are due, in pieces of at most WAVE_ROWS rows, and `events`
-    puts the cuts in time order."""
+    cells that are due, in pieces of at most WAVE_ROWS rows, `grow` cuts
+    generation after generation up to a horizon, and `events` puts the cuts
+    in time order."""
 
     def __init__(self, measure: LineMeasureSpec, rate: Callable, rng: np.random.Generator) -> None:
         self.measure, self.rate, self.rng = measure, rate, rng
@@ -381,7 +384,23 @@ class _Clocks:
         e = np.arange(self.made, self.made + t.size)
         self.cuts.append((t, ids, theta, offset))
         self.made += t.size
-        return self.born(parts, np.concatenate([t, t]), (2 * e + _FAR_ORIGIN).ravel())
+        return self.born(parts, np.concatenate([t, t]), self._part_ids(e, ids))
+
+    def _part_ids(self, e: np.ndarray, ids: np.ndarray) -> np.ndarray:  # far parts, then origin parts
+        return (2 * e + _FAR_ORIGIN).ravel()
+
+    def grow(self, alive: _Alive, horizon: float) -> list[_Alive]:
+        """Cut every cell of `alive` that dies by `horizon`, then the cells
+        those cuts make that die by it too, one generation at a time; the
+        cells left, which die after it, in pieces."""
+        later = []
+        while (due := alive.death <= horizon).any():
+            if not due.all():
+                later.append(alive.take(~due))
+                alive = alive.take(due)
+            alive = self.cut(alive)
+        later.append(alive)
+        return later
 
     def cut(self, due: _Alive) -> _Alive:
         """Cut every cell of `due` at its death time; the cells the cuts make,
@@ -496,14 +515,40 @@ def _run_clocks(
             expect *= 2
         if not math.isfinite(horizon):
             raise DomainError(f"event time is not finite ({horizon!r})")
-        later = []
-        while (due := alive.death <= horizon).any():
-            if not due.all():
-                later.append(alive.take(~due))
-                alive = alive.take(due)
-            alive = clocks.cut(alive)
-        later.append(alive)
+        later = clocks.grow(alive, horizon)
     return clocks.events(jump_cap)
+
+
+class _ReplicaClocks(_Clocks):
+    """`_Clocks` over many windows at once: a cell's id is the replica of its
+    window, and both parts of a cut keep the id of the cell cut."""
+
+    def _part_ids(self, e: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        return np.concatenate([ids, ids])
+
+
+def stit_cell_counts(
+    window: ConvexPolygon, measure: LineMeasureSpec, grid: Sequence[float], replicas: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """hist[j, c]: how many of `replicas` STIT runs show c cells at time grid[j].
+
+    Each block of at most `batch.BLOCK` windows is one `_ReplicaClocks` run to
+    the largest grid time; a replica's count at g is 1 plus the cuts of its
+    cells by g.  One replica is `stit_simulate`'s run to that time, draw for
+    draw.  A clock rate that is not finite and positive raises DomainError."""
+    times = np.asarray(grid, dtype=float)
+    rows = Polys.of([window])
+
+    def run(size: int) -> np.ndarray:
+        clocks = _ReplicaClocks(measure, functools.partial(hitting_weights, measure), rng)
+        ids = np.arange(size)
+        clocks.grow(clocks.born(rows.take(np.zeros(size, dtype=np.int64)), np.zeros(size), ids), times.max())
+        # the time and the replica of each cut (zip keeps the first two columns)
+        time, replica = (np.concatenate(c) for c in zip((np.empty(0), ids[:0]), *clocks.cuts))
+        return 1 + np.stack([np.bincount(replica[time <= g], minlength=size) for g in times], axis=1)
+
+    return cell_count_histograms(run, replicas, times.size)
 
 
 def _check_expected_work(rate_t: float, budget: str, what: str, copies: int = 1) -> None:

@@ -6,8 +6,9 @@ unconditional cell-count comparison of the two continuous models, the
 geometric law of the equally-likely clock, the deterministic tail-vs-CDF
 identity, and the selection probabilities of the discrete process.  Each
 check draws from its own child stream of the seed, so every report is
-reproducible from (seed, config).  The unconditional check runs its
-replicas of both processes on the batched geometry of `stitlab.batch`.
+reproducible from (seed, config).  The unconditional check counts STIT's
+cells by its per-cell clocks and the Mecke side's by the lockstep stepper of
+`stitlab.batch`, both in blocks of at most `batch.BLOCK` replicas.
 SciPy is imported only by the three p-values (`ks_test`, `chi_square_gof`,
 `two_sample_chi_square`), at their call, so importing stitlab loads none of it.
 
@@ -24,7 +25,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import batch
+from . import batch, processes
 from .batch import Clock  # the clock of the Cowan and Mecke models
 from .distributions import (
     cowan_sum_cdf,
@@ -394,7 +395,7 @@ def _capped_count_pmfs(lseq: LSequence, times: Sequence[float], tail: Callable) 
     return np.vstack([upper[:-1] - upper[1:], upper[-1:]]).T
 
 
-def _check_conditional(config: EquivalenceConfig) -> VerificationReport:
+def _check_conditional(config: EquivalenceConfig, name: str) -> VerificationReport:
     """Capped jump counts of STIT and of Mecke on each frozen sequence, against
     their pmfs and against each other."""
     laws = (stit_jump_cdf, mecke_jump_tail)
@@ -417,7 +418,7 @@ def _check_conditional(config: EquivalenceConfig) -> VerificationReport:
                 )
                 worst_p = min(worst_p, p)
             worst_p = min(worst_p, two_sample_chi_square(*hists)[1])
-    return _p_report("conditional-jump-counts", worst_p, n_total, config.seed)
+    return _p_report(name, worst_p, n_total, config.seed)
 
 
 def _mecke_clock(config: EquivalenceConfig) -> Clock:
@@ -439,10 +440,10 @@ def _moments(hist: np.ndarray) -> tuple[float, float, int]:
     return mean, float(((values - mean) ** 2) @ hist) / (size - 1), size
 
 
-def _check_unconditional(config: EquivalenceConfig) -> VerificationReport:
+def _check_unconditional(config: EquivalenceConfig, name: str) -> VerificationReport:
     grid = config.time_grid
     rng = replica_rng(config.seed, 3)
-    stit = batch.stit_cell_counts(config.window, config.measure, grid, config.replicas, rng)
+    stit = processes.stit_cell_counts(config.window, config.measure, grid, config.replicas, rng)
     mecke = batch.mecke_cell_counts(
         config.window, config.measure, grid, config.replicas, rng, _mecke_clock(config)
     )
@@ -459,12 +460,12 @@ def _check_unconditional(config: EquivalenceConfig) -> VerificationReport:
         if spread > 0.0:
             worst_z = max(worst_z, abs(mean_a - mean_b) / spread)
     return _p_report(
-        "unconditional-cell-counts", worst_p, 2 * config.replicas * len(grid), config.seed,
+        name, worst_p, 2 * config.replicas * len(grid), config.seed,
         passed=worst_z <= 3.0, note=f"max mean z-score {worst_z:.2f} (limit 3)",
     )
 
 
-def _check_cowan(config: EquivalenceConfig) -> VerificationReport:
+def _check_cowan(config: EquivalenceConfig, name: str) -> VerificationReport:
     """The event counts of the clock under test against the geometric law of
     the equally-likely clock."""
     rate = hitting_measure(config.measure, config.window)
@@ -480,7 +481,7 @@ def _check_cowan(config: EquivalenceConfig) -> VerificationReport:
             counts_from_values(counts), lambda k: nu_pmf(rate, t, k), support_lo=0
         )
         worst_p = min(worst_p, p)
-    return _p_report("cowan-geometric", worst_p, n_total, config.seed)
+    return _p_report(name, worst_p, n_total, config.seed)
 
 
 def _tail_cdf_residual(
@@ -500,15 +501,15 @@ def _tail_cdf_residual(
     return worst, count
 
 
-def _check_identity(config: EquivalenceConfig) -> VerificationReport:
+def _check_identity(config: EquivalenceConfig, name: str) -> VerificationReport:
     rate = hitting_measure(config.measure, config.window)
     worst, count = _tail_cdf_residual(
         replica_rng(config.seed, 5), config.identity_sequences, rate, config.time_grid
     )
-    return _residual_report("tail-vs-cdf-identity", worst, IDENTITY_TOL, count, config.seed)
+    return _residual_report(name, worst, IDENTITY_TOL, count, config.seed)
 
 
-def _check_selection(config: EquivalenceConfig) -> VerificationReport:
+def _check_selection(config: EquivalenceConfig, name: str) -> VerificationReport:
     """From a frozen two-jump state, decisions that pick one of its k cells
     uniformly, each with one window line, are drawn in bulk rounds until
     `selection_events` of them hit: the line's offset lies strictly inside the
@@ -530,7 +531,7 @@ def _check_selection(config: EquivalenceConfig) -> VerificationReport:
     p = weights / weights.sum()
     n = config.selection_events
     worst_z = float(np.max(np.abs(hits - n * p) / np.sqrt(n * p * (1.0 - p))))
-    return _residual_report("selection-probabilities", worst_z, 3.0, n, config.seed)
+    return _residual_report(name, worst_z, 3.0, n, config.seed)
 
 
 def _spaced_nodes(rng: np.random.Generator, count: int, lo: float = 1.0) -> np.ndarray:
@@ -634,19 +635,19 @@ def run_equivalence_suite(config: EquivalenceConfig) -> list[VerificationReport]
     in the reports make the shipped configuration deterministic.
     """
     reports: list[VerificationReport] = []
-    for check in (
-        _check_conditional,
-        _check_unconditional,
-        _check_cowan,
-        _check_identity,
-        _check_selection,
+    for name, check in (  # each check's one name, whether it reports or raises
+        ("conditional-jump-counts", _check_conditional),
+        ("unconditional-cell-counts", _check_unconditional),
+        ("cowan-geometric", _check_cowan),
+        ("tail-vs-cdf-identity", _check_identity),
+        ("selection-probabilities", _check_selection),
     ):
         try:
-            reports.append(check(config))
+            reports.append(check(config, name))
         except StitlabError as exc:
             reports.append(
                 VerificationReport(
-                    check_name=check.__name__.removeprefix("_check_"),
+                    check_name=name,
                     statistic=math.nan,
                     p_value=None,
                     tolerance=math.nan,

@@ -1,5 +1,6 @@
-"""The batched cell store against the scalar oracle (`geometry.split`, the
-Mecke stepper) and the lockstep STIT simulator against `stit_simulate`."""
+"""The batched geometry against the scalar oracle (`geometry.split`), the
+lockstep Mecke stepper against the scalar one, and the STIT cell counts of
+the equivalence check against `stit_simulate`."""
 
 import hashlib
 import json
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stitlab import batch
+from stitlab import batch, processes
 from stitlab.errors import DegenerateSplit, DomainError
 from stitlab.geometry import ConvexPolygon, Line, split
 from stitlab.line_measure import DirectionMixture, IsotropicMeasure, hitting_measure
@@ -131,9 +132,12 @@ def _digest(*arrays: np.ndarray) -> str:
 GOLDEN_SPLIT_DIGEST = "2bc0a2bd6a71b4edf8149421fcb0e3102eb84506b46116fc3c872cdbea96f696"
 # the chord endpoints of the same split, recorded when `split_cells` began to return them
 GOLDEN_ENDS_DIGEST = "8863537c3ebe844f7c247026a0c4424ee566ee957ccb98ff4371c5d10c97d6cc"
+# the STIT and Mecke cell-count histograms at two depths, recorded when STIT
+# came to be counted by the per-cell clocks (`processes.stit_cell_counts`);
+# the Mecke histograms are those of the lockstep stepper before that change
 GOLDEN_DEPTH_DIGESTS = {
-    "square-iso": "378d6df8f90e9729e7655083b618337d734edca21c94592deae4565f6dcb5330",
-    "triangle-dirs": "61655b91694da13900e62f493269e85694bf9ad278c66e4aa00ab11a2f786aff",
+    "square-iso": "62e57834d38bfc79e9ba7596ef945e6bde0d71d5d5398ecd65d1103510f9fa45",
+    "triangle-dirs": "3db1342cf85586a7f857608af7a5de01f8d0c96003f5ae52d718943c9438b0bf",
 }
 
 
@@ -160,7 +164,7 @@ class TestSplitPinned:
         # t = 3 reaches rings much wider than the suite's t <= 1
         window, measure = {"square-iso": (UNIT_SQUARE, ISO), "triangle-dirs": (TRIANGLE, DIRS)}[case]
         grid = (1.0, 3.0)
-        stit = batch.stit_cell_counts(window, measure, grid, 500, np.random.default_rng(3))
+        stit = processes.stit_cell_counts(window, measure, grid, 500, np.random.default_rng(3))
         clock = Clock(hitting_measure(measure, window))
         mecke = batch.mecke_cell_counts(window, measure, grid, 500, np.random.default_rng(3), clock)
         digest = hashlib.sha256(json.dumps([stit.tolist(), mecke.tolist()]).encode()).hexdigest()
@@ -197,13 +201,13 @@ class TestEdgeBatches:
         self._assert_no_parts(res)
 
     def test_apply_without_a_cut_is_a_no_op(self):
-        block = batch._Stit(ISO, batch.Polys.of([UNIT_SQUARE]), 3)
-        before = [a.copy() for a in (*block.cells.arrays(), block.weight, block.members, block.count)]
+        block = batch._Mecke(ISO, batch.Polys.of([UNIT_SQUARE]), 3, Clock(4.0))
+        before = [a.copy() for a in (*block.cells.arrays(), block.members, block.count)]
         used = block.used
         res = batch.split_cells(block.cells.take(np.arange(3)), np.zeros(3), np.full(3, 5.0))
         assert not (res.status == batch.CUT).any()
         block.apply(np.arange(3), np.arange(3), res)
-        after = (*block.cells.arrays(), block.weight, block.members, block.count)
+        after = (*block.cells.arrays(), block.members, block.count)
         for a, b in zip(before, after):
             np.testing.assert_array_equal(a, b)
         assert block.used == used
@@ -227,8 +231,10 @@ class TestBatchedMeasures:
 
 
 # ---------------------------------------------------------------------------
-# the lockstep simulators against `stit_simulate` (per-cell clocks) and the
-# scalar Mecke stepper, in law
+# the counts of many replicas against single runs: STIT's per-cell clocks over
+# many windows against `stit_simulate`, bit for bit for one window and in law
+# for many (which replica each cut counts for), and the lockstep Mecke stepper
+# against the scalar one, in law
 
 GRID = (0.3, 0.7)
 
@@ -255,7 +261,7 @@ def _batched_counts(window, measure, seed: int, replicas: int, mecke: bool, grid
         clock = Clock(hitting_measure(measure, window))
         hist = batch.mecke_cell_counts(window, measure, grid, replicas, rng, clock)
     else:
-        hist = batch.stit_cell_counts(window, measure, grid, replicas, rng)
+        hist = processes.stit_cell_counts(window, measure, grid, replicas, rng)
     return [{k: int(c) for k, c in enumerate(row) if c} for row in hist]
 
 
@@ -286,6 +292,25 @@ def test_mean_cell_count_matches_closed_form(window, measure, mecke):
             assert expected == pytest.approx(1.0 + 4.0 * t + math.pi * t * t, rel=1e-14)
         z = (values.mean() - expected) / math.sqrt(values.var(ddof=1) / values.size)
         assert abs(z) <= 4.0, (t, values.mean(), expected)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize(
+    "window, measure", [(UNIT_SQUARE, ISO), (TRIANGLE, DIRS)], ids=["square-iso", "triangle-dirs"]
+)
+def test_one_stit_replica_is_stit_simulate_bit_for_bit(window, measure, seed):
+    grid = (0.2, 0.5, 1.0)
+    hist = processes.stit_cell_counts(window, measure, grid, 1, np.random.default_rng(seed))
+    trace = stit_simulate(window, measure, np.random.default_rng(seed), max_time=max(grid))
+    for g, row in zip(grid, hist):
+        count = 1 + sum(e.time <= g for e in trace.events)
+        assert row.tolist() == [0] * count + [1] + [0] * (row.size - count - 1)
+
+
+def test_stit_refuses_a_rate_that_is_not_finite():
+    # W(window) = 4e308 overflows to inf
+    with pytest.raises(DomainError, match="finite and positive"):
+        processes.stit_cell_counts(UNIT_SQUARE, IsotropicMeasure(1e308), (0.5,), 10, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("clock", [Clock(math.inf), Clock(0.0), Clock(math.nan, per_slot=False)])
@@ -361,7 +386,7 @@ def test_blocks_bound_peak_allocation(monkeypatch):
     def peak(replicas: int) -> int:
         tracemalloc.start()
         try:
-            batch.stit_cell_counts(UNIT_SQUARE, ISO, (0.5,), replicas, np.random.default_rng(3))
+            processes.stit_cell_counts(UNIT_SQUARE, ISO, (0.5,), replicas, np.random.default_rng(3))
             batch.mecke_cell_counts(
                 UNIT_SQUARE, ISO, (0.5,), replicas, np.random.default_rng(3), Clock(4.0)
             )

@@ -15,7 +15,7 @@ from stitlab.errors import (
     LCollision,
     SamplerStall,
 )
-from stitlab.geometry import ConvexPolygon, Line
+from stitlab.geometry import ConvexPolygon, Line, split
 from stitlab.line_measure import DirectionMixture, IsotropicMeasure, hitting_measure
 from stitlab.processes import (
     LSequence,
@@ -347,14 +347,20 @@ class TestMeckeDiscreteSimulate:
 
     def test_restart_preserves_waiting_law(self, unit_square):
         # Markov property surrogate: a fresh stream from a saved state gives the
-        # waiting-time pmf of the closed form evaluator
-        rng = np.random.default_rng(13)
-        saved = None
-        while saved is None:
-            trace = mecke_discrete_simulate(unit_square, ISO, rng, max_decisions=6)
-            state = final_state(trace)
-            if state.jump_count >= 1:
-                saved = state
+        # waiting-time pmf of the closed form evaluator.  The state is fixed, so
+        # the test's cost does not hang on a stream: the waits' tail falls like
+        # w^(-L), and the cuts x = 0.5, 0.25, 0.75 give four strips with
+        # L = 10 / 4 = 2.5, in six slots (n0 = 6, k = 4)
+        def halves(cell, x):
+            res = split(cell, vertical_line_at(x))
+            return res.positive_part, res.negative_part
+
+        left, right = halves(unit_square, 0.5)
+        saved = QuasiCellState(
+            quasi_cells=(*halves(left, 0.25), None, *halves(right, 0.75), None),
+            decision_count=5, jump_count=3,
+        )
+        saved.validate(unit_square)
         n0 = saved.decision_count + 1
         k = saved.jump_count + 1
         l_k = sum(hitting_measure(ISO, c) for c in saved.cells) / hitting_measure(

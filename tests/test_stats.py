@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -16,6 +17,7 @@ from stitlab.stats import (
     _mecke_clock,
     chi_square_gof,
     counts_from_values,
+    format_pass_rates,
     format_report_table,
     ks_test,
     random_l_sequence,
@@ -217,6 +219,18 @@ class TestReports:
         table = format_report_table([report])
         assert "demo" in table and "PASS" in table
 
+    def test_pass_rates_count_a_check_that_raised_as_a_failure(self, unit_square):
+        config = EquivalenceConfig(
+            window=unit_square, measure=ISO, time_grid=(0.8,), replicas=0, conditional_replicas=50,
+            cowan_replicas=50, selection_events=50, identity_sequences=1,
+        )
+        raised = run_equivalence_suite(config)
+        assert raised[1].note.startswith("DegenerateBins")
+        passed = [*raised[:1], dataclasses.replace(raised[1], passed=True, note=""), *raised[2:]]
+        rows = [line for line in format_pass_rates([raised, passed]).splitlines() if "unconditional" in line]
+        assert len(rows) == 1
+        assert rows[0].split()[:2] == ["unconditional-cell-counts", "1/2"]
+
 
 # SHA-256 of the JSON of a run's reports, recorded when the unconditional and
 # the selection checks moved to batched draws (the other three reports kept
@@ -245,11 +259,16 @@ class TestReports:
 # the selection-probabilities statistic (1.04 to 0.43) moved in each run, and
 # no pass/fail outcome changed.  Over seeds 0-19 of the default suite, plain
 # and under both mutations, one check changed: selection-probabilities at
-# seed 17, which failed at the parent, now passes, in all three runs.
+# seed 17, which failed at the parent, now passes, in all three runs.  The
+# three suite digests were re-recorded when STIT came to be counted by the
+# per-cell clocks (`processes.stit_cell_counts`): only the
+# unconditional-cell-counts statistic, p-value and note moved (plain p 0.484
+# to 0.577, poisson-clock 9.0e-44 to 1.2e-41, wrong-rate 0.0209 to 3.7e-05),
+# and no pass/fail outcome changed.
 GOLDEN_SUITE_DIGESTS = {
-    None: "580552299b1a6b5a8c9fb11aba933a5a54450820866eefd61a2304106730c740",
-    "poisson-clock": "b5d91a691c165bd2e63af67701c7c04cde4cc9a375d4450209e6a7e11a67a97e",
-    "wrong-rate": "17794d6b74b4ad329ee8948223ffb4b8f8f03b355d28909267a7fd932b3897c7",
+    None: "4fb9172e43cc721f4bf6c7bbec1bd4d6f0c0815dbf2f02c9fd29a84b215e0c1b",
+    "poisson-clock": "ded92dbe80202cb6a30e4c2a169a00c14400bf2e247e2006e0704cfe0e4efbcd",
+    "wrong-rate": "46c487f9e281753119644f055520f398e7cb8a2ab2a88b495c521d986c94e4c7",
 }
 GOLDEN_IDENTITY_DIGEST = "4056a5364e2d0144e8cf422366b3d5b1610f35dbf2f300f782d34f20ddc31da6"
 
@@ -303,8 +322,8 @@ class TestEquivalenceSuite:
 
         config = dataclasses.replace(small_config, replicas=replicas, time_grid=(0.8,))
         by_name = {r.check_name: r for r in run_equivalence_suite(config)}
-        assert not by_name["unconditional"].passed
-        assert by_name["unconditional"].note.startswith("DegenerateBins")
+        assert not by_name["unconditional-cell-counts"].passed
+        assert by_name["unconditional-cell-counts"].note.startswith("DegenerateBins")
 
     @pytest.mark.parametrize("mutation", ["poisson-clock", "wrong-rate"])
     def test_mutations_fail(self, small_config, mutation):
