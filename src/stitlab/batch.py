@@ -11,12 +11,20 @@ half-plane split need no mask.  Every operation runs over the whole batch
 and applies the scalar rules of `geometry.split` and
 `line_measure.sample_hitting_line`, which stay the oracle: the same
 EPS_GEOM * diameter tolerances, the same ring order, the same dedupe,
-sliver and degeneracy tests, whatever else the batch holds.  A row's split
-status, part vertices and chord endpoints are those of `split`, bit for
-bit.  Its measures are not: `_ring_measures` takes the square root of summed
-squares where the scalar code calls `math.hypot` and `math.dist`, so a
-perimeter or diameter can differ from the scalar one in its last bit and an
-area by a few ulps.  `split_cells` builds both sides of all cuts in one pass.
+sliver and degeneracy tests.  A row's split status, part vertices and chord
+endpoints are those of `split`, bit for bit.  Its measures are not:
+`_ring_measures` takes the square root of summed squares where the scalar
+code calls `math.hypot` and `math.dist`, so a perimeter or diameter can
+differ from the scalar one in its last bit and an area by a few ulps.  Nor
+are a part's area and perimeter the row's own: `np.add.reduce` adds a row of
+up to 7 columns in order and a wider one pairwise, so they can move in their
+last bits with the widest part of the same `split_cells` call (and the
+status with them, where an area lies within ulps of its tolerance).  STIT's
+clock rate is the perimeter, so a cell's death time can depend on the cells
+cut with it.  Part vertices, diameters and chord ends do not depend on the
+batch.  `split_cells` builds both sides of all cuts in one stack, the far
+sides and then the origin sides, gathered through flat indices from one
+array of candidate points.
 
 The unconditional equivalence check counts the cells of its replicas in
 blocks of at most BLOCK, so its memory is bounded by the block, not by the
@@ -119,17 +127,22 @@ class Polys:
 
 
 @functools.cache
-def _ring_index(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For rings of `width` columns: each column's next one, and the column pairs i < j."""
-    return (np.arange(1, width + 1) % width, *np.triu_indices(width, 1))
+def _ring_pairs(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The column pairs i < j of rings of `width` columns."""
+    return np.triu_indices(width, 1)
+
+
+def _next(a: np.ndarray) -> np.ndarray:
+    """Per row of rings, each column's next one: columns 1, 2, ... and then 0."""
+    return np.concatenate((a[:, 1:], a[:, :1]), axis=1)
 
 
 def _ring_measures(verts: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """Area, perimeter and diameter of padded rings, and the squared length
     of each ring step (column i to its next)."""
     x, y = verts[..., 0], verts[..., 1]
-    nxt, i, j = _ring_index(verts.shape[1])
-    xn, yn = x[:, nxt], y[:, nxt]
+    i, j = _ring_pairs(verts.shape[1])
+    xn, yn = _next(x), _next(y)
     area = 0.5 * np.add.reduce(x * yn - y * xn, axis=1)
     step = (xn - x) ** 2 + (yn - y) ** 2
     diameter = np.sqrt(np.maximum.reduce((x[:, i] - x[:, j]) ** 2 + (y[:, i] - y[:, j]) ** 2, axis=1, initial=0.0))
@@ -222,13 +235,16 @@ class BatchSplit:
 
 
 def _sides(cand: np.ndarray, keep: np.ndarray, eps: np.ndarray) -> Polys:
-    """Per row of a stack of cut sides, each keeping at least one point: the
-    kept candidate points in ring order, deduped as `geometry._dedupe_ring`
-    does and padded to the widest row, with their measures."""
+    """Per row of `keep`, a stack of cut sides of the rows of `cand` (row i
+    of `keep` takes its points from row i mod len(cand)), each keeping at
+    least one point: the kept candidate points in ring order, deduped as
+    `geometry._dedupe_ring` does and padded to the widest row, with their
+    measures."""
     n = np.add.reduce(keep, axis=1, dtype=np.int64)
     width = int(np.maximum.reduce(n, initial=1))
-    start = n.cumsum() - n  # cand[keep] lists each row's kept points in ring order, row by row
-    pts = cand[keep][start[:, None] + np.minimum(np.arange(width), n[:, None] - 1)]
+    start = n.cumsum() - n  # np.flatnonzero(keep) lists each row's kept points in ring order, row by row
+    at = np.flatnonzero(keep) % (cand.shape[0] * cand.shape[1])
+    pts = cand.reshape(-1, 2).take(at[start[:, None] + np.minimum(np.arange(width), n[:, None] - 1)], axis=0)
     measures, step = _ring_measures(pts)
     # rows where two ring neighbours are within eps (with a margin, so every
     # row the scalar pass would change is caught) take the scalar pass
@@ -248,7 +264,9 @@ def _sides(cand: np.ndarray, keep: np.ndarray, eps: np.ndarray) -> Polys:
 
 def split_cells(polys: Polys, theta: np.ndarray, offset: np.ndarray) -> BatchSplit:
     """Cut row i of `polys` by the line (theta[i], offset[i]), as `geometry.split` does.
-    Both sides of the crossed rows run through `_sides` in one stack."""
+    Both sides of the crossed rows run through `_sides` in one stack, the far
+    sides and then the origin sides, so that when every crossed row is CUT
+    the stack is `parts` as it is."""
     m = len(polys)
     verts = polys.verts[:, : int(np.maximum.reduce(polys.nv, initial=1))]  # the rest is padding
     eps = EPS_GEOM * polys.diameter
@@ -265,48 +283,47 @@ def split_cells(polys: Polys, theta: np.ndarray, offset: np.ndarray) -> BatchSpl
     verts, s, eps, plus_is_origin = verts[hit], s[hit], eps[hit], plus_is_origin[hit]
     k, v, _ = verts.shape
     e = eps[:, None]
-    nxt = _ring_index(v)[0]
-    s_next = s[:, nxt]
+    s_next = _next(s)
     on = np.abs(s) <= e
-    crosses = ~(on | on[:, nxt]) & (s * s_next < 0.0)
+    crosses = ~(on | _next(on)) & (s * s_next < 0.0)
     t = s / np.where(crosses, s - s_next, 1.0)  # used on the crossing edges only
     # candidate points in ring order: vertex i, then the crossing on edge (i, i + 1)
-    cand = np.empty((2 * k, 2 * v, 2))
-    cand[:k, 0::2] = verts
-    cand[:k, 1::2] = verts + t[..., None] * (verts[:, nxt] - verts)
-    cand[k:] = cand[:k]
+    cand = np.empty((k, 2 * v, 2))
+    cand[:, 0::2] = verts
+    cand[:, 1::2] = verts + t[..., None] * (_next(verts) - verts)
 
-    # both sides in one pass: the upper side in rows :k, the lower in rows k:
+    # both sides in one pass: the far side in keep[0], the origin side in keep[1]
     real = np.arange(v) < polys.nv[hit, None]  # padding repeats the last vertex: take it once
-    keep = np.empty((2 * k, 2 * v), dtype=bool)
-    keep[:k, 0::2], keep[k:, 0::2] = (s >= -e) & real, (s <= e) & real
-    keep[:k, 1::2] = keep[k:, 1::2] = crosses
-    sides = _sides(cand, keep, np.concatenate([eps, eps]))
+    upper, lower = (s >= -e) & real, (s <= e) & real  # the side s > 0, and the side s < 0
+    flip = plus_is_origin[:, None]
+    keep = np.empty((2, k, 2 * v), dtype=bool)
+    keep[0, :, 0::2], keep[1, :, 0::2] = np.where(flip, lower, upper), np.where(flip, upper, lower)
+    keep[:, :, 1::2] = crosses
+    sides = _sides(cand, keep.reshape(2 * k, 2 * v), np.concatenate([eps, eps]))
     area_tol = eps * polys.diameter[hit]
-    up_none, low_none = ((sides.nv < 3) | (sides.area <= np.concatenate([area_tol, area_tol]))).reshape(2, k)
+    far_none, origin_none = ((sides.nv < 3) | (sides.area <= np.concatenate([area_tol, area_tol]))).reshape(2, k)
 
-    along = cos[hit] * cand[:k, :, 0] + sin[hit] * cand[:k, :, 1]
+    along = cos[hit] * cand[..., 0] + sin[hit] * cand[..., 1]
     # per row, the on-line points (the vertices within eps of the line and the
     # crossings) along the line, and the same negated: the chord runs from the
     # lowest to the highest
-    ahead = np.where(keep[:k] & keep[k:], _AHEAD_BACK * along, np.inf)
+    ahead = np.where(keep[0] & keep[1], _AHEAD_BACK * along, np.inf)
     low, neg_high = ahead.min(axis=2)
     length = -neg_high - low
 
-    got = np.where(low_none == plus_is_origin, WHOLE_ORIGIN, WHOLE_FAR)
-    both = ~up_none & ~low_none
+    got = np.where(far_none, WHOLE_ORIGIN, WHOLE_FAR)  # with one side empty, the cell stays on the other
+    both = ~far_none & ~origin_none
     got[both] = CUT
-    got[(up_none & low_none) | (both & (length <= eps))] = DEGENERATE
+    got[(far_none & origin_none) | (both & (length <= eps))] = DEGENERATE
     status[hit] = got
     is_cut = got == CUT
     cut = is_cut.nonzero()[0]
     chord = np.zeros(m)
     chord[hit] = np.where(is_cut, length, 0.0)
-    side = k * plus_is_origin[cut]
-    rows = np.concatenate([cut + side, cut + (k - side)])  # far parts, then origin parts
+    parts = sides if cut.size == k else sides.take(np.concatenate([cut, cut + k]))
     # the chord's ends are the first lowest and the first highest on-line point, as `_span` picks
     ends = cand[cut[:, None], ahead.argmin(axis=2).T[cut]]
-    return BatchSplit(status, chord, sides.take(rows), ends)
+    return BatchSplit(status, chord, parts, ends)
 
 
 # ---------------------------------------------------------------------------

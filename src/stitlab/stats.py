@@ -8,7 +8,11 @@ identity, and the selection probabilities of the discrete process.  Each
 check draws from its own child stream of the seed, so every report is
 reproducible from (seed, config).  The unconditional check counts STIT's
 cells by its per-cell clocks and the Mecke side's by the lockstep stepper of
-`stitlab.batch`, both in blocks of at most `batch.BLOCK` replicas.
+`stitlab.batch`, both in blocks of at most `batch.BLOCK` replicas.  The
+Cowan check races its replicas on compact arrays of the ones still racing
+(the same draws as on full-length arrays) and tests each grid time's counts
+against one table of the geometric pmf, which holds the bits of each scalar
+`nu_pmf` call.
 SciPy is imported only by the three p-values (`ks_test`, `chi_square_gof`,
 `two_sample_chi_square`), at their call, so importing stitlab loads none of it.
 
@@ -144,9 +148,17 @@ def ks_test(samples: Iterable[float], cdf: Callable) -> tuple[float, float]:
 
 
 def counts_from_values(values: Iterable[int]) -> dict[int, int]:
-    """Integer histogram as a plain dict."""
-    uniq, cnt = np.unique(np.asarray(list(values), dtype=np.int64), return_counts=True)
-    return {int(k): int(c) for k, c in zip(uniq, cnt)}
+    """Integer histogram as a plain dict, in ascending key order: one
+    `np.bincount` pass over nonnegative values (its memory grows with the
+    largest value), `np.unique` when some value is negative."""
+    arr = np.asarray(values if isinstance(values, np.ndarray) else list(values), dtype=np.int64)
+    if arr.size and arr.min() < 0:
+        keys, cnt = np.unique(arr, return_counts=True)
+    else:
+        cnt = np.bincount(arr)
+        keys = cnt.nonzero()[0]
+        cnt = cnt[keys]
+    return dict(zip(keys.tolist(), cnt.tolist()))
 
 
 def _merge_bins(raw: list[list[float]], expected_col: int) -> list[list[float]]:
@@ -243,16 +255,17 @@ def _clock_counts(clock: Clock, t: float, n_replicas: int, rng: np.random.Genera
     and one more per event): races of Exp(clock(k)) waits."""
     if not clock(1) > 0.0 or t < 0.0 or n_replicas < 1:
         raise DomainError("need rate > 0, t >= 0, n_replicas >= 1")
+    # the race runs on compact arrays of the replicas still racing: the one
+    # whose remaining time drops below 0 at the k-th wait counted k - 1 events
     remaining = np.full(n_replicas, t, dtype=float)
-    counts = np.zeros(n_replicas, dtype=np.int64)
+    counts = np.empty(n_replicas, dtype=np.int64)
     active = np.arange(n_replicas)
     k = 1
     while active.size:
-        waits = rng.exponential(1.0 / clock(k), size=active.size)
-        remaining[active] -= waits
-        alive = remaining[active] >= 0.0
-        counts[active[alive]] += 1
-        active = active[alive]
+        remaining -= rng.exponential(1.0 / clock(k), size=active.size)
+        alive = remaining >= 0.0
+        counts[active[~alive]] = k - 1
+        active, remaining = active[alive], remaining[alive]
         k += 1
     return counts
 
@@ -477,9 +490,8 @@ def _check_cowan(config: EquivalenceConfig, name: str) -> VerificationReport:
             continue
         counts = _clock_counts(clock, t, config.cowan_replicas, replica_rng(config.seed, 4, t_idx))
         n_total += config.cowan_replicas
-        _, p, _ = chi_square_gof(
-            counts_from_values(counts), lambda k: nu_pmf(rate, t, k), support_lo=0
-        )
+        pmf = nu_pmf(rate, t, np.arange(counts.max() + 1))  # the bits of each scalar call
+        _, p, _ = chi_square_gof(counts_from_values(counts), lambda k: pmf[k], support_lo=0)
         worst_p = min(worst_p, p)
     return _p_report(name, worst_p, n_total, config.seed)
 

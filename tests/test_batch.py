@@ -132,6 +132,9 @@ def _digest(*arrays: np.ndarray) -> str:
 GOLDEN_SPLIT_DIGEST = "2bc0a2bd6a71b4edf8149421fcb0e3102eb84506b46116fc3c872cdbea96f696"
 # the chord endpoints of the same split, recorded when `split_cells` began to return them
 GOLDEN_ENDS_DIGEST = "8863537c3ebe844f7c247026a0c4424ee566ee957ccb98ff4371c5d10c97d6cc"
+# the whole output of the split of `_cut_batch`, recorded before the kernel
+# stacked its sides far-then-origin and skipped the closing take
+GOLDEN_CUT_SPLIT_DIGEST = "514e91deb412886e34c1b1724700578a75dd6085442f55afadaf9c03bfec3458"
 # the STIT and Mecke cell-count histograms at two depths, recorded when STIT
 # came to be counted by the per-cell clocks (`processes.stit_cell_counts`);
 # the Mecke histograms are those of the lockstep stepper before that change
@@ -139,6 +142,19 @@ GOLDEN_DEPTH_DIGESTS = {
     "square-iso": "62e57834d38bfc79e9ba7596ef945e6bde0d71d5d5398ecd65d1103510f9fa45",
     "triangle-dirs": "3db1342cf85586a7f857608af7a5de01f8d0c96003f5ae52d718943c9438b0bf",
 }
+
+
+def _cut_batch() -> tuple[batch.Polys, np.ndarray, np.ndarray]:
+    """Forty random polygons, each cut by a line through a random inner
+    point, but the first three, which their lines miss: every row the lines
+    cross is CUT, so the stack of sides is the parts as it is."""
+    rng = np.random.default_rng(24)
+    polys = batch.Polys.of([random_convex_polygon(rng) for _ in range(40)])
+    theta = rng.uniform(0.0, math.pi, len(polys))
+    inner = np.einsum("rv,rvc->rc", rng.dirichlet(np.ones(polys.verts.shape[1]), len(polys)), polys.verts)
+    offset = np.array([Line(th, 0.0).signed_distance(tuple(p)) for th, p in zip(theta, inner)])
+    offset[:3] = 50.0, -50.0, 30.0
+    return polys, theta, offset
 
 
 class TestSplitPinned:
@@ -158,6 +174,33 @@ class TestSplitPinned:
             want = split(ConvexPolygon(ring), Line(theta[row], offset[row])).chord_ends
             assert np.array_equal(ends, want)
         assert _digest(res.ends) == GOLDEN_ENDS_DIGEST
+
+    def test_every_crossed_row_cut_bit_for_bit(self):
+        res = batch.split_cells(*_cut_batch())
+        np.testing.assert_array_equal(res.status[:3], batch.WHOLE_ORIGIN)
+        np.testing.assert_array_equal(res.status[3:], batch.CUT)
+        assert _digest(res.status, res.chord, *res.parts.arrays(), res.ends) == GOLDEN_CUT_SPLIT_DIGEST
+
+    def test_a_wide_batch_splits_each_row_as_alone(self):
+        # np.add.reduce adds a row of up to 7 columns in order and a wider one
+        # pairwise, so a part's area and perimeter can move in their last bits
+        # with the widest row of its call; the rest is the row's own
+        polys, theta, offset = _pinned_batch()
+        res = batch.split_cells(polys, theta, offset)
+        assert res.parts.verts.shape[1] >= 8
+        cut = 0
+        for i in range(len(polys)):
+            alone = batch.split_cells(polys.take([i]), theta[i : i + 1], offset[i : i + 1])
+            assert (alone.status[0], alone.chord[0]) == (res.status[i], res.chord[i])
+            if res.status[i] != batch.CUT:
+                continue
+            for got, own in ((res.far, alone.far), (res.origin, alone.origin)):
+                assert got.nv[cut] == own.nv[0]
+                np.testing.assert_array_equal(_ring(got, cut), _ring(own, 0))
+                assert got.diameter[cut] == own.diameter[0]
+            np.testing.assert_array_equal(res.ends[cut], alone.ends[0])
+            cut += 1
+        assert cut == len(res.ends)
 
     @pytest.mark.parametrize("case", sorted(GOLDEN_DEPTH_DIGESTS))
     def test_cell_counts_at_depth_bit_for_bit(self, case):

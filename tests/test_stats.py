@@ -11,6 +11,7 @@ from stitlab.geometry import ConvexPolygon
 from stitlab.line_measure import IsotropicMeasure, hitting_measure
 from stitlab.processes import LSequence
 from stitlab.stats import (
+    MUTATIONS,
     EquivalenceConfig,
     VerificationReport,
     _clock_counts,
@@ -158,6 +159,18 @@ class TestVectorizedSimulators:
         _, p, _ = chi_square_gof(counts_from_values(counts), poisson, support_lo=0)
         assert p > 1e-3
 
+    @pytest.mark.parametrize("replicas", [1, 1000])
+    @pytest.mark.parametrize("t", [0.0, 1e-9, 0.2, 1.0])
+    @pytest.mark.parametrize("mutation", MUTATIONS, ids=str)
+    def test_clock_counts_match_the_full_length_race(self, unit_square, mutation, t, replicas):
+        # the same draws as the loop over full-length arrays, so the same
+        # counts and the same generator state after them
+        clock = _mecke_clock(EquivalenceConfig(window=unit_square, measure=ISO, mutation=mutation))
+        rng, oracle_rng = np.random.default_rng(25), np.random.default_rng(25)
+        counts = _clock_counts(clock, t, replicas, rng)
+        np.testing.assert_array_equal(counts, _full_length_race(clock, t, replicas, oracle_rng))
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
     @pytest.mark.parametrize(
         "call",
         [
@@ -172,6 +185,43 @@ class TestVectorizedSimulators:
     def test_domain_errors(self, call):
         with pytest.raises(DomainError):
             call(np.random.default_rng(18))
+
+
+def _full_length_race(clock, t, n_replicas, rng):
+    """The race of `_clock_counts` on full-length arrays indexed by the
+    replicas still racing, kept as its oracle."""
+    remaining = np.full(n_replicas, t, dtype=float)
+    counts = np.zeros(n_replicas, dtype=np.int64)
+    active = np.arange(n_replicas)
+    k = 1
+    while active.size:
+        waits = rng.exponential(1.0 / clock(k), size=active.size)
+        remaining[active] -= waits
+        alive = remaining[active] >= 0.0
+        counts[active[alive]] += 1
+        active = active[alive]
+        k += 1
+    return counts
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        lambda: np.random.default_rng(26).geometric(0.3, size=5000) - 1,
+        lambda: [3, 0, 3, 7, 7, 12, 7],
+        lambda: (k * k % 11 for k in range(40)),
+        lambda: np.array([-1, 2, -1, 0, 5, -3]),
+        lambda: np.array([4]),
+        lambda: [],
+        lambda: np.array([], dtype=np.int64),
+    ],
+    ids=["int-array", "list", "generator", "negative", "single", "empty-list", "empty-array"],
+)
+def test_counts_from_values_matches_unique(values):
+    uniq, cnt = np.unique(np.asarray(list(values()), dtype=np.int64), return_counts=True)
+    got = counts_from_values(values())
+    assert list(got.items()) == [(int(k), int(c)) for k, c in zip(uniq, cnt)]
+    assert all(type(k) is int and type(c) is int for k, c in got.items())
 
 
 class TestRandomLSequence:
@@ -271,6 +321,15 @@ GOLDEN_SUITE_DIGESTS = {
     "wrong-rate": "46c487f9e281753119644f055520f398e7cb8a2ab2a88b495c521d986c94e4c7",
 }
 GOLDEN_IDENTITY_DIGEST = "4056a5364e2d0144e8cf422366b3d5b1610f35dbf2f300f782d34f20ddc31da6"
+# the same digests at the configuration of the perfbench `ensemble` workload
+# (unit square, iso:1, grid (0.2, 0.5, 1), 1000 replicas, 1000 conditional
+# replicas, 10 000 Cowan replicas, 500 selection events, seed 2024), plain and
+# under the poisson-clock control, recorded before the Cowan race ran on
+# compact arrays and its pmf came from one table per grid time
+GOLDEN_ENSEMBLE_DIGESTS = {
+    None: "f8cb22e53e4b017d8f690be3986252a89ea3c81c3db980e0b5b130bc09d3481a",
+    "poisson-clock": "d9facf4ed5f266dfddb504887b37251397452cf330de281b6c90e0f82d44083e",
+}
 
 def _report_digest(reports) -> str:
     return hashlib.sha256(json.dumps([r.to_dict() for r in reports]).encode()).hexdigest()
@@ -393,3 +452,12 @@ class TestEquivalenceSuite:
 
         reports = run_equivalence_suite(dataclasses.replace(quick_config, mutation=mutation))
         assert _report_digest(reports) == GOLDEN_SUITE_DIGESTS[mutation]
+
+    @pytest.mark.parametrize("mutation", sorted(GOLDEN_ENSEMBLE_DIGESTS, key=str))
+    def test_golden_ensemble_digests(self, unit_square, mutation):
+        config = EquivalenceConfig(
+            window=unit_square, measure=ISO, time_grid=(0.2, 0.5, 1.0), replicas=1000,
+            conditional_replicas=1000, cowan_replicas=10_000, selection_events=500, seed=2024,
+            mutation=mutation,
+        )
+        assert _report_digest(run_equivalence_suite(config)) == GOLDEN_ENSEMBLE_DIGESTS[mutation]
