@@ -78,6 +78,12 @@ class Clock(NamedTuple):
         return (np.log1p(y / rng.standard_gamma(n)) if self.per_slot else y) / self.rate
 
 
+def check_rate(rate: float | np.ndarray) -> None:
+    """DomainError unless every clock rate in `rate`, a number or an array, is finite and positive."""
+    if not np.logical_and(rate > 0.0, rate < math.inf).all():  # NaN fails too
+        raise DomainError(f"clock rate must be finite and positive, got {float(np.min(rate))!r}")
+
+
 @dataclass(frozen=True)
 class Polys:
     """A batch of convex polygons as arrays, one row per polygon."""
@@ -458,8 +464,7 @@ def mecke_cell_counts(
     taken with n quasi-cells comes after an Exp(clock(n)) wait.  A rate that
     is not finite and positive, or a slot count past the int64 range, raises
     DomainError."""
-    if not 0.0 < clock.rate < math.inf:
-        raise DomainError("clock rate must be finite and positive")
+    check_rate(clock.rate)
     times = np.asarray(grid, dtype=float)
     cells = Polys.of([window])
     return cell_count_histograms(

@@ -185,24 +185,33 @@ def _classify(poly: ConvexPolygon, line: Line) -> tuple[list[float], float]:
     return [nx * x + ny * y - p for x, y in poly.vertices], eps
 
 
-def _crossings(poly: ConvexPolygon, dist: list[float], eps: float) -> list[Point]:
-    """Points where the line meets the polygon boundary (on-line vertices included)."""
-    verts = poly.vertices
+def _walk(verts: tuple[Point, ...], dist: list[float], eps: float) -> tuple[list[Point], ...]:
+    """One walk round the ring `verts` at signed distances `dist` from a line: its points
+    (edge crossings too) on the side dist >= -eps, on dist <= eps and on the line, in order."""
     m = len(verts)
-    pts: list[Point] = []
+    upper: list[Point] = []
+    lower: list[Point] = []
+    cross: list[Point] = []
     for i in range(m):
         si = dist[i]
+        vi = verts[i]
+        if si >= -eps:
+            upper.append(vi)
+        if si <= eps:
+            lower.append(vi)
         if abs(si) <= eps:
-            pts.append(verts[i])
+            cross.append(vi)
             continue
         sj = dist[(i + 1) % m]
         if abs(sj) <= eps or si * sj >= 0.0:
             continue
         t = si / (si - sj)
-        ax, ay = verts[i]
         bx, by = verts[(i + 1) % m]
-        pts.append((ax + t * (bx - ax), ay + t * (by - ay)))
-    return pts
+        pt = (vi[0] + t * (bx - vi[0]), vi[1] + t * (by - vi[1]))
+        upper.append(pt)
+        lower.append(pt)
+        cross.append(pt)
+    return upper, lower, cross
 
 
 def _span(pts: list[Point], line: Line) -> tuple[float, tuple[Point, Point]]:
@@ -219,7 +228,7 @@ def chord(poly: ConvexPolygon, line: Line) -> tuple[float, tuple[Point, Point] |
     dist, eps = _classify(poly, line)
     if min(dist) > -eps or max(dist) < eps:
         return 0.0, None
-    pts = _crossings(poly, dist, eps)
+    pts = _walk(poly.vertices, dist, eps)[2]
     if len(pts) < 2:
         return 0.0, None
     length, ends = _span(pts, line)
@@ -271,30 +280,7 @@ def split(poly: ConvexPolygon, line: Line) -> SplitResult:
         whole_positive = (hi >= eps) == plus_is_positive
         return SplitResult(poly, None, 0.0) if whole_positive else SplitResult(None, poly, 0.0)
 
-    verts = poly.vertices
-    m = len(verts)
-    upper: list[Point] = []
-    lower: list[Point] = []
-    cross: list[Point] = []
-    for i in range(m):
-        si = dist[i]
-        vi = verts[i]
-        if si >= -eps:
-            upper.append(vi)
-        if si <= eps:
-            lower.append(vi)
-        if abs(si) <= eps:
-            cross.append(vi)
-            continue
-        sj = dist[(i + 1) % m]
-        if abs(sj) <= eps or si * sj >= 0.0:
-            continue
-        t = si / (si - sj)
-        bx, by = verts[(i + 1) % m]
-        pt = (vi[0] + t * (bx - vi[0]), vi[1] + t * (by - vi[1]))
-        upper.append(pt)
-        lower.append(pt)
-        cross.append(pt)
+    upper, lower, cross = _walk(poly.vertices, dist, eps)
 
     up_poly = _side_polygon(upper, eps, eps_area)
     low_poly = _side_polygon(lower, eps, eps_area)

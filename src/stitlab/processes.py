@@ -23,9 +23,9 @@ on `batch.Polys` rows.  A line that does not split its cell is drawn again
 for the same cell, so every STIT and Cowan event is a jump.  The same
 generations count the cells of many STIT windows (`stit_cell_counts`).  The
 Mecke models run in one block engine (`_mecke_run`): a block of decisions
-draws its waits (continuous model), its picks and its window lines with one
-numpy call each, and only a pick that lands on a cell is cut by
-`geometry.split`.  `mecke_discrete_step` makes one decision with scalar
+draws its waits (continuous model, under a `batch.Clock`), its picks and its
+window lines with one numpy call each, and only a pick that lands on a cell
+is cut by `geometry.split`.  `mecke_discrete_step` makes one decision with scalar
 draws, slot then line.  The lockstep Mecke stepper and `stats` drive the
 Mecke selector by a `batch.Clock` of the slot count n; the negative controls
 in `stats` are two more clocks.
@@ -34,8 +34,9 @@ Every simulator takes `(window, measure, rng, *, <stop keywords>, seed=None)`
 and returns a `ProcessTrace`; `replay` rebuilds any state from it.  It cuts
 the trace's cells in dependency waves: an event's depth is one more than
 that of the event that last wrote the slot it cuts, so the events of one
-depth share no slot and each depth is one `batch.split_cells` call (a trace
-of 8000 STIT jumps has 30 to 37 depths).  The split rules, and the vertices
+depth share no slot, and the events of a depth whose slot holds a cell are
+cut together by `batch.split_cells` (a trace of 8000 STIT jumps has 30 to
+37 depths).  The split rules, and the vertices
 and chords they give, are those of `geometry.split`, bit for bit;
 `final_state` and `l_sequence` take each cell's measures from a
 `ConvexPolygon` of its vertices, so they are the scalar ones too.
@@ -63,8 +64,10 @@ from .batch import (
     DEGENERATE,
     WHOLE_ORIGIN,
     BatchSplit,
+    Clock,
     Polys,
     cell_count_histograms,
+    check_rate,
     hitting_weights,
     sample_lines,
     split_cells,
@@ -80,13 +83,14 @@ from .line_measure import (
 )
 
 L_MIN_RELATIVE_GAP = 1e-9
-# A timed run without a jump cap is refused (_check_expected_work) at a
-# horizon where it expects more events than this: expm1(rate * t) decisions of
-# the equally-likely clock, or stit_mean_jumps jumps of STIT.
+# A run is refused (_check_expected_work) when it expects more events than
+# this: expm1(rate * t) decisions of the equally-likely clock to a time t, or
+# stit_mean_jumps jumps of STIT, or a cap of more events, whichever is fewer.
 MAX_EXPECTED_DECISIONS = 10**6
-# stats.EquivalenceConfig refuses a Cowan check whose replicas race the
-# equally-likely clock through more events than this in total,
-# cowan_replicas * expm1(rate * t) at the largest t of its grid.
+# stats.EquivalenceConfig refuses a check that expects more events than this
+# in total: a Cowan check whose replicas race the equally-likely clock,
+# cowan_replicas * expm1(rate * t) at the largest t of its grid, or the
+# conditional draws, the STIT cells or the selection hits of the others.
 MAX_EXPECTED_CLOCK_EVENTS = 10**8
 
 
@@ -197,13 +201,7 @@ def _apply_split(slots: list, idx: int, far, origin) -> None:
     slots.append(origin)
 
 
-_NO_PARTS = SplitResult(None, None, 0.0)
-
-
-def _cut(cell: ConvexPolygon | None, line: Line) -> SplitResult:
-    """`cell` cut by `line`: the far part is `negative_part`, the origin part
-    `positive_part`; an empty slot (None) has neither."""
-    return _NO_PARTS if cell is None else split(cell, line)
+_NO_PARTS = SplitResult(None, None, 0.0)  # the cut of an empty slot
 
 
 def _caps(*stops: float | None) -> list[float]:
@@ -233,8 +231,9 @@ def _decide(
     for _ in range(MAX_REJECTION_ITERATIONS):
         if line is None:
             idx, line = int(rng.integers(n)), sample_hitting_line(measure, window, rng)
+        cell = cell_at(idx)
         try:
-            return idx, line, _cut(cell_at(idx), line)
+            return idx, line, _NO_PARTS if cell is None else split(cell, line)
         except DegenerateSplit:
             line = None
     raise SamplerStall("degenerate splits exceeded the iteration budget")
@@ -254,7 +253,7 @@ def _mecke_run(
     window: ConvexPolygon,
     measure: LineMeasureSpec,
     rng: np.random.Generator,
-    rate: float | None = None,
+    clock: Clock | None = None,
     *,
     max_time: float | None = None,
     max_jumps: int | None = None,
@@ -263,13 +262,12 @@ def _mecke_run(
     """Mecke's decisions from the bare window until a stop rule fires.
 
     Decision n picks one of the n quasi-cells uniformly and cuts it by one
-    window line.  Without `rate` its event time is n; with it, decision n
-    comes after an Exp(n * rate) wait (the equally-likely clock).  A block of
-    decisions draws its waits, then its picks, then its lines, each with one
-    numpy call.  Only a pick that lands on a cell needs `geometry.split`;
-    the slots are updated as `_apply_split` does.  A clock rate that is not
-    finite and positive, or an event time that is not finite, raises
-    DomainError."""
+    window line.  Without a `clock` its event time is n; with it, decision n
+    comes after an Exp(clock(n)) wait.  A block of decisions draws its waits,
+    then its picks, then its lines, each with one numpy call.  Only a pick
+    that lands on a cell needs `geometry.split`; the slots are updated as
+    `_apply_split` does.  A clock rate that is not finite and positive, or an
+    event time that is not finite, raises DomainError."""
     time_cap, jump_cap, slot_cap = _caps(max_time, max_jumps, max_decisions)
     windows = _window_rows(window)
     cells = {0: window}  # per slot its cell, or None; a slot not in it is empty
@@ -278,16 +276,15 @@ def _mecke_run(
     while jumps < jump_cap and n <= slot_cap:
         count = np.arange(n, n + size)  # the slot count of each decision
         stop = int(min(size, slot_cap - n + 1))
-        if rate is None:
+        if clock is None:
             time = count
         else:
             with np.errstate(over="ignore", divide="ignore"):
-                time = t + np.cumsum(rng.standard_exponential(size) / (rate * count))
+                time = t + np.cumsum(rng.standard_exponential(size) / clock(count))
             stop = min(stop, int(time.searchsorted(time_cap, "right")))
             # the rates rise with n: check the last one a decision drew on
-            top = rate * (n + min(stop, size - 1))
-            if not 0.0 < top < math.inf:  # NaN fails too
-                raise DomainError(f"clock rate must be finite and positive, got {top!r}")
+            top = clock(n + min(stop, size - 1))
+            check_rate(top)
             if stop and not math.isfinite(time[stop - 1]):
                 raise DomainError(f"event time is not finite ({time[stop - 1]!r}) at rate {top!r}")
         picks = rng.integers(count)[:stop].tolist()
@@ -374,8 +371,7 @@ class _Clocks:
         with np.errstate(over="ignore"):  # an extreme measure scale gives an infinite rate or life
             rate = self.rate(polys)
             death = birth + self.rng.standard_exponential(birth.size) / rate
-        if not ((rate > 0.0) & (rate < math.inf)).all():  # NaN fails too
-            raise DomainError(f"clock rate must be finite and positive, got {rate.min()!r}")
+        check_rate(rate)
         return _Alive(polys, death, ids, np.zeros(ids.size, dtype=np.int64))
 
     def _record(self, t: np.ndarray, ids: np.ndarray, theta, offset, parts: Polys) -> _Alive:
@@ -505,12 +501,8 @@ def _run_clocks(
         start, horizon = max(horizon, 0.0), time_cap
         if jump_cap < math.inf:
             needed = jump_cap - clocks.made
-            if k == 1:  # one pending death: nothing to search
-                first = float(alive.death[0])
-                last = first if needed == 1 else math.inf
-            else:
-                first = float(alive.death.min())
-                last = float(np.partition(alive.death, needed - 1)[needed - 1]) if k >= needed else math.inf
+            first = float(alive.death.min())
+            last = float(np.partition(alive.death, needed - 1)[needed - 1]) if k >= needed else math.inf
             horizon = min(horizon, last, max(aim(expect, start, k, needed), first))
             expect *= 2
         if not math.isfinite(horizon):
@@ -551,14 +543,22 @@ def stit_cell_counts(
     return cell_count_histograms(run, replicas, times.size)
 
 
-def _check_expected_work(rate_t: float, budget: str, what: str, copies: int = 1) -> None:
-    """Refuse, with DomainError, `copies` runs of the equally-likely clock to
-    W(window) * t = rate_t when their copies * expm1(rate_t) expected events
-    pass the budget named `budget` (STIT passes log1p of its mean jump count):
-    they would spin for hours.  Compared in log1p space, as expm1 overflows
-    past rate_t ~ 710; a NaN, or no copies, passes for the caller's own checks."""
+def _check_expected_work(
+    rate_t: float | None, budget: str, what: str, copies: int = 1, cap: int | None = None
+) -> None:
+    """Refuse, with DomainError, `copies` runs named `what` whose copies *
+    expm1(rate_t) expected events pass the budget named `budget`: they would
+    spin for hours.  rate_t is W(window) * t of the equally-likely clock to a
+    time t (STIT passes log1p of its mean jump count), None for no time limit.
+    A cap of N events counts as log1p(N); with both stop rules, the smaller
+    count decides, so `what` may name either.  Compared in log1p space, as
+    expm1 overflows past rate_t ~ 710, and a cap as N itself, exact for any
+    int; a NaN, no copies, or no stop rule passes for the caller's own checks."""
+    if copies <= 0 or (rate_t is None and cap is None):
+        return
     limit = globals()[budget]
-    if copies > 0 and rate_t > math.log1p(limit / copies):
+    share = limit / copies
+    if (rate_t is None or rate_t > math.log1p(share)) and (cap is None or cap > share):
         raise DomainError(f"{what} expects more than {budget} = {limit} events")
 
 
@@ -595,13 +595,14 @@ def stit_simulate(
     """STIT run by per-cell clocks of rate W(C) (`_run_clocks`); stops at
     `max_time` or after `max_jumps` jumps.
 
-    Without `max_jumps`, a `max_time` at which STIT expects more than
-    MAX_EXPECTED_DECISIONS jumps (stit_mean_jumps) is refused with DomainError.
+    A run that expects more than MAX_EXPECTED_DECISIONS jumps, by `max_time`
+    (stit_mean_jumps) or by `max_jumps` if fewer, is refused with DomainError.
     """
-    if max_jumps is None and max_time is not None and max_time > 0.0:
-        jumps = stit_mean_jumps(window, measure, max_time)
-        what = f"t = {max_time:.6g} ({jumps:.3g} STIT jumps)"
-        _check_expected_work(math.log1p(jumps), "MAX_EXPECTED_DECISIONS", what)
+    log_jumps, what = None, f"a cap of {max_jumps} jumps"
+    if max_time is not None:
+        jumps = stit_mean_jumps(window, measure, max_time) if max_time > 0.0 else 0.0
+        log_jumps, what = math.log1p(jumps), f"t = {max_time:.6g} ({jumps:.3g} STIT jumps)"
+    _check_expected_work(log_jumps, "MAX_EXPECTED_DECISIONS", what, cap=max_jumps)
     events = _run_clocks(
         window, measure, functools.partial(hitting_weights, measure),
         lambda expect, *_: _stit_mean_time(window, measure, expect), rng,
@@ -622,14 +623,15 @@ def cowan_el_simulate(
     """Equally-likely continuous model: every cell dies after an Exp(rate) life,
     rate = W(window) (`_run_clocks`), so k cells wait Exp(k * rate) for a uniform pick.
 
-    Every event is a jump; without `max_jumps`, a `max_time` at which the
-    clock expects more than MAX_EXPECTED_DECISIONS events is refused.  With
-    it, each horizon is sized from the cells alive (`COWAN_AIM`).
+    Every event is a jump; a run that expects more than
+    MAX_EXPECTED_DECISIONS events, by `max_time` or by `max_jumps` if fewer,
+    is refused.  With `max_jumps`, each horizon is sized from the cells alive
+    (`COWAN_AIM`).
     """
     rate = hitting_measure(measure, window)
-    if max_jumps is None and max_time is not None:
-        rate_t = rate * max_time
-        _check_expected_work(rate_t, "MAX_EXPECTED_DECISIONS", f"rate * t = {rate_t:.6g}")
+    rate_t = None if max_time is None else rate * max_time
+    what = f"a cap of {max_jumps} jumps" if rate_t is None else f"rate * t = {rate_t:.6g}"
+    _check_expected_work(rate_t, "MAX_EXPECTED_DECISIONS", what, cap=max_jumps)
 
     def aim(expect: float, start: float, alive: int, needed: float) -> float:
         """The time by which `alive` cells expect min(needed, COWAN_AIM * alive) cuts after `start`."""
@@ -675,15 +677,16 @@ def mecke_discrete_simulate(
     """Run decisions (`_mecke_run`) until the stop rule; events carry 1-based
     decision indices.
 
-    Without `max_decisions`, a `max_jumps` = N that expects more than
-    MAX_EXPECTED_DECISIONS decisions is refused with DomainError: by the
-    equivalence with STIT, N jumps come at about t_N = `_stit_mean_time(N)`
-    of the equally-likely clock, which has made expm1(W(window) * t_N)
-    decisions by then."""
-    if max_decisions is None and max_jumps is not None and max_jumps > 0:
-        rate_t = hitting_measure(measure, window) * _stit_mean_time(window, measure, max_jumps)
+    A run that expects more than MAX_EXPECTED_DECISIONS decisions, by
+    `max_jumps` = N or by `max_decisions` if fewer, is refused with
+    DomainError: by the equivalence with STIT, N jumps come at about t_N =
+    `_stit_mean_time(N)` of the equally-likely clock, which has made
+    expm1(W(window) * t_N) decisions by then."""
+    rate_t, what = None, f"a cap of {max_decisions} decisions"
+    if max_jumps is not None:
+        rate_t = hitting_measure(measure, window) * _stit_mean_time(window, measure, max(max_jumps, 0))
         what = f"{max_jumps} jumps, due near rate * t = {rate_t:.6g},"
-        _check_expected_work(rate_t, "MAX_EXPECTED_DECISIONS", what)
+    _check_expected_work(rate_t, "MAX_EXPECTED_DECISIONS", what, cap=max_decisions)
     events = _mecke_run(window, measure, rng, max_decisions=max_decisions, max_jumps=max_jumps)
     return ProcessTrace(window, measure, tuple(events), ModelTag.MECKE_DISCRETE, seed)
 
@@ -708,7 +711,7 @@ def mecke_continuous_simulate(
     if max_time is not None:
         rate_t = rate * max_time
         _check_expected_work(rate_t, "MAX_EXPECTED_DECISIONS", f"rate * t = {rate_t:.6g}")
-    events = _mecke_run(window, measure, rng, rate, max_time=max_time)
+    events = _mecke_run(window, measure, rng, Clock(rate), max_time=max_time)
     return ProcessTrace(window, measure, tuple(events), ModelTag.MECKE_CONTINUOUS, seed)
 
 
@@ -742,9 +745,9 @@ def _depths(cells: list[int]) -> tuple[np.ndarray, np.ndarray]:
 
 def replay(trace: ProcessTrace) -> Iterator[tuple[np.ndarray, np.ndarray, BatchSplit, Written]]:
     """Replay `trace` in dependency waves: the events of one depth (`_depths`)
-    cut their cells in one `batch.split_cells` call, in pieces of at most
-    WAVE_ROWS.  Only the cells the last depth left and the next one reads are
-    kept.
+    whose slot holds a cell cut their cells in one `batch.split_cells` call,
+    in pieces of at most WAVE_ROWS.  Only the cells the last depth left and
+    the next one reads are kept.
 
     Yields per wave, in depth order: the indices of its events whose slot
     held a cell, in time order; the parts they cut, numbered 0 for the window
@@ -767,12 +770,10 @@ def replay(trace: ProcessTrace) -> Iterator[tuple[np.ndarray, np.ndarray, BatchS
     held, row = Polys.of([trace.window]), np.zeros(n + 1, dtype=np.int64)
     by_depth = np.argsort(depth, kind="stable")
     for group in np.split(by_depth, np.flatnonzero(np.diff(depth[by_depth])) + 1):
+        group = group[part[cell[group]] >= 0]  # an event of one depth reads no slot another one writes
         kept_slots, kept = [], []
         for j in range(0, group.size, WAVE_ROWS):
             wave = group[j : j + WAVE_ROWS]
-            wave = wave[part[cell[wave]] >= 0]
-            if not wave.size:
-                continue
             at = cell[wave]
             before = held.take(row[at])
             res = split_cells(before, theta[wave], offset[wave])

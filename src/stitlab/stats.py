@@ -376,6 +376,16 @@ class EquivalenceConfig:
         replicas = self.cowan_replicas
         cowan = f"the Cowan check, {replicas} replicas of {clock},"
         _check_expected_work(rate_t, "MAX_EXPECTED_CLOCK_EVENTS", cowan, copies=replicas)
+        # the other checks' work: the conditional draws, the cell-count
+        # replicas at no less than one jump each, and the selection hits
+        draws = self.conditional_replicas * N_CONDITIONAL_SEQUENCES * len(self.time_grid) * CONDITIONAL_DEPTH
+        conditional = f"the conditional check, {draws} draws,"
+        _check_expected_work(None, "MAX_EXPECTED_CLOCK_EVENTS", conditional, cap=draws)
+        log_jumps = math.log1p(max(1.0, processes.stit_mean_jumps(self.window, self.measure, t_max)))
+        cells = f"the cell-count check, {self.replicas} replicas of STIT to t = {t_max:.6g},"
+        _check_expected_work(log_jumps, "MAX_EXPECTED_CLOCK_EVENTS", cells, copies=self.replicas)
+        selection = f"the selection check, {self.selection_events} hits,"
+        _check_expected_work(None, "MAX_EXPECTED_CLOCK_EVENTS", selection, cap=self.selection_events)
 
 
 def _frozen_sequences(config: EquivalenceConfig) -> list[LSequence]:

@@ -654,6 +654,10 @@ class TestUsageErrors:
             ["simulate", "--model", "stit", "--jumps", "3", "--window", '{"a": 1}'],
             ["simulate", "--model", "stit", "--jumps", "3", "--measure", "[1]"],
             ["simulate", "--jumps", "3"],
+            ["simulate", "--model", "stit", "--jumps", "1000000000"],
+            ["simulate", "--model", "cowan-el", "--jumps", "1000000000"],
+            ["simulate", "--model", "mecke-discrete", "--decisions", "1000000000000"],
+            ["verify", "--suite", "equivalence", "--replicas", "1000000000", "--t-grid", "0.001"],
             ["table", "waiting-pmf", "--n", "2", "--k", "2", "--Lk", "2.0000000000002",
              "--l", "1:3"],
             ["verify", "--suite", "identities", "--mutate", "wrong-rate", "--replicas", "5",

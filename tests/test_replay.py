@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from stitlab import processes
 from stitlab.errors import DegenerateSplit, LCollision
 from stitlab.geometry import ConvexPolygon, Line, split
 from stitlab.line_measure import DirectionMixture, IsotropicMeasure, hitting_measure
@@ -159,6 +160,16 @@ def test_waves_cut_independent_cells_together():
     for wave in waves:
         cells = [trace.events[i].cell_index for i in wave]
         assert len(set(cells)) == len(cells)
+
+
+def test_mecke_waves_hold_only_cell_events_one_wave_per_depth():
+    trace = mecke_discrete_simulate(UNIT_SQUARE, ISO, np.random.default_rng(5), max_decisions=8000)
+    on_cells = [i for i, (_, target, _, _) in enumerate(_scalar_replay(trace)) if target is not None]
+    waves = [wave for wave, *_ in replay(trace)]
+    assert sorted(np.concatenate(waves).tolist()) == on_cells  # each event on a cell, once
+    depth, _ = processes._depths([e.cell_index for e in trace.events])
+    assert len(waves) <= len(set(depth[on_cells].tolist()))
+    assert len(on_cells) < 8000  # some events fall on empty slots
 
 
 def test_degenerate_event_raises():

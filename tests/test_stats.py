@@ -409,6 +409,14 @@ class TestEquivalenceSuite:
         # the library default: 100 000 replicas at W * t = 4, about 5.4e6 events
         EquivalenceConfig(window=unit_square, measure=ISO)
 
+    @pytest.mark.parametrize("field", ["conditional_replicas", "replicas", "selection_events"])
+    def test_refuses_counts_past_the_clock_event_budget(self, unit_square, field):
+        # at W * t = 0.004 the Cowan race expects about 4e3 events, but each of
+        # these counts asks for 1e9 or more draws, cells or hits
+        EquivalenceConfig(window=unit_square, measure=ISO, time_grid=(0.001,), **{field: 10**6})
+        with pytest.raises(DomainError, match="MAX_EXPECTED_CLOCK_EVENTS"):
+            EquivalenceConfig(window=unit_square, measure=ISO, time_grid=(0.001,), **{field: 10**9})
+
     @pytest.mark.parametrize("grid", [(), (math.nan,), (0.2, math.inf)])
     def test_refuses_an_empty_or_non_finite_time_grid(self, unit_square, grid):
         with pytest.raises(DomainError, match="time grid"):
