@@ -26,7 +26,7 @@ import numpy as np
 
 from . import distributions as dist
 from . import processes, stats
-from .errors import ConfigError, DomainError, GeometryError, LCollision, StitlabError
+from .errors import ConfigError, DomainError, GeometryError, StitlabError
 from .geometry import ConvexPolygon
 from .line_measure import (
     DirectionMixture,
@@ -380,7 +380,7 @@ def _weight_sequence(get: Callable, rate: float = 1.0) -> processes.LSequence:
     spec = get("L")
     try:
         return processes.LSequence(tuple(float(v) for v in spec.split(",")), rate=rate)
-    except (ValueError, DomainError, LCollision) as exc:
+    except ValueError as exc:  # a DomainError is one too
         raise ConfigError(f"bad --L {spec!r}: {exc}") from exc
 
 

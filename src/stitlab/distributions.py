@@ -3,7 +3,7 @@
 Conventions used throughout:
 
 * `lseq` is an LSequence: normalized cumulative hitting weights
-  values[0] = 1 < values[1] < ... <= k, plus the window rate.
+  values[0] = 1 <= values[1] <= ... <= k, plus the window rate.
 * Every gamma-function ratio whose arguments may be negative is expanded as
   a finite product of (m - value) factors; the gamma function itself is
   never evaluated.
@@ -80,12 +80,13 @@ def _times(t) -> np.ndarray:
 
 
 def _check_condition(condition: float) -> None:
-    if condition > CONDITION_LIMIT:
+    if not condition <= CONDITION_LIMIT:  # NaN too: inf * 0 at equal nodes
         raise IllConditioned(
             f"alternating sum condition {condition:.3g} exceeds {CONDITION_LIMIT:.3g}"
         )
 
 
+@np.errstate(divide="ignore")  # equal nodes: refused by the condition
 def _stit_coefficients(lseq: LSequence, n: int) -> np.ndarray:
     if not 1 <= n <= len(lseq):
         raise DomainError(f"n={n} outside 1..{len(lseq)}")
@@ -272,9 +273,8 @@ def discrete_waiting_pmf_mass(
 # discrete jump-time law
 
 
-def _jump_pmf_setup(
-    lseq: LSequence, ell: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+@np.errstate(divide="ignore", invalid="ignore")  # equal nodes: refused by the condition
+def _jump_pmf_setup(lseq: LSequence, ell: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Coefficients c_i, seed terms at n=ell, weight values, and the sign*lead factor."""
     if not 2 <= ell <= len(lseq):
         raise DomainError(f"ell={ell} outside 2..{len(lseq)}")
@@ -346,8 +346,8 @@ def mecke_jump_tail(lseq: LSequence, ell: int, t, policy: TruncationPolicy | Non
           = ell T_i(ell) sum_{k<ell} C(ell-1, k) (-1)^k (q^v_i - q^k)/(k - v_i).
     Each term is computed as q^min(v_i, k) * -expm1(-rate*t*gap)/gap with
     gap = |v_i - k|, which has no overflow at any rate*t, t = inf included.
-    A term with gap 0 (v_i = k, an integer below ell) is left at 0: its
-    column's seed T_i(ell) holds the factor 1 - v_i/k = 0.  The tail is
+    A term with gap 0 (v_i = k, an integer below ell) takes its limit,
+    q^k * rate*t; its column's seed T_i(ell) is 0 unless k = 1.  The tail is
     lead * sum_i c_i times the column sums, one einsum row per time, so a
     time's value is the same, bit for bit, alone or in any grid.
 
@@ -375,6 +375,7 @@ def mecke_jump_tail(lseq: LSequence, ell: int, t, policy: TruncationPolicy | Non
     with np.errstate(over="ignore"):  # rate*t*gap past the largest float: expm1 gives -1
         terms = -np.expm1(-np.multiply.outer(rt, gap))
         np.divide(terms, gap, out=terms, where=gap > 0.0)
+        np.copyto(terms, rt[:, None, None], where=gap == 0.0)  # -expm1(-rt*gap)/gap as gap -> 0
         terms *= np.exp(-np.multiply.outer(rt, np.minimum.outer(vals, ks)))
     rows = terms.reshape(times.size, weights.size)
     _check_condition(float(np.einsum("ij,j->i", rows, np.abs(weights.ravel())).max(initial=0.0)))

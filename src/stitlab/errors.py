@@ -18,7 +18,8 @@ class SamplerStall(StitlabError):
 
 
 class LCollision(StitlabError):
-    """Two normalized hitting weights violate the minimum relative gap."""
+    """Two normalized hitting weights closer than a minimum gap.  stitlab no
+    longer raises it (IllConditioned refuses them); callers may still catch it."""
 
 
 class DomainError(StitlabError, ValueError):

@@ -72,7 +72,7 @@ from .batch import (
     sample_lines,
     split_cells,
 )
-from .errors import DegenerateSplit, DomainError, GeometryError, LCollision, SamplerStall
+from .errors import DegenerateSplit, DomainError, GeometryError, SamplerStall
 from .geometry import ConvexPolygon, Line, Point, SplitResult, _measure_ring, split
 from .line_measure import (
     MAX_REJECTION_ITERATIONS,
@@ -82,7 +82,6 @@ from .line_measure import (
     sample_hitting_line,
 )
 
-L_MIN_RELATIVE_GAP = 1e-9
 # A run is refused (_check_expected_work) when it expects more events than
 # this: expm1(rate * t) decisions of the equally-likely clock to a time t, or
 # stit_mean_jumps jumps of STIT, or a cap of more events, whichever is fewer.
@@ -153,7 +152,8 @@ class LSequence:
 
     values[k-1] is the total hitting weight of the k cells present just
     before the k-th jump, divided by the window weight `rate`; it always
-    starts at exactly 1, stays within [1, k] and increases strictly.
+    starts at exactly 1, stays within [1, k] and never decreases (else a
+    DomainError); an evaluator refuses neighbours it cannot resolve.
     """
 
     values: tuple[float, ...]
@@ -161,18 +161,13 @@ class LSequence:
 
     def __post_init__(self) -> None:
         vals = tuple(float(v) for v in self.values)
-        if not vals:
-            raise DomainError("sequence must not be empty")
-        if vals[0] != 1.0:
-            raise DomainError(f"first value must be exactly 1.0, got {vals[0]!r}")
+        if vals[:1] != (1.0,):
+            raise DomainError(f"sequence must start at exactly 1.0, got {vals[:1]!r}")
         if not self.rate > 0.0:
             raise DomainError(f"rate must be positive, got {self.rate!r}")
-        for k, v in enumerate(vals, start=1):
-            if not 1.0 <= v <= k * (1.0 + 1e-12):
-                raise DomainError(f"value {v!r} at position {k} outside [1, {k}]")
-        for a, b in zip(vals, vals[1:]):
-            if b - a <= L_MIN_RELATIVE_GAP * b:
-                raise LCollision(f"values {a!r} and {b!r} closer than the minimum gap")
+        for k, (prev, v) in enumerate(zip(vals, vals[1:]), start=2):
+            if not prev <= v <= k * (1.0 + 1e-12):  # NaN fails too
+                raise DomainError(f"value {v!r} at position {k} outside [{prev!r}, {k}]")
         object.__setattr__(self, "values", vals)
 
     def __len__(self) -> int:

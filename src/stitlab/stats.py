@@ -43,7 +43,7 @@ from .distributions import (
     verify_lagrange_identity,
     verify_telescoping_identity,
 )
-from .errors import DegenerateBins, DomainError, LCollision, StitlabError, TooFewSamples
+from .errors import DegenerateBins, DomainError, IllConditioned, StitlabError, TooFewSamples
 from .geometry import ConvexPolygon
 from .line_measure import LineMeasureSpec, hitting_measure
 from .processes import LSequence, final_state, l_sequence, mecke_discrete_simulate, replica_rng
@@ -54,11 +54,13 @@ MUTATIONS = (None, "poisson-clock", "wrong-rate")
 WRONG_RATE_FACTOR = 1.2
 MIN_REL_GAP = 0.05  # between neighbouring values of a random_l_sequence
 # Fixed settings of the equivalence harness: the conditional check freezes
-# N_CONDITIONAL_SEQUENCES weight sequences of CONDITIONAL_DEPTH values each; a
-# p-valued check passes above P_THRESHOLD, the tail-vs-CDF residual at or below
-# IDENTITY_TOL; a chi-square test merges bins until each expects MIN_EXPECTED.
+# N_CONDITIONAL_SEQUENCES weight sequences of CONDITIONAL_DEPTH values each
+# from MAX_SEQUENCE_ATTEMPTS traces at most; a p-valued check passes above
+# P_THRESHOLD, the tail-vs-CDF residual at or below IDENTITY_TOL; a
+# chi-square test merges bins until each expects MIN_EXPECTED.
 CONDITIONAL_DEPTH = 4
 N_CONDITIONAL_SEQUENCES = 3
+MAX_SEQUENCE_ATTEMPTS = 30
 P_THRESHOLD = 1e-3
 IDENTITY_TOL = 1e-6
 MIN_EXPECTED = 5.0
@@ -388,21 +390,24 @@ class EquivalenceConfig:
         _check_expected_work(None, "MAX_EXPECTED_CLOCK_EVENTS", selection, cap=self.selection_events)
 
 
-def _frozen_sequences(config: EquivalenceConfig) -> list[LSequence]:
-    """Weight sequences frozen from seeded discrete-process traces."""
-    out: list[LSequence] = []
-    attempt = 0
-    while len(out) < N_CONDITIONAL_SEQUENCES:
+def _frozen_sequences(config: EquivalenceConfig) -> list[tuple[LSequence, list[np.ndarray]]]:
+    """Weight sequences frozen from seeded discrete-process traces, each with its
+    pmf tables (STIT's, Mecke's).  A sequence the laws refuse is replaced by the
+    next child seed's; past MAX_SEQUENCE_ATTEMPTS traces the last refusal is raised."""
+    out = []
+    for attempt in range(MAX_SEQUENCE_ATTEMPTS):
         rng = replica_rng(config.seed, 1, attempt)
-        attempt += 1
-        trace = mecke_discrete_simulate(
-            config.window, config.measure, rng, max_jumps=CONDITIONAL_DEPTH - 1
-        )
+        lseq = l_sequence(mecke_discrete_simulate(
+            config.window, config.measure, rng, max_jumps=CONDITIONAL_DEPTH - 1))
         try:
-            out.append(l_sequence(trace))
-        except LCollision:
-            continue  # re-run with the next child seed
-    return out
+            out.append((lseq, [_capped_count_pmfs(lseq, config.time_grid, law)
+                               for law in (stit_jump_cdf, mecke_jump_tail)]))
+        except IllConditioned as exc:
+            refusal = exc
+        if len(out) == N_CONDITIONAL_SEQUENCES:
+            return out
+    refused = MAX_SEQUENCE_ATTEMPTS - len(out)
+    raise IllConditioned(f"{refusal}; {refused} of {MAX_SEQUENCE_ATTEMPTS} attempts refused")
 
 
 def _capped_count_pmfs(lseq: LSequence, times: Sequence[float], tail: Callable) -> np.ndarray:
@@ -421,12 +426,10 @@ def _capped_count_pmfs(lseq: LSequence, times: Sequence[float], tail: Callable) 
 def _check_conditional(config: EquivalenceConfig, name: str) -> VerificationReport:
     """Capped jump counts of STIT and of Mecke on each frozen sequence, against
     their pmfs and against each other."""
-    laws = (stit_jump_cdf, mecke_jump_tail)
     simulators = (simulate_conditional_stit_counts, simulate_conditional_mecke_counts)
     worst_p = 1.0
     n_total = 0
-    for s_idx, lseq in enumerate(_frozen_sequences(config)):
-        tables = [_capped_count_pmfs(lseq, config.time_grid, law) for law in laws]
+    for s_idx, (lseq, tables) in enumerate(_frozen_sequences(config)):
         for t_idx, t in enumerate(config.time_grid):
             if -math.expm1(-lseq.rate * t) <= 0.0:
                 continue  # no jumps can have happened; trivially consistent

@@ -612,7 +612,7 @@ class TestUsageErrors:
             ["table", "stit-cdf", "--L", "1,abc"],
             ["table", "stit-cdf", "--L", "1,0.5"],
             ["table", "jump-pmf", "--L", "1,1.5", "--ell", "2", "--rate", "0"],
-            ["table", "mecke-tail", "--L", "1,1.5,1.5", "--ell", "2"],
+            ["table", "mecke-tail", "--L", "1,1.5,1.4", "--ell", "2"],
             ["table", "cowan-pmf", "--rate", "0", "--t", "1"],
             ["table", "cowan-pmf", "--t", "1", "--k", "a:b"],
             ["table", "waiting-pmf", "--n", "0", "--Lk", "1.5"],
@@ -708,6 +708,18 @@ class TestUsageErrors:
         assert run(["table", "stit-cdf", *argv]) == 0
         cdf = float(capsys.readouterr().out.splitlines()[1].split(",")[1])
         assert tail == pytest.approx(cdf, rel=0.0, abs=1e-13)
+
+    @pytest.mark.parametrize("argv", [
+        ["mecke-tail", "--L", "1,2,2", "--ell", "3", "--t", "0.5"],  # inf times a seed of 0
+        ["stit-cdf", "--L", "1,1.0000000000001", "--t", "0.5"],
+    ], ids=" ".join)
+    def test_tied_weights_are_a_runtime_refusal(self, argv, capsys):
+        # a valid sequence whose nodes the law cannot resolve: refused, never nan
+        assert run(["table", *argv]) == 3
+        out, err = capsys.readouterr()
+        assert "nan" not in out
+        err = err.splitlines()
+        assert len(err) == 1 and err[0].startswith("runtime error: ") and "condition" in err[0]
 
     def test_unknown_model(self, tmp_path):
         assert run(["simulate", "--model", "nope", "--jumps", "1",

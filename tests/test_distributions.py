@@ -323,6 +323,55 @@ def test_precision_limits_are_fixed():
         assert not {"n_max", "ell_max", "condition_limit"} & set(inspect.signature(fn).parameters)
 
 
+def _load_reference():
+    """The benchmark's positive-term reference laws (perfbench/reference.py)."""
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# equal nodes, nodes 1e-13 apart, and integer-valued ties, where a node gap
+# of 0 meets a seed term of 0 in the discrete laws
+TIED_SEQUENCES = [
+    (1.0, 1.0), (1.0, 1.5, 1.5), (1.0, 1.5, 1.5, 2.5),
+    (1.0, 1.0 + 1e-13), (1.0, 1.5, 1.5 + 1e-13), (1.0, 1.4, 2.2, 2.2 + 1e-13),
+    (1.0, 2.0, 2.0), (1.0, 2.0, 3.0, 3.0), (1.0, 2.0, 2.0 + 1e-13),
+]
+
+
+@pytest.mark.parametrize("values", TIED_SEQUENCES, ids=str)
+def test_tied_nodes_are_refused_or_exact(values):
+    """Every jump law on equal or near-equal weights either raises
+    IllConditioned or returns finite values within 1e-8 of the reference."""
+    ref = _load_reference()
+    lseq, times, n_last = LSequence(values, rate=1.0), (0.5, 1.0), 300
+    cases = []
+    for n in range(1, len(values) + 1):
+        cases += [(stit_jump_cdf, (n, times), ref.jump_cdf(values, 1.0, n, times)),
+                  (stit_jump_pdf, (n, times), ref.jump_pdf(values, 1.0, n, times))]
+        pmf = ref.discrete_jump_pmf(values, n, n_last)  # n = ell..n_last
+        decay = np.power.outer(-np.expm1(-np.array(times)), np.arange(n, n_last + 1))
+        cases.append((mecke_jump_tail, (n, times), decay @ pmf))
+        if n >= 2:
+            cases += [(discrete_jump_pmf, (n, list(range(n, n + 8))), pmf[:8]),
+                      (discrete_jump_pmf_sequence, (n, n + 40), pmf[:41]),
+                      (discrete_jump_pmf_mass, (n, n_last), pmf.sum())]
+    refused = 0
+    for fn, args, want in cases:
+        try:
+            got = np.asarray(fn(lseq, *args), dtype=float)
+        except IllConditioned:
+            refused += 1
+            continue
+        assert np.isfinite(got).all(), (fn.__name__, args)
+        assert np.abs(got - want).max() <= 1e-8, (fn.__name__, args)
+    assert refused > 0  # each sequence has a tie some law cannot resolve
+
+
 class TestMeckeJumpTail:
     def test_zero_time(self):
         assert mecke_jump_tail(L_THREE, 2, 0.0) == 0.0

@@ -12,7 +12,6 @@ from stitlab.errors import (
     DomainError,
     GeometryError,
     IllConditioned,
-    LCollision,
     SamplerStall,
 )
 from stitlab.geometry import ConvexPolygon, Line, split
@@ -573,8 +572,20 @@ class TestLSequence:
             LSequence((1.0, 2.5), rate=1.0)  # value above its position bound
         with pytest.raises(DomainError):
             LSequence((1.0, 1.5), rate=0.0)
-        with pytest.raises(LCollision):
-            LSequence((1.0, 1.0 + 1e-12), rate=1.0)
+        with pytest.raises(DomainError):
+            LSequence((1.0, 1.5, 1.4), rate=1.0)  # a decrease
+        # neighbours closer than any fixed gap are a valid sequence; an
+        # evaluator that cannot resolve them refuses it (IllConditioned)
+        assert LSequence((1.0, 1.0 + 1e-12), rate=1.0).values == (1.0, 1.0 + 1e-12)
+        assert LSequence((1.0, 2.0, 2.0), rate=1.0).values == (1.0, 2.0, 2.0)
+
+    def test_a_long_trace_with_close_weights_has_its_sequence(self, unit_square):
+        # at this seed two neighbouring values are 5.7e-10 apart (relative)
+        trace = stit_simulate(unit_square, ISO, np.random.default_rng(3), max_jumps=8000)
+        values = l_sequence(trace).values
+        assert len(values) == 8001
+        assert all(a <= b for a, b in zip(values, values[1:]))
+        assert min((b - a) / b for a, b in zip(values, values[1:])) < 1e-9
 
 
 class TestReplicaRng:

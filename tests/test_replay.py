@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from stitlab import processes
-from stitlab.errors import DegenerateSplit, LCollision
+from stitlab.errors import DegenerateSplit
 from stitlab.geometry import ConvexPolygon, Line, split
 from stitlab.line_measure import DirectionMixture, IsotropicMeasure, hitting_measure
 from stitlab.processes import (
@@ -75,13 +75,7 @@ def _assert_matches_oracle(trace):
     got = chord_segments(trace)
     assert got.shape == chords.shape and np.array_equal(got, chords)
     assert final_state(trace).quasi_cells == slots  # vertices and measures, bit for bit
-    try:
-        want = LSequence(tuple(values), rate)
-    except LCollision:
-        with pytest.raises(LCollision):
-            l_sequence(trace)
-    else:
-        assert l_sequence(trace).values == want.values
+    assert l_sequence(trace).values == LSequence(tuple(values), rate).values
 
 
 def _simulated(model, window, measure, seed):

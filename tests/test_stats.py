@@ -2,10 +2,15 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from stitlab import stats
 from stitlab.errors import DegenerateBins, DomainError, TooFewSamples
 from stitlab.geometry import ConvexPolygon
 from stitlab.line_measure import IsotropicMeasure, hitting_measure
@@ -469,3 +474,34 @@ class TestEquivalenceSuite:
             mutation=mutation,
         )
         assert _report_digest(run_equivalence_suite(config)) == GOLDEN_ENSEMBLE_DIGESTS[mutation]
+
+
+class TestFrozenSequences:
+    def test_a_refused_sequence_is_replaced_by_the_next_seed(self, right_triangle):
+        # at this seed the first trace's weights (1, 1.03177, 1.03181, 1.04373)
+        # give stit_jump_cdf a condition of 1.39e8: that sequence is dropped
+        config = EquivalenceConfig(window=right_triangle, measure=ISO, seed=1183)
+        frozen = stats._frozen_sequences(config)
+        assert len(frozen) == stats.N_CONDITIONAL_SEQUENCES
+        for lseq, tables in frozen:
+            assert len(lseq) == stats.CONDITIONAL_DEPTH and lseq.values[1] > 1.1
+            for law, table in zip((stats.stit_jump_cdf, stats.mecke_jump_tail), tables):
+                assert np.array_equal(table, stats._capped_count_pmfs(lseq, config.time_grid, law))
+
+    def test_weights_no_law_resolves_fail_the_check_after_bounded_attempts(self, tmp_path):
+        # nearly all lines horizontal: every cut leaves the total weight almost
+        # unchanged, so every frozen sequence is refused; this once ran forever
+        src = str(Path(stats.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        out = tmp_path / "reports.json"
+        argv = ["verify", "--suite", "equivalence", "--measure", "dirs:0:1,1.5:1e-11",
+                "--replicas", "200", "--t-grid", "0.2,0.5", "--out", str(out)]
+        done = subprocess.run([sys.executable, "-m", "stitlab.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1, done.stderr
+        report = json.loads(out.read_text())[0]
+        assert report["check_name"] == "conditional-jump-counts" and not report["passed"]
+        assert report["note"].startswith("IllConditioned: ")
+        attempts = stats.MAX_SEQUENCE_ATTEMPTS
+        assert f"{attempts} of {attempts} attempts refused" in report["note"]
