@@ -28,14 +28,17 @@ array of candidate points.
 
 The unconditional equivalence check counts the cells of its replicas in
 blocks of at most BLOCK, so its memory is bounded by the block, not by the
-replica count; `cell_count_histograms` bins both sides.  STIT's side is its
-one engine, the per-cell clocks (`processes.stit_cell_counts`).  The Mecke
-side is `mecke_cell_counts`: the stepper of `processes.mecke_discrete_step`
-under a `Clock` of the number n of quasi-cells, in lockstep, one event per
-live replica per step.  Empty slots are not stored: a wait draws at once the
-run of decisions that pick an empty slot before the next cell pick (`skip`)
-and the clock's time over them (`Clock.span`), and the event cuts a cell
-picked uniformly by one window line.
+replica count.  A block of either side returns its cut log, the time and
+the replica of each cut, and `cell_count_histograms` counts and bins both.
+STIT's side is its one engine, the per-cell clocks
+(`processes.stit_cell_counts`).  The Mecke side is `mecke_cell_counts`: the
+stepper of `processes.mecke_discrete_step` under a `Clock` of the number n
+of quasi-cells, in lockstep, one event per live replica per step.  Empty
+slots are not stored: a wait draws at once the run of decisions that pick
+an empty slot before the next cell pick (`skip`) and the clock's time over
+them (`Clock.span`), and the event cuts a cell picked uniformly by one
+window line.  Window lines are drawn from read-only rows of one cached
+batch (`window_rows`).
 """
 
 from __future__ import annotations
@@ -52,6 +55,9 @@ from .geometry import EPS_GEOM, ConvexPolygon, _dedupe_ring
 from .line_measure import MAX_REJECTION_ITERATIONS, IsotropicMeasure, LineMeasureSpec
 
 BLOCK = 2048  # replicas run together
+# the rows of a cached window batch (`window_rows`): no fewer than BLOCK, nor
+# than the largest decision block of `processes._mecke_run`
+WINDOW_ROWS = 4096
 
 _AHEAD_BACK = np.array([1.0, -1.0])[:, None, None]  # positions along a line, and back along it
 
@@ -130,6 +136,22 @@ class Polys:
         width = max(b.verts.shape[1] for b in batches)
         wide = (b if b.verts.shape[1] == width else b.widened(width) for b in batches)
         return Polys(*map(np.concatenate, zip(*(b.arrays() for b in wide))))
+
+
+@functools.lru_cache(maxsize=8)
+def _window_batch(window: ConvexPolygon) -> Polys:
+    rows = Polys.of([window]).take(np.zeros(WINDOW_ROWS, dtype=np.int64))
+    for a in rows.arrays():
+        a.flags.writeable = False
+    return rows
+
+
+def window_rows(window: ConvexPolygon, size: int) -> Polys:
+    """`size` rows of `window`, read-only views of one cached batch of
+    WINDOW_ROWS rows; a larger `size` raises ValueError."""
+    if size > WINDOW_ROWS:
+        raise ValueError(f"{size} window rows asked for, {WINDOW_ROWS} cached")
+    return _window_batch(window).take(slice(size))
 
 
 @functools.cache
@@ -336,18 +358,23 @@ def split_cells(polys: Polys, theta: np.ndarray, offset: np.ndarray) -> BatchSpl
 # cell-count histograms, and the lockstep Mecke stepper
 
 
-def cell_count_histograms(run: Callable[[int], np.ndarray], replicas: int, grid_size: int) -> np.ndarray:
-    """hist[j, c]: how many of `replicas` runs show c cells at grid time j.
-    `run(size)` makes the next `size` runs, at most BLOCK of them, and gives
-    their cell counts, one row per run and one column per grid time."""
-    hist = np.zeros((grid_size, 2), dtype=np.int64)
+def cell_count_histograms(run: Callable[[int], list], replicas: int, times: Sequence[float]) -> np.ndarray:
+    """hist[j, c]: how many of `replicas` runs show c cells at times[j], where
+    a run shows 1 plus its cuts by then.  `run(size)` makes the next `size`
+    runs, at most BLOCK of them, and gives their cut log up to the largest
+    time: pieces whose first two columns are the times and the runs (0 to
+    size - 1) of cuts."""
+    hist = np.zeros((len(times), 2), dtype=np.int64)
     for first in range(0, replicas, BLOCK):
-        seen = run(min(BLOCK, replicas - first))
-        top = int(seen.max()) + 1
+        size = min(BLOCK, replicas - first)
+        # zip keeps the first two columns of each piece
+        time, cut_run = (np.concatenate(c) for c in zip((np.empty(0), np.empty(0, dtype=np.int64)), *run(size)))
+        seen = [1 + np.bincount(cut_run[time <= g], minlength=size) for g in times]
+        top = max(int(s.max()) for s in seen) + 1
         if top > hist.shape[1]:
             hist = np.pad(hist, ((0, 0), (0, top - hist.shape[1])))
-        for j in range(grid_size):
-            hist[j, :top] += np.bincount(seen[:, j], minlength=top)
+        for j, s in enumerate(seen):
+            hist[j, :top] += np.bincount(s, minlength=top)
     return hist
 
 
@@ -368,22 +395,20 @@ class _Mecke:
     decision that picks a cell, and the event cuts a cell picked uniformly by
     one window line.  The cells are rows of a growing store (a `Polys`);
     per replica, the store rows of its cells in order are the first `count`
-    columns of its row of `members`, and `slots` counts its quasi-cells,
-    empty ones included."""
+    columns of its row of `members`, `slots` counts its quasi-cells, empty
+    ones included, and `t` is the time of its last event.  `log` holds the
+    time and the replica of each cut, one piece per call of `apply`."""
 
-    def __init__(self, measure: LineMeasureSpec, window: Polys, size: int, clock: Clock) -> None:
+    def __init__(self, measure: LineMeasureSpec, window: ConvexPolygon, size: int, clock: Clock) -> None:
         self.measure, self.clock = measure, clock
-        self.cells = window.take(np.zeros(8 * size, dtype=np.int64))
-        self.windows = window.take(np.zeros(size, dtype=np.int64))
+        self.windows = window_rows(window, size)
+        self.cells = self.windows.take(np.zeros(8 * size, dtype=np.int64))  # a writable copy
         self.used = size
         self.members = np.arange(size)[:, None]
         self.count = np.ones(size, dtype=np.int64)
         self.slots = np.ones(size, dtype=np.int64)
-
-    def picked(self, rows: np.ndarray) -> Polys:
-        """The store rows `rows`, in only as many vertex columns as the widest of them has."""
-        nv = self.cells.nv[rows]
-        return Polys(self.cells.verts[rows, : nv.max()], nv, *(a[rows] for a in self.cells.arrays()[2:]))
+        self.t = np.zeros(size)
+        self.log: list[tuple[np.ndarray, np.ndarray]] = []
 
     def apply(self, reps: np.ndarray, rows: np.ndarray, res: BatchSplit) -> None:
         """Where res.status is CUT, row rows[i] of replica reps[i] keeps the far
@@ -393,6 +418,7 @@ class _Mecke:
         if not cut.any():
             return
         reps, rows = reps[cut], rows[cut]
+        self.log.append((self.t[reps], reps))
         parts = res.parts
         width = parts.verts.shape[1]
         if width > self.cells.verts.shape[1]:
@@ -428,31 +454,23 @@ class _Mecke:
                 return
             rows = self.members[reps, slot]
             lines = sample_lines(self.measure, self.windows.take(slice(reps.size)), rng)
-            res = split_cells(self.picked(rows), *lines)
+            res = split_cells(self.cells.take(rows), *lines)
             self.apply(reps, rows, res)
             reps = reps[res.status == DEGENERATE]  # the decision is drawn again
             slot = rng.integers(0, self.slots[reps] - 1)
             reps, slot = reps[slot < self.count[reps]], slot[slot < self.count[reps]]
         raise SamplerStall("degenerate splits exceeded the iteration budget")
 
-    def counts(self, times: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """seen[r, j]: the cell count of replica r at times[j].  A step draws
-        every live replica's wait to its next event, records its cell count at
-        the grid times the wait passes (nothing changes during a wait), retires
-        it past the largest grid time, and runs the events of the rest."""
-        t_max = float(times.max())
-        t = np.zeros(self.count.size)
-        seen = np.empty((t.size, times.size), dtype=np.int64)
-        live = np.arange(t.size)
+    def run(self, t_max: float, rng: np.random.Generator) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The log of a run to t_max.  A step draws every live replica's wait
+        to its next event, retires it past t_max, and runs the events of the
+        rest."""
+        live = np.arange(self.t.size)
         while live.size:
-            t_next = self.wait(live, t[live], rng)
-            r, j = np.nonzero((t[live, None] <= times) & (t_next[:, None] > times))
-            seen[live[r], j] = self.count[live[r]]
-            t[live] = t_next
-            keep = t_next <= t_max
-            self.event(live[keep], rng)
-            live = live[keep]
-        return seen
+            self.t[live] = self.wait(live, self.t[live], rng)
+            live = live[self.t[live] <= t_max]
+            self.event(live, rng)
+        return self.log
 
 
 def mecke_cell_counts(
@@ -465,8 +483,7 @@ def mecke_cell_counts(
     is not finite and positive, or a slot count past the int64 range, raises
     DomainError."""
     check_rate(clock.rate)
-    times = np.asarray(grid, dtype=float)
-    cells = Polys.of([window])
+    t_max = float(max(grid))
     return cell_count_histograms(
-        lambda size: _Mecke(measure, cells, size, clock).counts(times, rng), replicas, times.size
+        lambda size: _Mecke(measure, window, size, clock).run(t_max, rng), replicas, grid
     )

@@ -98,10 +98,12 @@ def _stit_coefficients(lseq: LSequence, n: int) -> np.ndarray:
     return coef
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a density past the float range: refused below
 def _jump_time_sum(lseq: LSequence, n: int, t, density: bool, top: float):
     """The n-th jump time's CDF, 1 + sign * sum_i c_i exp(-rate * v_i * t), or
     with `density` its derivative; values within 1e-9 outside [0, top] are
-    clamped onto it.  A scalar `t` is a grid of one (and gives a float)."""
+    clamped onto it.  A scalar `t` is a grid of one (and gives a float).  A
+    density whose terms pass the float range raises IllConditioned."""
     coef = _stit_coefficients(lseq, n)
     vals = np.asarray(lseq.values[:n], dtype=float)
     t_arr = _times(t)
@@ -110,6 +112,10 @@ def _jump_time_sum(lseq: LSequence, n: int, t, density: bool, top: float):
         sign, coef = -sign, lseq.rate * vals * coef
     terms = np.exp(-lseq.rate * np.multiply.outer(t_arr.ravel(), vals))
     out = sign * np.einsum("ij,j->i", terms, coef)
+    if not np.isfinite(out).all():
+        raise IllConditioned(
+            f"density terms pass the float range at rate {lseq.rate:.3g}: no finite condition"
+        )
     if not density:
         out += 1.0
     out[(out > -1e-9) & (out < 0.0)] = 0.0  # round-off past either end

@@ -71,6 +71,7 @@ from .batch import (
     hitting_weights,
     sample_lines,
     split_cells,
+    window_rows,
 )
 from .errors import DegenerateSplit, DomainError, GeometryError, SamplerStall
 from .geometry import ConvexPolygon, Line, Point, SplitResult, _measure_ring, split
@@ -234,16 +235,6 @@ def _decide(
     raise SamplerStall("degenerate splits exceeded the iteration budget")
 
 
-@functools.lru_cache(maxsize=8)
-def _window_rows(window: ConvexPolygon) -> Polys:
-    """DECISION_BLOCK rows of `window`, read-only: a run takes the rows it needs
-    as a view."""
-    rows = Polys.of([window]).take(np.zeros(DECISION_BLOCK, dtype=np.int64))
-    for a in rows.arrays():
-        a.flags.writeable = False
-    return rows
-
-
 def _mecke_run(
     window: ConvexPolygon,
     measure: LineMeasureSpec,
@@ -264,7 +255,7 @@ def _mecke_run(
     `_apply_split` does.  A clock rate that is not finite and positive, or an
     event time that is not finite, raises DomainError."""
     time_cap, jump_cap, slot_cap = _caps(max_time, max_jumps, max_decisions)
-    windows = _window_rows(window)
+    windows = window_rows(window, DECISION_BLOCK)
     cells = {0: window}  # per slot its cell, or None; a slot not in it is empty
     events: list[TraceEvent] = []
     n, t, jumps, size = 1, 0.0, 0, FIRST_DECISION_BLOCK
@@ -486,7 +477,7 @@ def _run_clocks(
     raises SamplerStall."""
     time_cap, jump_cap = _caps(max_time, max_jumps)
     clocks = _Clocks(measure, rate, rng)
-    later = [clocks.born(_window_rows(window).take(slice(1)), np.zeros(1), np.zeros(1, dtype=np.int64))]
+    later = [clocks.born(window_rows(window, 1), np.zeros(1), np.zeros(1, dtype=np.int64))]
     horizon, expect = -math.inf, jump_cap
     while clocks.made < jump_cap and horizon < time_cap:
         alive = _Alive.stack(later)
@@ -521,21 +512,16 @@ def stit_cell_counts(
     """hist[j, c]: how many of `replicas` STIT runs show c cells at time grid[j].
 
     Each block of at most `batch.BLOCK` windows is one `_ReplicaClocks` run to
-    the largest grid time; a replica's count at g is 1 plus the cuts of its
-    cells by g.  One replica is `stit_simulate`'s run to that time, draw for
-    draw.  A clock rate that is not finite and positive raises DomainError."""
-    times = np.asarray(grid, dtype=float)
-    rows = Polys.of([window])
+    the largest grid time, whose cut log `cell_count_histograms` counts.  One
+    replica is `stit_simulate`'s run to that time, draw for draw.  A clock rate that is not finite and positive raises DomainError."""
+    t_max = float(max(grid))
 
-    def run(size: int) -> np.ndarray:
+    def run(size: int) -> list[tuple[np.ndarray, ...]]:
         clocks = _ReplicaClocks(measure, functools.partial(hitting_weights, measure), rng)
-        ids = np.arange(size)
-        clocks.grow(clocks.born(rows.take(np.zeros(size, dtype=np.int64)), np.zeros(size), ids), times.max())
-        # the time and the replica of each cut (zip keeps the first two columns)
-        time, replica = (np.concatenate(c) for c in zip((np.empty(0), ids[:0]), *clocks.cuts))
-        return 1 + np.stack([np.bincount(replica[time <= g], minlength=size) for g in times], axis=1)
+        clocks.grow(clocks.born(window_rows(window, size), np.zeros(size), np.arange(size)), t_max)
+        return clocks.cuts
 
-    return cell_count_histograms(run, replicas, times.size)
+    return cell_count_histograms(run, replicas, grid)
 
 
 def _check_expected_work(

@@ -423,28 +423,69 @@ def _capped_count_pmfs(lseq: LSequence, times: Sequence[float], tail: Callable) 
     return np.vstack([upper[:-1] - upper[1:], upper[-1:]]).T
 
 
+def _testable(upper: Callable[[int], float], n: int) -> bool:
+    """Whether a chi-square test of n >= 1 draws against a law on 0, 1, ...
+    has two bins, decided from the law alone: whether some count j >= 1
+    splits the law's expected draws into MIN_EXPECTED or more on each side,
+    n * P(count < j) and n * P(count >= j).  `upper(j)` is P(count >= j),
+    non-increasing.  Merged over the law's whole support the way
+    `chi_square_gof` merges, the first bin closes at the smallest j with
+    n * P(count < j) >= MIN_EXPECTED (found here by bisection), and the rest
+    make a second bin when they expect MIN_EXPECTED too."""
+    if n < 1:
+        raise TooFewSamples(f"need >= 1 replica, got {n}")
+    lo = MIN_EXPECTED / n
+    first, last = 1, 2**62
+    while first < last:
+        mid = (first + last) // 2
+        if upper(mid) <= 1.0 - lo:
+            last = mid
+        else:
+            first = mid + 1
+    return upper(first) >= lo
+
+
+def _skip_note(skipped: list[str], tested: int) -> str:
+    """The note of a check that skipped the sub-tests named in `skipped` as
+    untestable, and drew `tested` samples for the others."""
+    if not skipped:
+        return ""
+    return f"{'not testable' if tested else 'nothing was testable'}, skipped: {'; '.join(skipped)}"
+
+
 def _check_conditional(config: EquivalenceConfig, name: str) -> VerificationReport:
     """Capped jump counts of STIT and of Mecke on each frozen sequence, against
-    their pmfs and against each other."""
+    their pmfs and against each other.  A (sequence, t) whose pmf is too
+    narrow for `_testable` is skipped, and so is a two-sample test whose
+    pooled counts merge to one bin once both pmf tests have run; the note
+    names them."""
     simulators = (simulate_conditional_stit_counts, simulate_conditional_mecke_counts)
+    n = config.conditional_replicas
     worst_p = 1.0
     n_total = 0
+    skipped = []
     for s_idx, (lseq, tables) in enumerate(_frozen_sequences(config)):
         for t_idx, t in enumerate(config.time_grid):
-            if -math.expm1(-lseq.rate * t) <= 0.0:
-                continue  # no jumps can have happened; trivially consistent
+            where = f"sequence {s_idx} at t = {t:g}"
+            tails = (table[t_idx, ::-1].cumsum()[::-1] for table in tables)  # P(count >= j)
+            if not all(_testable(lambda j: u[j] if j < u.size else 0.0, n) for u in tails):
+                skipped.append(where)
+                continue
             rng = replica_rng(config.seed, 2, s_idx, t_idx)
-            hists = [counts_from_values(simulate(lseq, t, config.conditional_replicas, rng))
+            hists = [counts_from_values(simulate(lseq, t, n, rng))
                      for simulate in simulators]  # STIT's draws, then Mecke's
-            n_total += 2 * config.conditional_replicas
+            n_total += 2 * n
             for hist, table in zip(hists, tables):
                 pmf = table[t_idx]
                 _, p, _ = chi_square_gof(
                     hist, lambda k: pmf[k] if 0 <= k < len(pmf) else 0.0, support_lo=0
                 )
                 worst_p = min(worst_p, p)
-            worst_p = min(worst_p, two_sample_chi_square(*hists)[1])
-    return _p_report(name, worst_p, n_total, config.seed)
+            try:
+                worst_p = min(worst_p, two_sample_chi_square(*hists)[1])
+            except DegenerateBins:
+                skipped.append(f"the two-sample test of {where}")
+    return _p_report(name, worst_p, n_total, config.seed, note=_skip_note(skipped, n_total))
 
 
 def _mecke_clock(config: EquivalenceConfig) -> Clock:
@@ -493,20 +534,24 @@ def _check_unconditional(config: EquivalenceConfig, name: str) -> VerificationRe
 
 def _check_cowan(config: EquivalenceConfig, name: str) -> VerificationReport:
     """The event counts of the clock under test against the geometric law of
-    the equally-likely clock."""
+    the equally-likely clock, P(count >= j) = a^j with a = 1 - exp(-rate * t),
+    at each grid time where the law is `_testable`; the note names the others."""
     rate = hitting_measure(config.measure, config.window)
     clock = _mecke_clock(config)
     worst_p = 1.0
     n_total = 0
+    skipped = []
     for t_idx, t in enumerate(config.time_grid):
-        if -math.expm1(-rate * t) <= 0.0:
+        a = -math.expm1(-rate * t)
+        if not _testable(lambda j: a**j, config.cowan_replicas):
+            skipped.append(f"t = {t:g}")
             continue
         counts = _clock_counts(clock, t, config.cowan_replicas, replica_rng(config.seed, 4, t_idx))
         n_total += config.cowan_replicas
         pmf = nu_pmf(rate, t, np.arange(counts.max() + 1))  # the bits of each scalar call
         _, p, _ = chi_square_gof(counts_from_values(counts), lambda k: pmf[k], support_lo=0)
         worst_p = min(worst_p, p)
-    return _p_report(name, worst_p, n_total, config.seed)
+    return _p_report(name, worst_p, n_total, config.seed, note=_skip_note(skipped, n_total))
 
 
 def _tail_cdf_residual(
@@ -545,7 +590,7 @@ def _check_selection(config: EquivalenceConfig, name: str) -> VerificationReport
     cells = final_state(trace).cells
     polys = batch.Polys.of(cells)
     weights = np.array([hitting_measure(config.measure, c) for c in cells])
-    windows = batch.Polys.of([config.window]).take(np.zeros(batch.BLOCK, dtype=np.int64))
+    windows = batch.window_rows(config.window, batch.BLOCK)
     hits = np.zeros(len(cells), dtype=np.int64)
     while hits.sum() < config.selection_events:
         picked = rng.integers(0, len(cells), size=batch.BLOCK)

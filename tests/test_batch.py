@@ -244,7 +244,7 @@ class TestEdgeBatches:
         self._assert_no_parts(res)
 
     def test_apply_without_a_cut_is_a_no_op(self):
-        block = batch._Mecke(ISO, batch.Polys.of([UNIT_SQUARE]), 3, Clock(4.0))
+        block = batch._Mecke(ISO, UNIT_SQUARE, 3, Clock(4.0))
         before = [a.copy() for a in (*block.cells.arrays(), block.members, block.count)]
         used = block.used
         res = batch.split_cells(block.cells.take(np.arange(3)), np.zeros(3), np.full(3, 5.0))
@@ -365,10 +365,69 @@ def test_mecke_refuses_a_rate_that_is_not_finite_and_positive(clock):
 def test_mecke_refuses_a_slot_count_past_int64():
     # the equally-likely clock holds about e^(rate * t) slots at time t, past 2^63
     # once rate * t passes about 44 (about 500 cells on the unit square)
-    block = batch._Mecke(ISO, batch.Polys.of([UNIT_SQUARE]), 4, Clock(4.0))
+    block = batch._Mecke(ISO, UNIT_SQUARE, 4, Clock(4.0))
     block.slots[:] = np.iinfo(np.int64).max - 10
     with pytest.raises(DomainError, match="int64"):
         block.wait(np.arange(4), np.zeros(4), np.random.default_rng(0))
+
+
+# ---------------------------------------------------------------------------
+# the one count rule over cut logs, and the logs the engines give it
+
+
+def _log(*cuts: tuple[float, int]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """A cut log of one piece from (time, run) pairs."""
+    time = np.array([c[0] for c in cuts], dtype=float)
+    return [(time, np.array([c[1] for c in cuts], dtype=np.int64))]
+
+
+def test_counts_follow_the_one_rule_on_a_hand_made_log():
+    # run 0 is cut at 0.5 and at 1, run 1 never, run 2 at 0.2
+    log = _log((0.5, 0), (1.0, 0), (0.2, 2))
+    hist = batch.cell_count_histograms(lambda size: log, 3, (0.0, 0.5, 1.0))
+    assert hist.tolist() == [
+        [0, 3, 0, 0],  # at t = 0 every run shows the bare window
+        [0, 1, 2, 0],  # a cut exactly at a grid time counts at it
+        [0, 1, 1, 1],  # a run with no cut shows 1
+    ]
+
+
+@pytest.mark.parametrize("deep", [1, 0], ids=["deep-last", "deep-first"])
+def test_blocks_whose_largest_counts_differ_pad_the_histogram(monkeypatch, deep):
+    monkeypatch.setattr(batch, "BLOCK", 2)
+    logs = [_log(), _log()]  # a block of two runs, then one of one
+    logs[deep] = _log((0.1, 0), (0.2, 0), (0.3, 0))  # run 0 of that block: 4 cells by t = 1
+    sizes = []
+
+    def run(size):
+        sizes.append(size)
+        return logs[len(sizes) - 1]
+
+    hist = batch.cell_count_histograms(run, 3, (0.15, 1.0))
+    assert sizes == [2, 1]
+    assert hist.tolist() == [[0, 2, 1, 0, 0], [0, 2, 0, 0, 1]]
+
+
+@pytest.mark.parametrize("clock", [Clock(4.0), Clock(4.0, per_slot=False)], ids=["per-slot", "constant"])
+def test_mecke_log_agrees_with_the_stepper_state(clock):
+    block = batch._Mecke(ISO, UNIT_SQUARE, 300, clock)
+    time, replica = map(np.concatenate, zip(*block.run(0.8, np.random.default_rng(4))))
+    np.testing.assert_array_equal(1 + np.bincount(replica, minlength=300), block.count)
+    assert ((0.0 < time) & (time <= 0.8)).all()
+    for r in range(300):  # one event per replica per step: each replica's cuts in time order
+        assert (np.diff(time[replica == r]) > 0.0).all()
+
+
+def test_window_rows_are_read_only_views_of_one_cached_batch():
+    rows = batch.window_rows(TRIANGLE, batch.BLOCK)
+    assert batch.WINDOW_ROWS >= max(batch.BLOCK, processes.DECISION_BLOCK)
+    assert len(rows) == batch.BLOCK
+    for got, want in zip(rows.arrays(), batch.Polys.of([TRIANGLE]).arrays()):
+        assert not got.flags.writeable
+        np.testing.assert_array_equal(got, np.repeat(want, batch.BLOCK, axis=0))
+    assert np.shares_memory(rows.verts, batch.window_rows(TRIANGLE, 1).verts)
+    with pytest.raises(ValueError, match="window rows"):
+        batch.window_rows(TRIANGLE, batch.WINDOW_ROWS + 1)
 
 
 # ---------------------------------------------------------------------------

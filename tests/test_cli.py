@@ -712,6 +712,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["mecke-tail", "--L", "1,2,2", "--ell", "3", "--t", "0.5"],  # inf times a seed of 0
         ["stit-cdf", "--L", "1,1.0000000000001", "--t", "0.5"],
+        ["stit-pdf", "--L", "1,1.5", "--t", "0:1:0.5", "--rate", "1e308"],  # terms past the float range
     ], ids=" ".join)
     def test_tied_weights_are_a_runtime_refusal(self, argv, capsys):
         # a valid sequence whose nodes the law cannot resolve: refused, never nan

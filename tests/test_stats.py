@@ -132,6 +132,32 @@ class TestTwoSampleChiSquare:
             two_sample_chi_square({0: 10}, {0: 12})
 
 
+class TestTestable:
+    """Whether a law and a replica count give a chi-square test two bins,
+    decided from the law alone."""
+
+    def test_agrees_with_the_merge_over_the_whole_support(self):
+        rng = np.random.default_rng(57)
+        for _ in range(400):
+            pmf = rng.dirichlet(rng.uniform(0.05, 2.0, size=int(rng.integers(1, 8))))
+            n = int(rng.integers(1, 400))
+            merged = stats._merge_bins([[n * q] for q in pmf], expected_col=0)
+            assert stats._testable(lambda j: float(pmf[j:].sum()), n) is (len(merged) >= 2)
+
+    def test_geometric_law(self):
+        def testable(t, n, rate=4.0):
+            a = -math.expm1(-rate * t)
+            return stats._testable(lambda j: a**j, n)
+
+        assert not testable(0.0, 10**6)  # no jump can have happened
+        assert not testable(1e-7, 10**5)  # 0.04 replicas expected above 0
+        assert not testable(0.5, 9)  # fewer than two bins' worth of replicas
+        assert testable(0.5, 40) and testable(1e-4, 10**5)
+        assert testable(3.0, 20)  # the mass far from 0, spread over many counts
+        with pytest.raises(TooFewSamples):  # no replica: a check that draws none fails
+            testable(0.5, 0)
+
+
 class TestVectorizedSimulators:
     def test_first_jump_is_first_decision(self):
         lseq = random_l_sequence(np.random.default_rng(60), 2, 1.0)
@@ -379,6 +405,33 @@ class TestEquivalenceSuite:
         )
         reports = run_equivalence_suite(config)
         assert all(r.passed for r in reports), format_report_table(reports)
+
+    def test_a_grid_with_nothing_testable_says_so(self, small_config):
+        config = dataclasses.replace(small_config, time_grid=(0.0,), conditional_replicas=50,
+                                     cowan_replicas=50)
+        for check in (stats._check_conditional, stats._check_cowan):
+            report = check(config, "check")
+            assert report.passed and report.sample_size == 0
+            assert report.note.startswith("nothing was testable, skipped: ")
+        assert stats._check_cowan(config, "check").note.endswith("t = 0")
+
+    def test_a_deep_grid_skips_and_names_the_times_it_cannot_test(self, unit_square):
+        # at t = 2 the second sequence expects about 3 of 500 replicas below
+        # its cap: one bin after merging, which once failed the whole check
+        config = EquivalenceConfig(
+            window=unit_square, measure=ISO, time_grid=(0.5, 2.0), replicas=500,
+            conditional_replicas=500, cowan_replicas=10_000, selection_events=10_000, seed=0,
+        )
+        report = stats._check_conditional(config, "conditional-jump-counts")
+        assert report.passed, report
+        assert report.note == "not testable, skipped: sequence 1 at t = 2"
+        assert report.sample_size == 5 * 2 * 500
+
+    def test_a_sampler_that_never_jumps_fails(self, small_config, monkeypatch):
+        monkeypatch.setattr(stats, "simulate_conditional_mecke_counts",
+                            lambda lseq, t, n, rng: np.zeros(n, dtype=np.int64))
+        report = run_equivalence_suite(small_config)[0]
+        assert report.check_name == "conditional-jump-counts" and not report.passed
 
     @pytest.mark.parametrize("replicas", [0, 1])
     def test_too_few_replicas_are_reported(self, small_config, replicas):
